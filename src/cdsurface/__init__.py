@@ -10,7 +10,7 @@ from .errors import (BranchCutWarning, CDSurfaceError,
                      SizeGuardError, UnsupportedFamilyError)
 from .mops import (MatrixPolynomial, MOPSystem, assemble_Y, assemble_Yinv,
                    cd_kernel, cd_kernel_formula, cd_kernel_sum,
-                   cd_kernel_table, compute_moments, kernel_from_Y,
+                   compute_moments, kernel_from_Y, kernel_integral,
                    mop_system, pairing, solve_mops)
 from .sops import (ScalarOPSystem, scalar_cd_kernel, scalar_cd_kernel_formula,
                    scalar_cd_kernel_sum, scalar_kernel_from_Y,
@@ -28,7 +28,7 @@ from .tiling import (HexagonModel, KernelQuery, PathSystem, dk_evaluator,
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,
                       SpectralData, TwoByTwoRootK, WeightFamily,
                       check_spectral, eval_transition, eval_weight,
-                      family_from_json, spectral_data)
+                      family_from_json)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,9 +6,9 @@ Subcommands:
              write a CSV/JSON table.
   verify  -- run a named verification suite and emit a JSON report of
              {check, residual, tolerance, pass} entries.
-  prob    -- gap/point probabilities for a hexagon tiling model, by the
-             determinant route and (when the enumeration guard permits)
-             by exhaustive enumeration.
+  prob    -- point (inclusion) probabilities for a hexagon tiling model,
+             by the determinant route and (when the enumeration guard
+             permits) by exhaustive enumeration.
 
 Exit codes: 0 success (all checks pass for `verify`), 1 failed check,
 2 configuration/schema error, 3 numerical existence failure.

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _backend
 from .contour import ContourQuadrature
 from .errors import NearContourWarning, SingularSystemError
 from .weights import WeightFamily
@@ -275,45 +274,34 @@ def cd_kernel(system: MOPSystem, w, z) -> np.ndarray:
 
     This route requires only invertibility of the size-N block moment
     matrix (it works even when intermediate-degree MOPs fail to exist)
-    and has no removable singularity at w = z."""
+    and has no removable singularity at w = z.  w and z broadcast: pass
+    w[:, None] and z[None, :] for the table on a product grid."""
     wp = _powers(w, system.N)
     zp = _powers(z, system.N)
     return np.einsum("...a,abcd,...b->...cd", wp, system.kernel_coeffs, zp)
 
 
-def cd_kernel_w_nodes(system: MOPSystem, w_nodes: np.ndarray,
-                      z) -> np.ndarray:
-    """R_N(w_j, z) for an array of w nodes, shape (n, r, r)."""
-    wp = _powers(w_nodes, system.N)
-    zp = _powers(z, system.N)
-    return np.einsum("na,abcd,b->ncd", wp, system.kernel_coeffs, zp)
+def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
+    """sum_{k,j} left[k] R(w_k, z_j) right[j] for the kernel
+    R(w, z) = sum_ab w^a C_ab z^b with coefficients `coeffs`.
 
+    The sum is contracted through the coefficients: with
+    U_a = sum_k w_k^a left[k] and V_b = sum_j z_j^b right[j] it equals
+    sum_ab U_a C_ab V_b, so no table of R over the (w, z) grid is formed.
 
-def cd_kernel_z_nodes(system: MOPSystem, w,
-                      z_nodes: np.ndarray) -> np.ndarray:
-    """R_N(w, z_j) for an array of z nodes."""
-    wp = _powers(w, system.N)
-    zp = _powers(z_nodes, system.N)
-    return np.einsum("a,abcd,nb->ncd", wp, system.kernel_coeffs, zp)
-
-
-def cd_kernel_table(system: MOPSystem, w_nodes: np.ndarray,
-                    z_nodes: np.ndarray) -> np.ndarray:
-    """R_N(w_k, z_j) on a product grid, shape (nw, nz, r, r)."""
-    wp = _powers(w_nodes, system.N)
-    zp = _powers(z_nodes, system.N)
-    return np.einsum("ka,abcd,jb->kjcd", wp, system.kernel_coeffs, zp,
-                     optimize=True)
-
-
-def cd_kernel_sum_table(system: MOPSystem, w_nodes: np.ndarray,
-                        z_nodes: np.ndarray) -> np.ndarray:
-    """Same table via the biorthogonal sum and the accelerated backend
-    (requires all MOPs through degree N-1; used for cross-checks and as
-    the benchmarked hot path)."""
-    QRw = np.stack([system.QR[j](w_nodes) for j in range(system.N)])
-    PLz = np.stack([system.PL[j](z_nodes) for j in range(system.N)])
-    return _backend.kernel_table(QRw, PLz)
+    coeffs (N, N, r, r): left (nw, ..., r) and right (nz, r, ...) multiply
+    R's values as matrices; the result has shape
+    left.shape[1:-1] + right.shape[2:].
+    coeffs (N, N) (a scalar kernel): the result is the outer product of
+    the factors, of shape left.shape[1:] + right.shape[1:]."""
+    N = coeffs.shape[0]
+    U = np.tensordot(_powers(w, N), left, axes=(0, 0))
+    V = np.tensordot(_powers(z, N), right, axes=(0, 0))
+    if coeffs.ndim == 2:
+        return np.tensordot(U, np.tensordot(coeffs, V, axes=(1, 0)),
+                            axes=(0, 0))
+    CV = np.tensordot(coeffs, V, axes=([1, 3], [0, 1]))
+    return np.tensordot(U, CV, axes=([0, U.ndim - 1], [0, 1]))
 
 
 # --- Riemann-Hilbert assembly -------------------------------------------
@@ -388,7 +376,7 @@ def reproducing_residual(system: MOPSystem, family: WeightFamily,
                          quad: ContourQuadrature, P: MatrixPolynomial,
                          z) -> float:
     """|| int P(w) W(w) R_N(w, z) dw - P(z) ||_max for deg P <= N-1."""
-    Kw = cd_kernel_w_nodes(system, quad.nodes, z)
+    Kw = cd_kernel(system, quad.nodes, z)
     integrand = P(quad.nodes) @ family.weight(quad.nodes) @ Kw
     val = np.tensordot(quad.weights, integrand, axes=(0, 0))
     return float(np.max(np.abs(val - P(z))))
@@ -398,7 +386,7 @@ def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
                               quad: ContourQuadrature, Q: MatrixPolynomial,
                               w) -> float:
     """|| int R_N(w, z) W(z) Q(z) dz - Q(w) ||_max for deg Q <= N-1."""
-    Kz = cd_kernel_z_nodes(system, w, quad.nodes)
+    Kz = cd_kernel(system, w, quad.nodes)
     integrand = Kz @ family.weight(quad.nodes) @ Q(quad.nodes)
     val = np.tensordot(quad.weights, integrand, axes=(0, 0))
     return float(np.max(np.abs(val - Q(w))))

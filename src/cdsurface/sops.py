@@ -81,17 +81,13 @@ def solve_scalar_ops(weight: Callable, quad: ContourQuadrature,
                           missing=dict(system.missing))
 
 
-def _powers(x, n):
-    x = np.asarray(x, dtype=complex)
-    return x[..., None] ** np.arange(n)
-
-
 def scalar_cd_kernel(system: ScalarOPSystem, omega, zeta):
     """R_n(omega, zeta) through the inverted Hankel moment matrix;
     no removable singularity at omega = zeta, and valid even when
-    intermediate-degree polynomials do not exist."""
-    wp = _powers(omega, system.n)
-    zp = _powers(zeta, system.n)
+    intermediate-degree polynomials do not exist.  omega and zeta
+    broadcast: pass omega[:, None] and zeta[None, :] for a product grid."""
+    wp = mops._powers(omega, system.n)
+    zp = mops._powers(zeta, system.n)
     return np.einsum("...a,ab,...b->...", wp, system.kernel_coeffs, zp)
 
 
@@ -112,14 +108,6 @@ def scalar_cd_kernel_sum(system: ScalarOPSystem, omega, zeta):
     """sum_{j<n} q_j(omega) p_j(zeta)."""
     return sum(system.q_at(j, omega) * system.p_at(j, zeta)
                for j in range(system.n))
-
-
-def scalar_cd_table(system: ScalarOPSystem, omega_nodes: np.ndarray,
-                    zeta_nodes: np.ndarray) -> np.ndarray:
-    """Kernel on a product grid."""
-    wp = _powers(omega_nodes, system.n)
-    zp = _powers(zeta_nodes, system.n)
-    return np.einsum("ka,ab,jb->kj", wp, system.kernel_coeffs, zp)
 
 
 def assemble_scalar_Y(system: ScalarOPSystem, quad: ContourQuadrature,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import mops
 from .contour import ContourQuadrature, circle_quadrature, default_n, \
@@ -35,6 +36,13 @@ from .contour import ContourQuadrature, circle_quadrature, default_n, \
 from .errors import InconsistentParametersError, UnsupportedFamilyError
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,
                       SpectralData, TwoByTwoRootK, WeightFamily)
+
+
+def _row_poly(coeffs: np.ndarray, z) -> np.ndarray:
+    """P(z) = sum_m coeffs[m] z^m for (n, r) coefficient rows, by Horner;
+    shape z.shape + (r,)."""
+    return np.moveaxis(npoly.polyval(np.asarray(z, dtype=complex), coeffs),
+                       0, -1)
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,6 @@ class Genus0Chart:
     sheet_of: Callable           # zeta -> sheet index of phi(zeta)
     phi_inv: Callable            # (sheet, z) -> zeta
     V_is_full: bool
-    ledger: dict                 # pole/zero bookkeeping behind h, hhat
 
     def v_element(self, coeffs: np.ndarray) -> Callable:
         """Member of V from P in P_{n-1}^{1 x r}: coeffs shape (n, r),
@@ -64,10 +71,7 @@ class Genus0Chart:
 
         def p(zeta):
             zeta = np.asarray(zeta, dtype=complex)
-            z = self.phi(zeta)
-            Pvals = np.zeros(zeta.shape + (self.r,), dtype=complex)
-            for m in range(coeffs.shape[0] - 1, -1, -1):
-                Pvals = Pvals * z[..., None] + coeffs[m]
+            Pvals = _row_poly(coeffs, self.phi(zeta))
             return np.sum(Pvals * self.e_phi(zeta), axis=-1) * self.h(zeta)
 
         return p
@@ -78,10 +82,7 @@ class Genus0Chart:
 
         def p(zeta):
             zeta = np.asarray(zeta, dtype=complex)
-            z = self.phi(zeta)
-            Pvals = np.zeros(zeta.shape + (self.r,), dtype=complex)
-            for m in range(coeffs.shape[0] - 1, -1, -1):
-                Pvals = Pvals * z[..., None] + coeffs[m]
+            Pvals = _row_poly(coeffs, self.phi(zeta))
             return np.sum(Pvals * self.einv_phi(zeta), axis=-1) * self.hhat(zeta)
 
         return p
@@ -144,9 +145,7 @@ def _chart_cyclic(family: CyclicUniform, n: int) -> Genus0Chart:
         sheet_of=sheet_of,
         phi_inv=lambda k, z: rho ** k
         * np.exp(np.log(np.asarray(z, dtype=complex)) / r),
-        V_is_full=True,
-        ledger={"hhat_zero_at_infinity_order": r - 1,
-                "h_poles": {}, "sum_n_z": -(r - 1)})
+        V_is_full=True)
 
 
 def _chart_root_k(family: TwoByTwoRootK, n: int) -> Genus0Chart:
@@ -185,16 +184,13 @@ def _chart_root_k(family: TwoByTwoRootK, n: int) -> Genus0Chart:
         * (1 + np.asarray(z, dtype=complex) ** k_exp) ** L,
         gamma_C=lambda nn=None: unit_circle_quadrature(nn),
         sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=(k_exp == 1),
-        ledger={"hhat_zero_at_infinity_order": k_exp,
-                "h_poles": {}, "sum_n_z": -k_exp})
+        V_is_full=(k_exp == 1))
 
 
 def _chart_periodic_2x1(family: Periodic2x1, n: int) -> Genus0Chart:
     a0, a1, b0, b1 = family.a0, family.a1, family.b0, family.b1
     L, half = family.L, (family.M + family.N) // 2
     z1 = family.z1
-    spectral = family.spectral()
 
     def phi(z):
         return z1 + np.asarray(z, dtype=complex) ** 2 / (4 * a0 * a1)
@@ -240,9 +236,7 @@ def _chart_periodic_2x1(family: Periodic2x1, n: int) -> Genus0Chart:
         scalar_weight=scalar_weight,
         gamma_C=lambda nn=None: circle_quadrature(0.0, radius, nn),
         sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=True,
-        ledger={"hhat_zero": {0.0: 1}, "h_poles": {}, "sum_n_z": -1,
-                "spectral": spectral})
+        V_is_full=True)
 
 
 def _chart_periodic_2x2(family: Periodic2x2, n: int) -> Genus0Chart:
@@ -305,8 +299,7 @@ def _chart_periodic_2x2_case_a(family, n, ap, bm, bp, d, Lhalf, half):
         scalar_weight=scalar_weight,
         gamma_C=lambda nn=None: circle_quadrature(0.0, radius, nn),
         sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=True,
-        ledger={"case": "a", "hhat_zero": {0.0: 1}, "sum_n_z": -1})
+        V_is_full=True)
 
 
 def _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d, Lhalf, half):
@@ -398,9 +391,7 @@ def _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d, Lhalf, half):
         scalar_weight=scalar_weight,
         gamma_C=lambda nn=None: circle_quadrature(center, radius, nn),
         sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=True,
-        ledger={"case": "b", "c": c, "kappa": kappa, "z_pm": (zm, zp),
-                "h_pole_orders": {"inf^(2)": n}, "sum_n_z": -1})
+        V_is_full=True)
 
 
 def _chart_scalar_monomial(family: ScalarMonomial, n: int) -> Genus0Chart:
@@ -425,8 +416,7 @@ def _chart_scalar_monomial(family: ScalarMonomial, n: int) -> Genus0Chart:
         scalar_weight=lambda z: np.asarray(z, dtype=complex) ** (-Nw),
         gamma_C=lambda nn=None: unit_circle_quadrature(nn),
         sheet_of=lambda z: 0, phi_inv=lambda k, z: np.asarray(z, dtype=complex),
-        V_is_full=True,
-        ledger={"sum_n_z": 0})
+        V_is_full=True)
 
 
 # --- surface kernels ----------------------------------------------------
@@ -457,7 +447,7 @@ def frak_R(chart: Genus0Chart, system: mops.MOPSystem, omega, zeta):
     Scalars give a scalar; 1-D arrays give the full product table."""
     om = np.atleast_1d(np.asarray(omega, dtype=complex))
     ze = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    R = mops.cd_kernel_table(system, chart.phi(om), chart.phi(ze))
+    R = mops.cd_kernel(system, chart.phi(om)[:, None], chart.phi(ze)[None, :])
     left = chart.hhat(om)[:, None] * chart.einv_phi(om)   # (nw, r)
     right = chart.e_phi(ze) * chart.h(ze)[:, None]        # (nz, r)
     out = np.einsum("ka,kjab,jb->kj", left, R, right)
@@ -466,21 +456,11 @@ def frak_R(chart: Genus0Chart, system: mops.MOPSystem, omega, zeta):
     return out
 
 
-def frak_R_scalar(chart: Genus0Chart, system: mops.MOPSystem,
-                  omega: complex, zeta: complex) -> complex:
-    """Pointwise S(omega, zeta)."""
-    R = mops.cd_kernel_formula(system, complex(chart.phi(omega)),
-                               complex(chart.phi(zeta)))
-    left = complex(chart.hhat(omega)) * chart.einv_phi(omega)
-    right = chart.e_phi(zeta) * complex(chart.h(zeta))
-    return complex(left @ R @ right)
-
-
 def frak_R_w_nodes(chart: Genus0Chart, system: mops.MOPSystem,
                    omega_nodes: np.ndarray, zeta: complex) -> np.ndarray:
     """S(omega_j, zeta) over an array of omega nodes (sum-form kernel)."""
-    Rw = mops.cd_kernel_w_nodes(system, chart.phi(omega_nodes),
-                                complex(chart.phi(zeta)))
+    Rw = mops.cd_kernel(system, chart.phi(omega_nodes),
+                        complex(chart.phi(zeta)))
     left = chart.hhat(omega_nodes)[..., None] * chart.einv_phi(omega_nodes)
     right = chart.e_phi(zeta) * complex(chart.h(zeta))
     return np.einsum("na,nab,b->n", left, Rw, right)
@@ -499,9 +479,7 @@ def check_reproducing_surface(chart: Genus0Chart, system: mops.MOPSystem,
     P_coeffs = np.asarray(P_coeffs, dtype=complex)  # shape (n, r)
     nodes = quad.nodes
 
-    Pvals = np.zeros(nodes.shape + (r,), dtype=complex)
-    for m in range(P_coeffs.shape[0] - 1, -1, -1):
-        Pvals = Pvals * nodes[..., None] + P_coeffs[m]
+    Pvals = _row_poly(P_coeffs, nodes)
 
     # v(w) = sum_j f(w^(j)) lam_j(w) einv_j(w): a row covector per node
     v = np.zeros(nodes.shape + (r,), dtype=complex)
@@ -510,14 +488,11 @@ def check_reproducing_surface(chart: Genus0Chart, system: mops.MOPSystem,
         f_j = np.sum(Pvals * e_j, axis=-1)
         v += (f_j * sd.lam(j, nodes))[..., None] * sd.evec_inv(j, nodes)
 
-    Rw = mops.cd_kernel_w_nodes(system, nodes, z)
+    Rw = mops.cd_kernel(system, nodes, z)
     integ = np.einsum("n,na,nab->b", quad.weights, v, Rw)
     val = integ @ sd.evec(z_sheet, z)
 
-    Pz = np.zeros(r, dtype=complex)
-    for m in range(P_coeffs.shape[0] - 1, -1, -1):
-        Pz = Pz * z + P_coeffs[m]
-    target = Pz @ sd.evec(z_sheet, z)
+    target = _row_poly(P_coeffs, z) @ sd.evec(z_sheet, z)
     return float(abs(val - target))
 
 
@@ -532,9 +507,7 @@ def check_reproducing_surface_dual(chart: Genus0Chart,
     P_coeffs = np.asarray(P_coeffs, dtype=complex)  # shape (n, r)
     nodes = quad.nodes
 
-    Pvals = np.zeros(nodes.shape + (r,), dtype=complex)
-    for m in range(P_coeffs.shape[0] - 1, -1, -1):
-        Pvals = Pvals * nodes[..., None] + P_coeffs[m]
+    Pvals = _row_poly(P_coeffs, nodes)
 
     # u(z) = sum_j e_j(z) lam_j(z) f*(z^(j)): a column vector per node
     u = np.zeros(nodes.shape + (r,), dtype=complex)
@@ -542,14 +515,11 @@ def check_reproducing_surface_dual(chart: Genus0Chart,
         fst_j = np.sum(sd.evec_inv(j, nodes) * Pvals, axis=-1)
         u += (fst_j * sd.lam(j, nodes))[..., None] * sd.evec(j, nodes)
 
-    Rz = mops.cd_kernel_z_nodes(system, w, nodes)
+    Rz = mops.cd_kernel(system, w, nodes)
     integ = np.einsum("n,nab,nb->a", quad.weights, Rz, u)
     val = sd.evec_inv(w_sheet, w) @ integ
 
-    Pw = np.zeros(r, dtype=complex)
-    for m in range(P_coeffs.shape[0] - 1, -1, -1):
-        Pw = Pw * w + P_coeffs[m]
-    target = sd.evec_inv(w_sheet, w) @ Pw
+    target = sd.evec_inv(w_sheet, w) @ _row_poly(P_coeffs, w)
     return float(abs(val - target))
 
 

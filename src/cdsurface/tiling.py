@@ -18,6 +18,11 @@ This module provides:
     uniform measure (independent oracle route through `sops`);
   * enumerate_path_systems, point_probability, lgv_partition_function,
     macmahon_count -- brute-force and closed-form oracles.
+
+The DK, sheet, plane and explicit routes evaluate one double-contour
+block (`_contour_block`) and contract it through CD kernel coefficients
+(`mops.kernel_integral`); they differ only in their nodes, their kernel
+coefficients and how they write powers of the period matrix.
 """
 
 from __future__ import annotations
@@ -27,15 +32,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _backend, mops, sops
-from .contour import ContourQuadrature, circle_quadrature, default_n, \
-    unit_circle_quadrature
+from . import mops, sops
+from .contour import default_n, unit_circle_quadrature
 from .errors import InvalidArgumentError, SizeGuardError, \
     UnsupportedFamilyError
-from .surface import Genus0Chart, build_chart
+from .surface import build_chart
 from .weights import CyclicUniform, Periodic2x1, Periodic2x2, WeightFamily
 
 TWO_PI_I = 2j * np.pi
@@ -177,6 +182,24 @@ def edge_weight(model: HexagonModel, edge) -> float:
 # kernel queries
 # ---------------------------------------------------------------------------
 
+class QueryGeometry(NamedTuple):
+    """Exponents and transfer products of one block query.
+
+    The double integral carries B2(w) A(w)^L2 ... A(z)^L1 B1(z) with
+    B1 = prod1 and B2 = prod2; when chi, the single integral carries
+    B4(z) A(z)^L3 B3(z).  Each B is A_lo(z) ... A_{hi-1}(z) over a column
+    range (lo, hi), the identity when lo >= hi."""
+
+    L1: int
+    L2: int
+    L3: int
+    chi: bool
+    prod1: tuple
+    prod2: tuple
+    B4: tuple
+    B3: tuple
+
+
 @dataclass(frozen=True)
 class KernelQuery:
     """Block query: the r x r matrix [K(x1, r y1 + j, x2, r y2 + i)]_{i,j}."""
@@ -186,17 +209,75 @@ class KernelQuery:
     x2: int
     y2: int
 
-    def indices(self, model: HexagonModel):
-        """(L1, L2, L3, chi) exponent data for the double-contour formula."""
+    def indices(self, model: HexagonModel) -> QueryGeometry:
+        """Exponent data and transfer-product ranges of the
+        double-contour formula."""
         q = model.q
         L1 = self.x1 // q
         ceil2 = -(-self.x2 // q)
         L2 = model.L // q - ceil2
-        L3 = max(L1 - ceil2, 0)
         if L1 < 0 or L2 < 0:
             raise InvalidArgumentError(
                 f"query columns out of range: {self.x1}, {self.x2}")
-        return L1, L2, L3, self.x1 > self.x2
+        prod1 = (q * L1, self.x1)
+        prod2 = (self.x2, q * ceil2)
+        if L1 >= ceil2:
+            B4, B3 = prod2, prod1
+        else:
+            B4, B3 = (self.x2, self.x1 + 1), (0, 0)
+        return QueryGeometry(L1, L2, max(L1 - ceil2, 0), self.x1 > self.x2,
+                             prod1, prod2, B4, B3)
+
+
+def _transfer_product(model: HexagonModel, cols: tuple, z) -> np.ndarray:
+    """A_lo(z) A_{lo+1}(z) ... A_{hi-1}(z) at points z, (lo, hi) = cols."""
+    out = np.broadcast_to(np.eye(model.r, dtype=complex),
+                          np.shape(z) + (model.r, model.r)).copy()
+    for ell in range(*cols):
+        out = out @ model.transition(ell, z)
+    return out
+
+
+def _contour_block(model: HexagonModel, query: KernelQuery, x, wts,
+                   powers, coeffs, at) -> np.ndarray:
+    """The block that every tiling route evaluates,
+
+        int int w^(y2-h) B2(w) P_L2(w) R(w, z) P_L1(z) B1(z) z^(-y1-1)
+          - chi int z^(y2-y1-1) B4(z) P_L3(z) B3(z),      h = (M+N)/r,
+
+    with dw dz / (2 pi i) over nodes whose base-plane points are `x` and
+    whose weights `wts` include the Jacobian.  The routes differ in the
+    nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`coeffs`, taken
+    at the points `at`), and in how they write the period-matrix power
+    P_p = A^p: `powers` = (left, right, chi), each p -> per-node factor,
+    where left (n, r, s) and right (n, s, r) meet R's s x s values."""
+    g = query.indices(model)
+    half = (model.M + model.N) // model.r
+    left_power, right_power, chi_power = powers
+
+    def prod(cols):
+        return _transfer_product(model, cols, x)
+
+    cw = wts * x ** (query.y2 - half)
+    cz = wts * x ** (-query.y1 - 1) / TWO_PI_I
+    left = cw[:, None, None] * (prod(g.prod2) @ left_power(g.L2))
+    right = cz[:, None, None] * (right_power(g.L1) @ prod(g.prod1))
+    out = mops.kernel_integral(coeffs, at, left, at, right)
+    if g.chi:
+        c = wts * x ** (query.y2 - query.y1 - 1) / TWO_PI_I
+        out = out - np.einsum("n,nab,nbc,ncd->ad", c, prod(g.B4),
+                              chi_power(g.L3), prod(g.B3))
+    return out
+
+
+def _spectral_power(lams, cols, rows):
+    """p -> sum_k lams[k]^p cols[k] rows[k]^T per node: A^p written
+    through eigenvalues, eigenvector columns and inverse rows."""
+    def power(p):
+        return sum((lam ** p)[:, None, None] * col[:, :, None]
+                   * row[:, None, :]
+                   for lam, col, row in zip(lams, cols, rows))
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +285,19 @@ class KernelQuery:
 # ---------------------------------------------------------------------------
 
 class DKEvaluator:
-    """Double-contour kernel evaluator with per-model node caches.
+    """Double-contour kernel evaluator for one model and node count.
 
-    Precomputes, on the n-point unit-circle quadrature: the transfer
-    matrices A_ell, the full period matrix A, the matrix CD kernel table
-    of W at degree N/r, and a cache of integer powers of A."""
+    Holds O(n) data on the n-point unit-circle quadrature: the matrix CD
+    kernel coefficients of W at degree N/r, the period matrix A at the
+    nodes and a cache of its integer powers."""
 
     def __init__(self, model: HexagonModel, n: int | None = None,
                  cond_max: float = mops.COND_MAX):
         self.model = model
         self.quad = unit_circle_quadrature(n)
-        nodes = self.quad.nodes
-        self._A_ell = [model.transition(ell, nodes)
-                       for ell in range(model.q)]
-        self._A = self._A_ell[0]
-        for ell in range(1, model.q):
-            self._A = self._A @ self._A_ell[ell]
-        W = model.weight(nodes)
-        deg = 2 * (model.N // model.r)
-        powers = nodes[None, :] ** np.arange(deg + 1)[:, None]
-        moments = np.einsum("kn,n,nab->kab", powers, self.quad.weights, W)
-        self.system = mops.solve_mops(moments, model.N // model.r, cond_max)
-        self.Ktab = mops.cd_kernel_table(self.system, nodes, nodes)
+        self.system = mops.mop_system(model, self.quad, model.N // model.r,
+                                      cond_max)
+        self._A = model.period_matrix(self.quad.nodes)
         self._Apow = {0: np.broadcast_to(np.eye(model.r, dtype=complex),
                                          self._A.shape).copy(),
                       1: self._A}
@@ -235,44 +307,12 @@ class DKEvaluator:
             self._Apow[p] = np.linalg.matrix_power(self._A, p)
         return self._Apow[p]
 
-    def partial_product(self, lo: int, hi: int) -> np.ndarray:
-        """A_lo(z) A_{lo+1}(z) ... A_{hi-1}(z) at the nodes (I if lo >= hi)."""
-        out = np.broadcast_to(np.eye(self.model.r, dtype=complex),
-                              self._A.shape).copy()
-        for ell in range(lo, hi):
-            out = out @ self._A_ell[ell % self.model.q]
-        return out
-
     def block(self, query: KernelQuery) -> np.ndarray:
         """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}."""
-        model = self.model
-        q = model.q
-        L1, L2, L3, chi = query.indices(model)
         z = self.quad.nodes
-        wts = self.quad.weights
-        ceil2 = -(-query.x2 // q)
-
-        prod1 = self.partial_product(q * L1, query.x1)
-        prod2 = self.partial_product(query.x2, q * ceil2)
-
-        # double integral: B2(w) A(w)^{L2} R(w, z) A(z)^{L1} B1(z)
-        cw = wts * z ** (query.y2 - (model.M + model.N) // model.r)
-        cz = wts * z ** (-query.y1 - 1) / TWO_PI_I
-        Lw = prod2 @ self.A_power(L2)
-        Rz = self.A_power(L1) @ prod1
-        out = _backend.double_contract(cw, Lw, self.Ktab, Rz, cz)
-
-        if chi:
-            if L1 >= ceil2:
-                B4m, B3m = prod2, prod1
-            else:
-                B4m = self.partial_product(query.x2, query.x1 + 1)
-                B3m = np.broadcast_to(np.eye(model.r, dtype=complex),
-                                      self._A.shape)
-            c = wts * z ** (query.y2 - query.y1 - 1) / TWO_PI_I
-            out = out - np.einsum("n,nab,nbc,ncd->ad",
-                                  c, B4m, self.A_power(L3), B3m)
-        return out
+        powers = (self.A_power,) * 3
+        return _contour_block(self.model, query, z, self.quad.weights,
+                              powers, self.system.kernel_coeffs, z)
 
     def scalar(self, x1: int, Y1: int, x2: int, Y2: int) -> complex:
         """K(x1, Y1, x2, Y2) for general integer heights Y1, Y2."""
@@ -300,14 +340,15 @@ def dk_kernel(model: HexagonModel, query: KernelQuery,
 # scalarized kernel routes
 # ---------------------------------------------------------------------------
 
-def _query_prefactors(model, query, ev, z):
-    """Shared B-product data for the scalarized forms (at plane points z)."""
-    q = model.q
-    L1, L2, L3, chi = query.indices(model)
-    ceil2 = -(-query.x2 // q)
-    prod1 = ev.partial_product(q * L1, query.x1)
-    prod2 = ev.partial_product(query.x2, q * ceil2)
-    return L1, L2, L3, chi, prod1, prod2
+def _chart_nodes(model: HexagonModel, n: int | None):
+    """Chart of the model's family at MOP degree N/r, its pulled-back
+    contour gamma_C and the chart data at the contour's nodes zeta:
+    (chart, quad, phi, weights times dphi, lamhat, e, einv)."""
+    chart = build_chart(model.family(), model.N // model.r)
+    quad = chart.gamma_C(n if n is not None else default_n())
+    zeta = quad.nodes
+    return (chart, quad, chart.phi(zeta), quad.weights * chart.dphi(zeta),
+            chart.lamhat_phi(zeta), chart.e_phi(zeta), chart.einv_phi(zeta))
 
 
 def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
@@ -315,138 +356,51 @@ def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
                               n: int | None = None) -> np.ndarray:
     """Scalarized double-contour kernel.
 
-    form="sheets": sum over sheet pairs of the spectral curve; the
-    integrand couples the sheets only through the scalar kernel
-    einv_k(w) R(w, z) e_j(z) and the eigenvalue powers.
+    form="sheets": sum over sheet pairs of the spectral curve; A^p is
+    written as sum_k lamhat_k^p e_k einv_k, so the integrand couples the
+    sheets only through the scalar kernels einv_k(w) R(w, z) e_j(z) and
+    the eigenvalue powers.
 
     form="plane": genus-0 plane form over the pulled-back contour
-    gamma_C, with all large exponents on scalar functions of zeta."""
-    fam = model.family()
-    ev = dk_evaluator(model, n)
-    L1, L2, L3, chi, _, _ = _query_prefactors(model, query, ev, None)
-    half = (model.M + model.N) // model.r
-
-    if form == "sheets":
-        spectral = fam.spectral()
-        quad = ev.quad
-        z = quad.nodes
-        q = model.q
-        ceil2 = -(-query.x2 // q)
-        prod1 = ev.partial_product(q * L1, query.x1)
-        prod2 = ev.partial_product(query.x2, q * ceil2)
-        scalarR = _sheet_kernel_tables(model, quad.size)
-        cw = quad.weights * z ** (query.y2 - half)
-        cz = quad.weights * z ** (-query.y1 - 1) / TWO_PI_I
-        out = np.zeros((model.r, model.r), dtype=complex)
-        for k in range(model.r):
-            ew = spectral.evec(k, z)
-            cu = cw * spectral.lambda_hat(k, z) ** L2
-            u = np.einsum("nab,nb->na", prod2, ew)
-            for j in range(model.r):
-                einvz = spectral.evec_inv(j, z)
-                cv = cz * spectral.lambda_hat(j, z) ** L1
-                v = np.einsum("na,nab->nb", einvz, prod1)
-                out += np.einsum("n,na,nm,m,mb->ab", cu, u, scalarR[k][j],
-                                 cv, v)
-        if chi:
-            if L1 >= ceil2:
-                B4m, B3m = prod2, prod1
-            else:
-                B4m = ev.partial_product(query.x2, query.x1 + 1)
-                B3m = np.broadcast_to(np.eye(model.r, dtype=complex),
-                                      B4m.shape)
-            c = quad.weights * z ** (query.y2 - query.y1 - 1) / TWO_PI_I
-            for j in range(model.r):
-                cj = c * spectral.lambda_hat(j, z) ** L3
-                uj = np.einsum("nab,nb->na", B4m, spectral.evec(j, z))
-                vj = np.einsum("na,nab->nb", spectral.evec_inv(j, z), B3m)
-                out -= np.einsum("n,na,nb->ab", cj, uj, vj)
-        return out
-
-    if form != "plane":
+    gamma_C, where A^p on the sheet of phi(zeta) is
+    lamhat(zeta)^p e_phi(zeta) einv_phi(zeta), with all large exponents
+    on scalar functions of zeta."""
+    if form not in ("sheets", "plane"):
         raise InvalidArgumentError(f"unknown form {form!r}")
-
-    nq = n if n is not None else default_n()
-    chart, quadC, scalarR = _plane_tables(model, nq)
-    zeta = quadC.nodes
-    phi = chart.phi(zeta)
-    dphi = chart.dphi(zeta)
-    lamh = chart.lamhat_phi(zeta)
-    e = chart.e_phi(zeta)
-    einv = chart.einv_phi(zeta)
-
-    q = model.q
-    ceil2 = -(-query.x2 // q)
-    prod1 = _partial_at(model, q * L1, query.x1, phi)
-    prod2 = _partial_at(model, query.x2, q * ceil2, phi)
-
-    cu = quadC.weights * dphi * lamh ** L2 * phi ** (query.y2 - half)
-    cv = quadC.weights * dphi * lamh ** L1 * phi ** (-query.y1 - 1) / TWO_PI_I
-    u = np.einsum("nab,nb->na", prod2, e)
-    v = np.einsum("na,nab->nb", einv, prod1)
-    out = np.einsum("n,na,nm,m,mb->ab", cu, u, scalarR, cv, v)
-
-    if chi:
-        if L1 >= ceil2:
-            B4m, B3m = prod2, prod1
-        else:
-            B4m = _partial_at(model, query.x2, query.x1 + 1, phi)
-            B3m = np.broadcast_to(np.eye(model.r, dtype=complex), B4m.shape)
-        c = quadC.weights * dphi * lamh ** L3 \
-            * phi ** (query.y2 - query.y1 - 1) / TWO_PI_I
-        uj = np.einsum("nab,nb->na", B4m, e)
-        vj = np.einsum("na,nab->nb", einv, B3m)
-        out -= np.einsum("n,na,nb->ab", c, uj, vj)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _sheet_kernel_tables(model: HexagonModel, n: int):
-    """scalarR[k][j] = einv_k(w) . R(w, z) . e_j(z) on the node grid."""
     ev = dk_evaluator(model, n)
-    spectral = model.family().spectral()
-    z = ev.quad.nodes
-    return [[np.einsum("na,nmab,mb->nm", spectral.evec_inv(k, z),
-                       ev.Ktab, spectral.evec(j, z))
-             for j in range(model.r)] for k in range(model.r)]
+    coeffs = ev.system.kernel_coeffs
+    if form == "sheets":
+        spectral = model.family().spectral()
+        z = ev.quad.nodes
+        sheets = range(model.r)
+        power = _spectral_power([spectral.lambda_hat(k, z) for k in sheets],
+                                [spectral.evec(k, z) for k in sheets],
+                                [spectral.evec_inv(k, z) for k in sheets])
+        return _contour_block(model, query, z, ev.quad.weights,
+                              (power,) * 3, coeffs, z)
+    _, _, phi, wts, lamh, e, einv = _chart_nodes(model, n)
+    power = _spectral_power([lamh], [e], [einv])
+    return _contour_block(model, query, phi, wts, (power,) * 3, coeffs, phi)
 
 
-@lru_cache(maxsize=16)
-def _plane_tables(model: HexagonModel, n: int):
-    """Cached chart, contour and kernel tables for the plane form."""
-    fam = model.family()
-    chart = build_chart(fam, model.N // model.r)
-    quadC = chart.gamma_C(n)
-    zeta = quadC.nodes
-    phi = chart.phi(zeta)
-    ev = dk_evaluator(model, n)
-    Ktab = mops.cd_kernel_table(ev.system, phi, phi)
-    e = chart.e_phi(zeta)
-    einv = chart.einv_phi(zeta)
-    scalarR = np.einsum("na,nmab,mb->nm", einv, Ktab, e)
-    return chart, quadC, scalarR
+def _explicit_kernel(model: HexagonModel, query: KernelQuery,
+                     n: int | None) -> np.ndarray:
+    """The plane form with the surface kernel replaced by the scalar CD
+    kernel of the chart weight W_s(zeta) = lam(phi) dphi / (h hhat) in
+    zeta: S(omega, zeta) = hhat(omega) einv R(phi(omega), phi(zeta)) e
+    h(zeta), so the kernel's e, einv factors move into the scalar
+    factors as e / hhat and einv / h.  The chart degree is the matrix MOP
+    degree N/r; the scalar CD kernel then has degree r (N/r) = N."""
+    chart, quad, phi, wts, lamh, e, einv = _chart_nodes(model, n)
+    zeta = quad.nodes
+    system = sops.solve_scalar_ops(chart.scalar_weight, quad, model.N)
+    h, hhat = chart.h(zeta), chart.hhat(zeta)
+    powers = (lambda p: (lamh ** p / hhat)[:, None, None] * e[:, :, None],
+              lambda p: (lamh ** p / h)[:, None, None] * einv[:, None, :],
+              _spectral_power([lamh], [e], [einv]))
+    return _contour_block(model, query, phi, wts, powers,
+                          system.kernel_coeffs[:, :, None, None], zeta)
 
-
-@lru_cache(maxsize=16)
-def _sops_tables(model: HexagonModel, n: int):
-    """Cached chart, contour and scalar CD table for the explicit routes."""
-    chart = build_chart(model.family(), model.N // model.r)
-    quadC = chart.gamma_C(n)
-    system = sops.solve_scalar_ops(chart.scalar_weight, quadC, model.N)
-    Ks = sops.scalar_cd_table(system, quadC.nodes, quadC.nodes)
-    return chart, quadC, Ks
-
-
-def _partial_at(model, lo, hi, z):
-    """A_lo(z) ... A_{hi-1}(z) at arbitrary plane points z."""
-    out = np.broadcast_to(np.eye(model.r, dtype=complex),
-                          np.shape(z) + (model.r, model.r)).copy()
-    for ell in range(lo, hi):
-        out = out @ model.transition(ell, z)
-    return out
-
-
-# --- explicit 2 x 1 formula -------------------------------------------------
 
 def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
                           n: int | None = None) -> np.ndarray:
@@ -456,47 +410,12 @@ def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
     Ws(zeta) = (2 a0 a1)^{-1} ((b0+b1+zeta)/2)^L
                (4 a0 a1 / (zeta^2 - (b0-b1)^2))^{(M+N)/2}
     on a circle enclosing +-(b0 - b1); all matrix factors are constant-
-    degree rational functions of the integration variables."""
+    degree rational functions of the integration variables, read from
+    the closed-form Periodic2x1 chart."""
     if model.r != 2 or model.q != 1:
         raise UnsupportedFamilyError("explicit 2x1 kernel needs r=2, q=1")
-    a0, a1 = model.a[0]
-    b0, b1 = model.b[0]
-    L, M, N = model.L, model.M, model.N
-    d = b1 - b0
-    half = (M + N) // 2
+    return _explicit_kernel(model, query, n)
 
-    def phi(zeta):
-        return (zeta ** 2 - d ** 2) / (4 * a0 * a1)
-
-    def ws(zeta):
-        return ((b0 + b1 + zeta) / 2) ** L * phi(zeta) ** (-half) \
-            / (2 * a0 * a1)
-
-    nq = n if n is not None else default_n()
-    quad = circle_quadrature(0.0, abs(d) + 1.0, nq)
-    zeta = quad.nodes
-    system = sops.solve_scalar_ops(ws, quad, N)
-    Ks = sops.scalar_cd_table(system, zeta, zeta)
-
-    # rank-one matrix part: column (1, (omega+d)/(2 a0)), row ((zeta-d)/2, a0)
-    col = np.stack([np.ones_like(zeta), (zeta + d) / (2 * a0)], axis=-1)
-    row = np.stack([(zeta - d) / 2, a0 * np.ones_like(zeta)], axis=-1)
-
-    cu = quad.weights * ((b0 + b1 + zeta) / 2) ** (L - query.x2) \
-        * phi(zeta) ** (query.y2 - half)
-    cv = quad.weights * ((b0 + b1 + zeta) / 2) ** query.x1 \
-        * phi(zeta) ** (-query.y1 - 1) / TWO_PI_I
-    out = np.einsum("n,ni,nm,m,mj->ij", cu, col, Ks, cv, row) \
-        / (4 * a0 ** 2 * a1 ** 2)
-
-    if query.x1 > query.x2:
-        c = quad.weights * ((b0 + b1 + zeta) / 2) ** (query.x1 - query.x2) \
-            * phi(zeta) ** (query.y2 - query.y1 - 1) / TWO_PI_I
-        out -= np.einsum("n,ni,nj->ij", c, col, row) / (2 * a0 * a1)
-    return out
-
-
-# --- explicit 2 x 2 formula -------------------------------------------------
 
 def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
                           n: int | None = None) -> np.ndarray:
@@ -509,45 +428,7 @@ def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
     numerically independent of the matrix-kernel path."""
     if model.r != 2 or model.q != 2:
         raise UnsupportedFamilyError("explicit 2x2 kernel needs r=2, q=2")
-    L, M, N = model.L, model.M, model.N
-    half = (M + N) // 2
-
-    m1, eps1 = divmod(query.x1, 2)
-    m2c = -(-query.x2 // 2)
-    eps2 = 2 * m2c - query.x2
-
-    nq = n if n is not None else default_n()
-    # chart degree = matrix MOP degree N/2; the scalar CD kernel then has
-    # degree r * (N/2) = N
-    chart, quad, Ks = _sops_tables(model, nq)
-    zeta = quad.nodes
-    phi = chart.phi(zeta)
-    dphi = chart.dphi(zeta)
-    lamh = chart.lamhat_phi(zeta)
-    e = chart.e_phi(zeta)
-    einv = chart.einv_phi(zeta)
-    h = chart.h(zeta)
-    hhat = chart.hhat(zeta)
-
-    system = sops.solve_scalar_ops(chart.scalar_weight, quad, N)
-    Ks = sops.scalar_cd_table(system, zeta, zeta)
-
-    A0p = model.transition(0, phi) if eps1 else None
-    A1p = model.transition(1, phi) if eps2 else None
-    col = np.einsum("nab,nb->na", A1p, e) if eps2 else e
-    row = np.einsum("na,nab->nb", einv, A0p) if eps1 else einv
-
-    cu = quad.weights * dphi / hhat * lamh ** (L // 2 - m2c) \
-        * phi ** (query.y2 - half)
-    cv = quad.weights * dphi / h * lamh ** m1 \
-        * phi ** (-query.y1 - 1) / TWO_PI_I
-    out = np.einsum("n,ni,nm,m,mj->ij", cu, col, Ks, cv, row)
-
-    if query.x1 > query.x2:
-        c = quad.weights * dphi * lamh ** (m1 - m2c) \
-            * phi ** (query.y2 - query.y1 - 1) / TWO_PI_I
-        out -= np.einsum("n,ni,nj->ij", c, col, row)
-    return out
+    return _explicit_kernel(model, query, n)
 
 
 # --- uniform measure, scalar route ------------------------------------------
@@ -564,10 +445,9 @@ def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
     quad = unit_circle_quadrature(n)
     z = quad.nodes
     system = sops.solve_scalar_ops(wtilde, quad, N)
-    Ks = sops.scalar_cd_table(system, z, z)
     cu = quad.weights * (1 + z) ** (L - x2) * z ** (y2 - M - N)
     cv = quad.weights * (1 + z) ** x1 * z ** (-y1 - 1) / TWO_PI_I
-    out = _backend.scalar_double_contract(cu, Ks, cv)
+    out = complex(mops.kernel_integral(system.kernel_coeffs, z, cu, z, cv))
     if x1 > x2:
         c = quad.weights * (1 + z) ** (x1 - x2) * z ** (y2 - y1 - 1)
         out -= np.sum(c) / TWO_PI_I

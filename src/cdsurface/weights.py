@@ -590,10 +590,6 @@ def eval_transition(family: WeightFamily, ell: int, z):
     return family.transition(ell, z)
 
 
-def spectral_data(family: WeightFamily) -> SpectralData:
-    return family.spectral()
-
-
 def check_spectral(spectral: SpectralData, family: WeightFamily,
                    z: complex) -> float:
     """Max residual over the eigen-relations at a point z off the cuts:

@@ -3,7 +3,7 @@ import pytest
 
 from cdsurface import (CyclicUniform, MatrixPolynomial, ScalarMonomial,
                        circle_quadrature, unit_circle_quadrature)
-from cdsurface import mops
+from cdsurface import mops, sops
 
 TWO_PI_I = 2j * np.pi
 
@@ -242,3 +242,61 @@ def test_reproducing_and_dual(quad256, rng):
                 < 1e-8
             assert mops.dual_reproducing_residual(system, fam, quad256,
                                                   P, z) < 1e-8
+
+
+# --- kernel integral ----------------------------------------------------
+
+def cnormal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_kernel_integral_matrix_r2(families, quad256, rng):
+    # sum_{k,j} left[k] R(w_k, z_j) right[j] against the pointwise kernel,
+    # on two different circles
+    system = mops.mop_system(families["periodic-2x1"], quad256, 2)
+    w = 0.7 * np.exp(2j * np.pi * rng.random(7))
+    z = 1.3 * np.exp(2j * np.pi * rng.random(5))
+    left, right = cnormal(rng, 7, 3, 2), cnormal(rng, 5, 2, 4)
+    brute = sum(left[k] @ mops.cd_kernel(system, w[k], z[j]) @ right[j]
+                for k in range(7) for j in range(5))
+    val = mops.kernel_integral(system.kernel_coeffs, w, left, z, right)
+    assert val.shape == (3, 4)
+    np.testing.assert_allclose(val, brute, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(brute)))
+
+
+def test_kernel_integral_scalar_r1(quad256, rng):
+    # scalar coefficients: the result is the outer product of the factors'
+    # trailing shapes
+    system = sops.solve_scalar_ops(lambda z: (1 + z) ** 4 * z ** -4,
+                                   quad256, 4)
+    w = 0.9 * np.exp(2j * np.pi * rng.random(6))
+    z = 1.1 * np.exp(2j * np.pi * rng.random(4))
+    left, right = cnormal(rng, 6), cnormal(rng, 4, 2)
+    brute = sum(left[k] * sops.scalar_cd_kernel(system, w[k], z[j])
+                * right[j] for k in range(6) for j in range(4))
+    val = mops.kernel_integral(system.kernel_coeffs, w, left, z, right)
+    assert val.shape == (2,)
+    np.testing.assert_allclose(val, brute, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(brute)))
+
+
+def test_kernel_integral_nodes_off_circle(families, quad256, rng):
+    # scattered nodes, vector factors, brute force over the broadcast
+    # product-grid tables of both kernels
+    w, z = cnormal(rng, 9), 0.5 + cnormal(rng, 8)
+    system = mops.mop_system(families["periodic-2x2-b"], quad256, 2)
+    R = mops.cd_kernel(system, w[:, None], z[None, :])
+    assert R.shape == (9, 8, 2, 2)
+    left, right = cnormal(rng, 9, 2), cnormal(rng, 8, 2)
+    brute = np.einsum("ka,kjab,jb->", left, R, right)
+    val = mops.kernel_integral(system.kernel_coeffs, w, left, z, right)
+    assert val.shape == ()
+    np.testing.assert_allclose(val, brute, rtol=1e-12)
+
+    scalar = sops.solve_scalar_ops(lambda s: s ** -3 * (2 + s), quad256, 3)
+    Rs = sops.scalar_cd_kernel(scalar, w[:, None], z[None, :])
+    u, v = cnormal(rng, 9), cnormal(rng, 8)
+    np.testing.assert_allclose(
+        mops.kernel_integral(scalar.kernel_coeffs, w, u, z, v), u @ Rs @ v,
+        rtol=1e-12)
