@@ -22,7 +22,8 @@ This module provides:
 The DK, sheet, plane and explicit routes evaluate one double-contour
 block (`_contour_block`) and contract it through CD kernel coefficients
 (`mops.kernel_integral`); they differ only in their nodes, their kernel
-coefficients and how they write powers of the period matrix.
+coefficients and how they write powers of the period matrix.  A block
+serves one column pair and any batch of heights.
 """
 
 from __future__ import annotations
@@ -202,12 +203,15 @@ class QueryGeometry(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Block query: the r x r matrix [K(x1, r y1 + j, x2, r y2 + i)]_{i,j}."""
+    """Block query: the r x r matrix [K(x1, r y1 + j, x2, r y2 + i)]_{i,j}.
+
+    The heights y1, y2 may each be an int or a 1-D integer array; with
+    arrays the query stands for every block of the (y2, y1) grid."""
 
     x1: int
-    y1: int
+    y1: int | np.ndarray
     x2: int
-    y2: int
+    y2: int | np.ndarray
 
     def indices(self, model: HexagonModel) -> QueryGeometry:
         """Exponent data and transfer-product ranges of the
@@ -238,6 +242,23 @@ def _transfer_product(model: HexagonModel, cols: tuple, z) -> np.ndarray:
     return out
 
 
+def _heights(y) -> tuple:
+    """A query's heights as a list of ints, and the result axes they
+    give: () for an int height, (len(y),) for an array."""
+    if np.ndim(y) == 0:
+        return [int(y)], ()
+    return [int(v) for v in y], (len(y),)
+
+
+def _node_powers(x, exps) -> np.ndarray:
+    """(n, len(exps)): x ** e per node for every int e of `exps`.
+
+    Each power is taken with a Python int exponent, as for a single
+    height (numpy rounds array-exponent powers differently), so a
+    height's factor is the same number in any batch of heights."""
+    return np.array([x ** e for e in exps]).T
+
+
 def _contour_block(model: HexagonModel, query: KernelQuery, x, wts,
                    powers, coeffs, at) -> np.ndarray:
     """The block that every tiling route evaluates,
@@ -250,24 +271,36 @@ def _contour_block(model: HexagonModel, query: KernelQuery, x, wts,
     nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`coeffs`, taken
     at the points `at`), and in how they write the period-matrix power
     P_p = A^p: `powers` = (left, right, chi), each p -> per-node factor,
-    where left (n, r, s) and right (n, s, r) meet R's s x s values."""
+    where left (n, r, s) and right (n, s, r) meet R's s x s values.
+
+    The heights enter only through the scalar node factors, so the
+    transfer products and powers are formed once for all heights of the
+    query; the result has shape shape(y2) + shape(y1) + (r, r)."""
     g = query.indices(model)
     half = (model.M + model.N) // model.r
     left_power, right_power, chi_power = powers
+    y1s, shape1 = _heights(query.y1)
+    y2s, shape2 = _heights(query.y2)
+    wn = wts[:, None]
 
     def prod(cols):
         return _transfer_product(model, cols, x)
 
-    cw = wts * x ** (query.y2 - half)
-    cz = wts * x ** (-query.y1 - 1) / TWO_PI_I
-    left = cw[:, None, None] * (prod(g.prod2) @ left_power(g.L2))
-    right = cz[:, None, None] * (right_power(g.L1) @ prod(g.prod1))
+    cw = wn * _node_powers(x, [y - half for y in y2s])
+    cz = wn * _node_powers(x, [-y - 1 for y in y1s]) / TWO_PI_I
+    left = cw[:, :, None, None] * (prod(g.prod2) @ left_power(g.L2))[:, None]
+    right = cz[:, None, :, None] \
+        * (right_power(g.L1) @ prod(g.prod1))[:, :, None]
+    # kernel_integral gives (y2, r, y1, r); blocks are indexed (y2, y1)
     out = mops.kernel_integral(coeffs, at, left, at, right)
+    out = out.transpose(0, 2, 1, 3)
     if g.chi:
-        c = wts * x ** (query.y2 - query.y1 - 1) / TWO_PI_I
-        out = out - np.einsum("n,nab,nbc,ncd->ad", c, prod(g.B4),
+        exps = [b - a - 1 for b in y2s for a in y1s]
+        c = _node_powers(x, exps).reshape(-1, len(y2s), len(y1s))
+        c = wn[:, :, None] * c / TWO_PI_I
+        out = out - np.einsum("nij,nab,nbc,ncd->ijad", c, prod(g.B4),
                               chi_power(g.L3), prod(g.B3))
-    return out
+    return out.reshape(shape2 + shape1 + out.shape[2:])
 
 
 def _spectral_power(lams, cols, rows):
@@ -308,7 +341,8 @@ class DKEvaluator:
         return self._Apow[p]
 
     def block(self, query: KernelQuery) -> np.ndarray:
-        """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}."""
+        """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}; with height
+        arrays, the stack of these blocks indexed by (y2, y1)."""
         z = self.quad.nodes
         powers = (self.A_power,) * 3
         return _contour_block(self.model, query, z, self.quad.weights,
@@ -595,8 +629,16 @@ def point_probability(model: HexagonModel, points,
 
 
 def column_probabilities(model: HexagonModel, x: int,
-                         route: str = "determinant",
                          n: int | None = None) -> dict:
-    """{y: P(point at (x, y))} over the admissible heights of column x."""
-    return {y: point_probability(model, [(x, y)], route=route, n=n)
-            for y in model.column_range(x)}
+    """{y: P(point at (x, y))} over the admissible heights of column x.
+
+    P = K(x, y, x, y); every height of the column comes from one
+    double-contour block over the block heights y // r."""
+    if not 0 <= x <= model.L:
+        raise InvalidArgumentError(f"column {x} outside [0, L]")
+    ys = model.column_range(x)
+    r, lo = model.r, ys[0] // model.r
+    heights = np.arange(lo, ys[-1] // r + 1)
+    blk = dk_evaluator(model, n).block(KernelQuery(x, heights, x, heights))
+    return {y: float(blk[y // r - lo, y // r - lo, y % r, y % r].real)
+            for y in ys}

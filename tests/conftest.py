@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,12 @@ from cdsurface import (CyclicUniform, Periodic2x1, Periodic2x2,
                        unit_circle_quadrature)
 
 SEED = 20260826
+
+# The CLI tests start `python -m cdsurface.cli` in subprocesses; let them
+# import the package from this checkout, installed or not.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

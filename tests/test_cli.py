@@ -143,6 +143,22 @@ def test_prob_uniform_box():
         assert abs(total - 1) < 1e-7
 
 
+def test_prob_periodic_r2_q2_hexagon():
+    # r = 2: heights Y enter the kernel as blocks Y // r, entries Y % r
+    res = run_cli("prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
+                  "--a", "[[1.0, 2.0], [1.0, 1.0]]",
+                  "--b", "[[1.0, 2.0], [1.5, 0.7]]",
+                  "--points", "1,1", "3,2")
+    assert res.returncode == 0
+    report = json.loads(res.stdout)
+    assert list(report["column_sums"]) == ["0", "1", "2", "3", "4"]
+    for total in report["column_sums"].values():
+        assert abs(total - 2) < 1e-7
+    p_det = report["probability_determinant"]
+    assert 1e-3 < p_det < 1 - 1e-3
+    assert abs(p_det - report["probability_enumeration"]) < 1e-8
+
+
 def test_prob_empty_points():
     res = run_cli("prob", "--hexagon", "2,1,1")
     assert res.returncode == 0

@@ -148,6 +148,24 @@ def test_column_sums_equal_N():
             assert abs(total - m.N) < 1e-7
 
 
+def test_column_probabilities_match_point_probability():
+    for m in (model_2x1(),
+              model_2x2(((1.0, 2.0), (1.0, 1.0)), ((1.0, 2.0), (1.0, 1.0)))):
+        for x in range(m.L + 1):
+            col = tiling.column_probabilities(m, x, n=QN)
+            assert list(col) == list(m.column_range(x))
+            for y, p in col.items():
+                assert abs(p - point_probability(m, [(x, y)], n=QN)) < 1e-12
+
+
+def test_column_probabilities_column_outside_hexagon():
+    for m, xs in ((HexagonModel.uniform(2, 1, 1), (-1, 3, 5)),
+                  (HexagonModel.uniform(4, 2, 2), (-1, 5, 7))):
+        for x in xs:
+            with pytest.raises(InvalidArgumentError):
+                tiling.column_probabilities(m, x, n=QN)
+
+
 def test_point_probability_edge_cases():
     m = HexagonModel.uniform(2, 1, 1)
     assert point_probability(m, []) == 1.0
@@ -225,6 +243,37 @@ def test_routes_2x2_both_cases():
         }
         diffs = max_route_diff(m, routes, qs)
         assert all(d < 1e-7 for d in diffs.values()), diffs
+
+
+def test_batched_heights_match_single_queries():
+    # heights reach below 0 and past the column range (block heights 0, 1)
+    y1s, y2s = np.array([-2, -1, 0, 1, 2, 3]), np.array([-1, 0, 1, 2, 4])
+    cases = [(model_2x1(), simplified_kernel_2x1),
+             (model_2x2(((1.0, 2.0), (1.0, 1.0)), ((1.0, 2.0), (1.0, 1.0))),
+              simplified_kernel_2x2)]
+    for m, explicit in cases:
+        routes = {
+            "dk": lambda q, m=m: tiling.dk_kernel(m, q, QN),
+            "sheets": lambda q, m=m: simplified_kernel_general(
+                m, q, "sheets", QN),
+            "plane": lambda q, m=m: simplified_kernel_general(
+                m, q, "plane", QN),
+            "explicit": lambda q, m=m, f=explicit: f(m, q, QN),
+        }
+        for name, fn in routes.items():
+            for x1, x2 in ((1, 3), (2, 2), (3, 1)):
+                batch = fn(KernelQuery(x1, y1s, x2, y2s))
+                assert batch.shape == (len(y2s), len(y1s), 2, 2)
+                for i, y2 in enumerate(y2s):
+                    for j, y1 in enumerate(y1s):
+                        one = fn(KernelQuery(x1, int(y1), x2, int(y2)))
+                        assert np.all(np.abs(batch[i, j] - one)
+                                      <= 1e-13 * np.maximum(1, np.abs(one))
+                                      ), (name, x1, x2, y1, y2)
+                row = fn(KernelQuery(x1, y1s, x2, int(y2s[0])))
+                assert row.shape == (len(y1s), 2, 2)
+                assert np.all(np.abs(row - batch[0])
+                              <= 1e-13 * np.maximum(1, np.abs(batch[0])))
 
 
 def test_uniform_measure_proposition():
