@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -497,6 +498,7 @@ def _add_family_args(p) -> None:
     p.add_argument("--hexagon", help="L,N,M")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdsurface",

@@ -23,14 +23,16 @@ The DK, sheet, plane and explicit routes evaluate one double-contour
 block (`_contour_block`) and contract it through CD kernel coefficients
 (`mops.kernel_integral`); they differ only in their nodes, their kernel
 coefficients and how they write powers of the period matrix.  A block
-serves one column pair and any batch of heights.
+serves one column pair and any batch of heights.  Each route's node data
+is built once per (model, n) on the cached `DKEvaluator`, with its powers
+and transfer products memoized (O(n r^2) numbers each; see DKEvaluator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -233,13 +235,36 @@ class KernelQuery:
                              prod1, prod2, B4, B3)
 
 
-def _transfer_product(model: HexagonModel, cols: tuple, z) -> np.ndarray:
-    """A_lo(z) A_{lo+1}(z) ... A_{hi-1}(z) at points z, (lo, hi) = cols."""
-    out = np.broadcast_to(np.eye(model.r, dtype=complex),
-                          np.shape(z) + (model.r, model.r)).copy()
-    for ell in range(*cols):
-        out = out @ model.transition(ell, z)
-    return out
+def _mul(a, b):
+    """a @ b, where None stands for the identity."""
+    return b if a is None else a if b is None else a @ b
+
+
+class _Route:
+    """Node data of one tiling route: the arguments of `_contour_block`,
+    with the power factors memoized per (factor, exponent) in `memo` and
+    the transfer products per (lo mod q, hi - lo) in `products`."""
+
+    def __init__(self, model: HexagonModel, x, wts, coeffs, at, powers):
+        self.model, self.x, self.wts = model, x, wts
+        self.coeffs, self.at, self._powers = coeffs, at, powers
+        self.memo, self.products = {}, {}
+
+    def power(self, k: int, p: int) -> np.ndarray:
+        f = self._powers[k]
+        if (f, p) not in self.memo:
+            self.memo[f, p] = f(p)
+        return self.memo[f, p]
+
+    def product(self, cols: tuple):
+        """A_lo ... A_{hi-1} at the nodes, (lo, hi) = cols; None (the
+        identity) when the range is empty."""
+        lo, hi = cols
+        key = (lo % self.model.q, hi - lo)
+        if hi > lo and key not in self.products:
+            self.products[key] = reduce(np.matmul, (
+                self.model.transition(ell, self.x) for ell in range(lo, hi)))
+        return self.products.get(key)
 
 
 def _heights(y) -> tuple:
@@ -259,8 +284,7 @@ def _node_powers(x, exps) -> np.ndarray:
     return np.array([x ** e for e in exps]).T
 
 
-def _contour_block(model: HexagonModel, query: KernelQuery, x, wts,
-                   powers, coeffs, at) -> np.ndarray:
+def _contour_block(route: _Route, query: KernelQuery) -> np.ndarray:
     """The block that every tiling route evaluates,
 
         int int w^(y2-h) B2(w) P_L2(w) R(w, z) P_L1(z) B1(z) z^(-y1-1)
@@ -270,36 +294,37 @@ def _contour_block(model: HexagonModel, query: KernelQuery, x, wts,
     whose weights `wts` include the Jacobian.  The routes differ in the
     nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`coeffs`, taken
     at the points `at`), and in how they write the period-matrix power
-    P_p = A^p: `powers` = (left, right, chi), each p -> per-node factor,
-    where left (n, r, s) and right (n, s, r) meet R's s x s values.
+    P_p = A^p: `power(k, p)` is the per-node factor k (0 left, 1 right,
+    2 chi), where left (n, r, s) and right (n, s, r) meet R's s x s values.
 
     The heights enter only through the scalar node factors, so the
-    transfer products and powers are formed once for all heights of the
-    query; the result has shape shape(y2) + shape(y1) + (r, r)."""
+    transfer products and powers serve all heights of the query; the
+    result has shape shape(y2) + shape(y1) + (r, r)."""
+    model = route.model
     g = query.indices(model)
     half = (model.M + model.N) // model.r
-    left_power, right_power, chi_power = powers
     y1s, shape1 = _heights(query.y1)
     y2s, shape2 = _heights(query.y2)
-    wn = wts[:, None]
-
-    def prod(cols):
-        return _transfer_product(model, cols, x)
+    x, wn = route.x, route.wts[:, None]
 
     cw = wn * _node_powers(x, [y - half for y in y2s])
     cz = wn * _node_powers(x, [-y - 1 for y in y1s]) / TWO_PI_I
-    left = cw[:, :, None, None] * (prod(g.prod2) @ left_power(g.L2))[:, None]
+    left = cw[:, :, None, None] \
+        * _mul(route.product(g.prod2), route.power(0, g.L2))[:, None]
     right = cz[:, None, :, None] \
-        * (right_power(g.L1) @ prod(g.prod1))[:, :, None]
+        * _mul(route.power(1, g.L1), route.product(g.prod1))[:, :, None]
     # kernel_integral gives (y2, r, y1, r); blocks are indexed (y2, y1)
-    out = mops.kernel_integral(coeffs, at, left, at, right)
+    out = mops.kernel_integral(route.coeffs, route.at, left, route.at, right)
     out = out.transpose(0, 2, 1, 3)
     if g.chi:
         exps = [b - a - 1 for b in y2s for a in y1s]
         c = _node_powers(x, exps).reshape(-1, len(y2s), len(y1s))
         c = wn[:, :, None] * c / TWO_PI_I
-        out = out - np.einsum("nij,nab,nbc,ncd->ijad", c, prod(g.B4),
-                              chi_power(g.L3), prod(g.B3))
+        mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
+                            route.product(g.B3)) if m is not None]
+        idx = "abcd"[:len(mats) + 1]
+        chain = ",".join(f"n{i}{j}" for i, j in zip(idx, idx[1:]))
+        out = out - np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
     return out.reshape(shape2 + shape1 + out.shape[2:])
 
 
@@ -320,9 +345,13 @@ def _spectral_power(lams, cols, rows):
 class DKEvaluator:
     """Double-contour kernel evaluator for one model and node count.
 
-    Holds O(n) data on the n-point unit-circle quadrature: the matrix CD
-    kernel coefficients of W at degree N/r, the period matrix A at the
-    nodes and a cache of its integer powers."""
+    Holds the n-point unit-circle quadrature, the matrix CD kernel
+    coefficients of W at degree N/r and the node data of the tiling
+    routes (see `route`): "dk" built here, "sheets", "plane" and
+    "explicit" on first use, so a query does only its height-dependent
+    work.  A route holds O(n r^2) numbers per memo entry: its nodes and
+    factors, at most L/q + 1 powers per power factor and at most q^2
+    transfer products."""
 
     def __init__(self, model: HexagonModel, n: int | None = None,
                  cond_max: float = mops.COND_MAX):
@@ -330,29 +359,80 @@ class DKEvaluator:
         self.quad = unit_circle_quadrature(n)
         self.system = mops.mop_system(model, self.quad, model.N // model.r,
                                       cond_max)
-        self._A = model.period_matrix(self.quad.nodes)
-        self._Apow = {0: np.broadcast_to(np.eye(model.r, dtype=complex),
-                                         self._A.shape).copy(),
-                      1: self._A}
+        z, A = self.quad.nodes, model.period_matrix(self.quad.nodes)
+        self._routes = {"dk": _Route(
+            model, z, self.quad.weights, self.system.kernel_coeffs, z,
+            (lambda p: np.linalg.matrix_power(A, p),) * 3)}
 
-    def A_power(self, p: int) -> np.ndarray:
-        if p not in self._Apow:
-            self._Apow[p] = np.linalg.matrix_power(self._A, p)
-        return self._Apow[p]
+    def route(self, form: str) -> _Route:
+        """Node data of the `form` route, built on first use; a build
+        that raises keeps nothing, so the next call raises again."""
+        if form not in self._routes:
+            self._routes[form] = _ROUTES[form](self)
+        return self._routes[form]
+
+    @cached_property
+    def chart_nodes(self) -> tuple:
+        """Chart of the model's family at MOP degree N/r, its pulled-back
+        contour gamma_C and the chart data at the contour's nodes zeta:
+        (chart, quad, phi, weights times dphi, lamhat, e, einv)."""
+        chart = build_chart(self.model.family(), self.model.N // self.model.r)
+        quad = chart.gamma_C(len(self.quad.nodes))
+        zeta = quad.nodes
+        return (chart, quad, chart.phi(zeta), quad.weights * chart.dphi(zeta),
+                chart.lamhat_phi(zeta), chart.e_phi(zeta),
+                chart.einv_phi(zeta))
 
     def block(self, query: KernelQuery) -> np.ndarray:
         """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}; with height
         arrays, the stack of these blocks indexed by (y2, y1)."""
-        z = self.quad.nodes
-        powers = (self.A_power,) * 3
-        return _contour_block(self.model, query, z, self.quad.weights,
-                              powers, self.system.kernel_coeffs, z)
+        return _contour_block(self.route("dk"), query)
 
     def scalar(self, x1: int, Y1: int, x2: int, Y2: int) -> complex:
         """K(x1, Y1, x2, Y2) for general integer heights Y1, Y2."""
         r = self.model.r
         blk = self.block(KernelQuery(x1, Y1 // r, x2, Y2 // r))
         return blk[Y2 % r, Y1 % r]
+
+
+def _sheet_route(ev: DKEvaluator) -> _Route:
+    spectral = ev.model.family().spectral()
+    z = ev.quad.nodes
+    sheets = range(ev.model.r)
+    power = _spectral_power([spectral.lambda_hat(k, z) for k in sheets],
+                            [spectral.evec(k, z) for k in sheets],
+                            [spectral.evec_inv(k, z) for k in sheets])
+    return _Route(ev.model, z, ev.quad.weights, ev.system.kernel_coeffs, z,
+                  (power,) * 3)
+
+
+def _plane_route(ev: DKEvaluator) -> _Route:
+    _, _, phi, wts, lamh, e, einv = ev.chart_nodes
+    power = _spectral_power([lamh], [e], [einv])
+    return _Route(ev.model, phi, wts, ev.system.kernel_coeffs, phi,
+                  (power,) * 3)
+
+
+def _explicit_route(ev: DKEvaluator) -> _Route:
+    """The plane form with the surface kernel replaced by the scalar CD
+    kernel of the chart weight W_s(zeta) = lam(phi) dphi / (h hhat) in
+    zeta: S(omega, zeta) = hhat(omega) einv R(phi(omega), phi(zeta)) e
+    h(zeta), so the kernel's e, einv factors move into the scalar
+    factors as e / hhat and einv / h.  The chart degree is the matrix MOP
+    degree N/r; the scalar CD kernel then has degree r (N/r) = N."""
+    chart, quad, phi, wts, lamh, e, einv = ev.chart_nodes
+    zeta = quad.nodes
+    system = sops.solve_scalar_ops(chart.scalar_weight, quad, ev.model.N)
+    h, hhat = chart.h(zeta), chart.hhat(zeta)
+    powers = (lambda p: (lamh ** p / hhat)[:, None, None] * e[:, :, None],
+              lambda p: (lamh ** p / h)[:, None, None] * einv[:, None, :],
+              _spectral_power([lamh], [e], [einv]))
+    return _Route(ev.model, phi, wts, system.kernel_coeffs[:, :, None, None],
+                  zeta, powers)
+
+
+_ROUTES = {"sheets": _sheet_route, "plane": _plane_route,
+           "explicit": _explicit_route}
 
 
 @lru_cache(maxsize=16)
@@ -374,17 +454,6 @@ def dk_kernel(model: HexagonModel, query: KernelQuery,
 # scalarized kernel routes
 # ---------------------------------------------------------------------------
 
-def _chart_nodes(model: HexagonModel, n: int | None):
-    """Chart of the model's family at MOP degree N/r, its pulled-back
-    contour gamma_C and the chart data at the contour's nodes zeta:
-    (chart, quad, phi, weights times dphi, lamhat, e, einv)."""
-    chart = build_chart(model.family(), model.N // model.r)
-    quad = chart.gamma_C(n if n is not None else default_n())
-    zeta = quad.nodes
-    return (chart, quad, chart.phi(zeta), quad.weights * chart.dphi(zeta),
-            chart.lamhat_phi(zeta), chart.e_phi(zeta), chart.einv_phi(zeta))
-
-
 def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
                               form: str = "plane",
                               n: int | None = None) -> np.ndarray:
@@ -401,39 +470,7 @@ def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
     on scalar functions of zeta."""
     if form not in ("sheets", "plane"):
         raise InvalidArgumentError(f"unknown form {form!r}")
-    ev = dk_evaluator(model, n)
-    coeffs = ev.system.kernel_coeffs
-    if form == "sheets":
-        spectral = model.family().spectral()
-        z = ev.quad.nodes
-        sheets = range(model.r)
-        power = _spectral_power([spectral.lambda_hat(k, z) for k in sheets],
-                                [spectral.evec(k, z) for k in sheets],
-                                [spectral.evec_inv(k, z) for k in sheets])
-        return _contour_block(model, query, z, ev.quad.weights,
-                              (power,) * 3, coeffs, z)
-    _, _, phi, wts, lamh, e, einv = _chart_nodes(model, n)
-    power = _spectral_power([lamh], [e], [einv])
-    return _contour_block(model, query, phi, wts, (power,) * 3, coeffs, phi)
-
-
-def _explicit_kernel(model: HexagonModel, query: KernelQuery,
-                     n: int | None) -> np.ndarray:
-    """The plane form with the surface kernel replaced by the scalar CD
-    kernel of the chart weight W_s(zeta) = lam(phi) dphi / (h hhat) in
-    zeta: S(omega, zeta) = hhat(omega) einv R(phi(omega), phi(zeta)) e
-    h(zeta), so the kernel's e, einv factors move into the scalar
-    factors as e / hhat and einv / h.  The chart degree is the matrix MOP
-    degree N/r; the scalar CD kernel then has degree r (N/r) = N."""
-    chart, quad, phi, wts, lamh, e, einv = _chart_nodes(model, n)
-    zeta = quad.nodes
-    system = sops.solve_scalar_ops(chart.scalar_weight, quad, model.N)
-    h, hhat = chart.h(zeta), chart.hhat(zeta)
-    powers = (lambda p: (lamh ** p / hhat)[:, None, None] * e[:, :, None],
-              lambda p: (lamh ** p / h)[:, None, None] * einv[:, None, :],
-              _spectral_power([lamh], [e], [einv]))
-    return _contour_block(model, query, phi, wts, powers,
-                          system.kernel_coeffs[:, :, None, None], zeta)
+    return _contour_block(dk_evaluator(model, n).route(form), query)
 
 
 def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
@@ -448,7 +485,7 @@ def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
     the closed-form Periodic2x1 chart."""
     if model.r != 2 or model.q != 1:
         raise UnsupportedFamilyError("explicit 2x1 kernel needs r=2, q=1")
-    return _explicit_kernel(model, query, n)
+    return _contour_block(dk_evaluator(model, n).route("explicit"), query)
 
 
 def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
@@ -462,7 +499,7 @@ def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
     numerically independent of the matrix-kernel path."""
     if model.r != 2 or model.q != 2:
         raise UnsupportedFamilyError("explicit 2x2 kernel needs r=2, q=2")
-    return _explicit_kernel(model, query, n)
+    return _contour_block(dk_evaluator(model, n).route("explicit"), query)
 
 
 # --- uniform measure, scalar route ------------------------------------------

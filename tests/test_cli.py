@@ -172,3 +172,37 @@ def test_prob_guard_notice():
     report = json.loads(res.stdout)
     assert report["probability_enumeration"] is None
     assert "enumeration skipped" in report.get("notice", "")
+
+
+# --- parser reuse -------------------------------------------------------
+
+def test_main_calls_in_sequence_match_calls_alone(tmp_path, capsys):
+    # main() builds its parser once per process; a reused parser must
+    # leave no state behind from an earlier call, a failed one included
+    from cdsurface import cli
+    prob = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
+            "--a", "[[1.0, 2.0], [1.0, 1.0]]",
+            "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--points", "1,1", "3,2"]
+    calls = [["verify", "--suite", "mops", "--family", "cyclic", "--r", "2",
+              "--L", "2", "--R", "2", "--N", "2"],
+             prob, ["prob", "--hexagon", "4,2,2", "--no-such-option"], prob]
+
+    def run(argv):
+        out = tmp_path / "out.json"
+        if out.exists():
+            out.unlink()
+        code = cli.main(argv + ["--output", str(out)])
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else b""
+        return code, written, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    cli._build_parser.cache_clear()
+    in_sequence = [run(argv) for argv in calls]
+    assert [c[0] for c in alone] == [cli.EXIT_OK, cli.EXIT_OK,
+                                     cli.EXIT_CONFIG, cli.EXIT_OK]
+    assert alone[1][1] and alone[1] == alone[3]
+    assert in_sequence == alone

@@ -1,7 +1,11 @@
+from collections import Counter
+from functools import partial
+
 import numpy as np
 import pytest
 
 from cdsurface import (HexagonModel, InvalidArgumentError, KernelQuery,
+                       Periodic2x1, Periodic2x2, SingularSystemError,
                        SizeGuardError, edge_weight, enumerate_path_systems,
                        lgv_partition_function, macmahon_count,
                        partition_function, point_probability,
@@ -22,6 +26,13 @@ def model_2x1(**kw):
 
 def model_2x2(a, b):
     return HexagonModel(r=2, q=2, L=4, M=2, N=2, a=a, b=b)
+
+
+def random_r2_model(rng, q, m, el):
+    """r = 2 model with M = N = m and edge weights U(0.5, 2), a before b."""
+    a = tuple(tuple(rng.uniform(0.5, 2.0, 2)) for _ in range(q))
+    b = tuple(tuple(rng.uniform(0.5, 2.0, 2)) for _ in range(q))
+    return HexagonModel(r=2, q=q, L=el, M=m, N=m, a=a, b=b)
 
 
 # --- model validation and geometry --------------------------------------
@@ -166,6 +177,14 @@ def test_column_probabilities_column_outside_hexagon():
                 tiling.column_probabilities(m, x, n=QN)
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: K(12,9,0,2) reads "
+                   "1.4e-8 where it is 0, so p = 1 + 1.41e-9")
+def test_point_probability_within_unit_interval_r2_q2_hexagon():
+    m = random_r2_model(np.random.default_rng(505), 2, 6, 12)
+    p = point_probability(m, [(0, 2), (12, 9)], n=128)
+    assert 0 <= p <= 1 + 1e-9
+
+
 def test_point_probability_edge_cases():
     m = HexagonModel.uniform(2, 1, 1)
     assert point_probability(m, []) == 1.0
@@ -274,6 +293,94 @@ def test_batched_heights_match_single_queries():
                 assert row.shape == (len(y1s), 2, 2)
                 assert np.all(np.abs(row - batch[0])
                               <= 1e-13 * np.maximum(1, np.abs(batch[0])))
+
+
+# --- route data kept on the evaluator -----------------------------------
+
+ROUTES = {
+    "dk": lambda m, q, n=QN: tiling.dk_kernel(m, q, n),
+    "sheets": lambda m, q, n=QN: simplified_kernel_general(m, q, "sheets", n),
+    "plane": lambda m, q, n=QN: simplified_kernel_general(m, q, "plane", n),
+    "explicit": lambda m, q, n=QN: (simplified_kernel_2x1 if m.q == 1
+                                    else simplified_kernel_2x2)(m, q, n),
+}
+ROUTE_MODELS = (model_2x1(),
+                model_2x2(((1.0, 2.0), (1.0, 1.0)), ((1.0, 2.0), (1.0, 1.0))))
+
+
+def test_warm_route_matches_fresh_route():
+    heights = ((0, 1), (2, -1), (np.array([-1, 0, 2]), np.array([0, 1])))
+    queries = [KernelQuery(x1, y1, x2, y2)
+               for x1, x2 in ((0, 4), (1, 3), (2, 2), (3, 1), (4, 0), (3, 2))
+               for y1, y2 in heights]
+    for m in ROUTE_MODELS:
+        for name, fn in ROUTES.items():
+            tiling._dk_evaluator.cache_clear()
+            for q in queries:
+                fn(m, q)
+            warm = [fn(m, q) for q in queries]
+            for q, blk in zip(queries, warm):
+                tiling._dk_evaluator.cache_clear()
+                assert np.array_equal(fn(m, q), blk), (name, q)
+
+
+def counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_route_data_built_once_per_evaluator(monkeypatch):
+    calls = Counter()
+    counted = partial(counting, calls)
+    monkeypatch.setattr(tiling.sops, "solve_scalar_ops",
+                        counted("solve", tiling.sops.solve_scalar_ops))
+    monkeypatch.setattr(tiling, "build_chart",
+                        counted("chart", tiling.build_chart))
+    for cls in (Periodic2x1, Periodic2x2):
+        monkeypatch.setattr(cls, "spectral", counted("spectral", cls.spectral))
+    tiling._dk_evaluator.cache_clear()
+    queries = [KernelQuery(x1, 0, x2, 1) for x1 in range(5) for x2 in (1, 3)]
+    for n in (QN, 128):
+        for m in ROUTE_MODELS:
+            for fn in ROUTES.values():
+                for q in queries:
+                    fn(m, q, n)
+    pairs = 2 * len(ROUTE_MODELS)
+    assert calls == {"solve": pairs, "chart": pairs, "spectral": pairs}
+
+
+def test_route_memo_holds_no_identity():
+    m = random_r2_model(np.random.default_rng(11), 2, 6, 12)
+    for x in range(m.L + 1):
+        tiling.column_probabilities(m, x, n=128)
+    for x1 in range(m.L + 1):
+        for x2 in range(m.L + 1):
+            tiling.dk_kernel(m, KernelQuery(x1, 1, x2, 2), 128)
+    route = tiling.dk_evaluator(m, 128).route("dk")
+    assert 0 < len(route.products) <= m.q ** 2
+    eye = np.eye(m.r)
+    for (lo, length), prod in route.products.items():
+        assert 0 <= lo < m.q and length >= 1
+        assert not np.allclose(prod, eye)
+    assert len(route.memo) <= m.L // m.q + 1
+
+
+def test_failed_route_is_not_kept(monkeypatch):
+    # the chart's degree-4 scalar moment system of this model is singular
+    m = random_r2_model(np.random.default_rng((5, 5, 0)), 2, 4, 6)
+    solves = Counter()
+    monkeypatch.setattr(tiling.sops, "solve_scalar_ops", counting(
+        solves, "solve", tiling.sops.solve_scalar_ops))
+    q = KernelQuery(4, 1, 2, 2)
+    for _ in range(3):
+        with pytest.raises(SingularSystemError):
+            simplified_kernel_2x2(m, q, QN)
+    assert solves["solve"] == 3
+    ev = tiling.dk_evaluator(m, QN)
+    assert np.array_equal(ev.block(q), tiling.DKEvaluator(m, QN).block(q))
 
 
 def test_uniform_measure_proposition():
