@@ -62,12 +62,6 @@ class MatrixPolynomial:
             out = out * z[..., None, None] + C
         return out
 
-    @staticmethod
-    def monomial(k: int, r: int) -> "MatrixPolynomial":
-        coeffs = np.zeros((k + 1, r, r), dtype=complex)
-        coeffs[k] = np.eye(r)
-        return MatrixPolynomial(coeffs)
-
 
 def pairing(P: MatrixPolynomial, Q: MatrixPolynomial,
             family: WeightFamily, quad: ContourQuadrature) -> np.ndarray:
@@ -164,12 +158,17 @@ class MOPSystem:
     conditions: dict = field(default_factory=dict)
     missing: dict = field(default_factory=dict)
 
-    def kappa_L(self, j: int) -> np.ndarray:
-        """Leading (degree-j) coefficient of Q^L_j."""
-        return self.QL[j].coeffs[j]
 
-    def kappa_R(self, j: int) -> np.ndarray:
-        return self.QR[j].coeffs[j]
+def kernel_coefficients(moments: np.ndarray, N: int,
+                        cond_max: float = COND_MAX) -> tuple:
+    """(C, cond): the kernel coefficients (N, N, r, r) from the block
+    inverse, sum_a M_{c+a} C_ab = delta_cb I, and its condition number."""
+    r = moments.shape[1]
+    scale = float(np.max(np.abs(moments))) or 1.0
+    big = _block(moments, range(N), range(N))
+    cond = _check_singular(big, scale, cond_max, f"degree-{N} kernel")
+    Cflat = np.linalg.inv(big)
+    return Cflat.reshape(N, r, N, r).transpose(0, 2, 1, 3).copy(), cond
 
 
 def solve_mops(moments: np.ndarray, N: int,
@@ -185,15 +184,7 @@ def solve_mops(moments: np.ndarray, N: int,
     eye = np.eye(r, dtype=complex)
     conds, missing = {}, {}
     PL, PR, QL, QR = [], [], [], []
-    scale = float(np.max(np.abs(moments))) or 1.0
-
-    # kernel from the block inverse: sum_a M_{c+a} C_ab = delta_cb I
-    big = _block(moments, range(N), range(N))
-    conds["kernel"] = _check_singular(big, scale, cond_max,
-                                      f"degree-{N} kernel")
-    Cflat = np.linalg.inv(big)
-    kernel_coeffs = (Cflat.reshape(N, r, N, r)
-                     .transpose(0, 2, 1, 3).copy())
+    kernel_coeffs, conds["kernel"] = kernel_coefficients(moments, N, cond_max)
 
     for j in range(N + 1):
         if j == 0:
@@ -252,16 +243,31 @@ def cd_kernel_sum(system: MOPSystem, w, z, alt: bool = False) -> np.ndarray:
     return sum(terms)
 
 
+def _by_distance(w, z, eps_switch, formula, fallback, tail=()):
+    """Per pair of the broadcast w, z: formula(w, z) if |z - w| >=
+    eps_switch, else fallback(w, z), each called on its pairs only."""
+    w, z = np.broadcast_arrays(np.asarray(w, complex), np.asarray(z, complex))
+    near = np.abs(z - w) < eps_switch
+    out = np.empty(near.shape + tail, dtype=complex)
+    for part, fn in ((~near, formula), (near, fallback)):
+        if part.any():
+            out[part] = fn(w[part], z[part])
+    return out
+
+
 def cd_kernel_formula(system: MOPSystem, w, z,
                       eps_switch: float = EPS_SWITCH) -> np.ndarray:
     """(z-w)^{-1} (Q^R_{N-1}(w) P^L_N(z) - P^R_N(w) Q^L_{N-1}(z)),
-    falling back to the sum near the removable singularity."""
-    if abs(z - w) < eps_switch:
-        return cd_kernel_sum(system, w, z)
-    N = system.N
-    num = (system.QR[N - 1](w) @ system.PL[N](z)
-           - system.PR[N](w) @ system.QL[N - 1](z))
-    return num / (z - w)
+    falling back to the sum near the removable singularity.  w and z
+    broadcast; the result has shape(broadcast) + (r, r)."""
+    def formula(w, z):
+        N = system.N
+        num = (system.QR[N - 1](w) @ system.PL[N](z)
+               - system.PR[N](w) @ system.QL[N - 1](z))
+        return num / (z - w)[:, None, None]
+    return _by_distance(w, z, eps_switch, formula,
+                        lambda w, z: cd_kernel_sum(system, w, z),
+                        (system.r, system.r))
 
 
 def _powers(x, N):
@@ -363,11 +369,13 @@ def assemble_Yinv(system: MOPSystem, family: WeightFamily,
 
 def kernel_from_Y(system: MOPSystem, family: WeightFamily,
                   quad: ContourQuadrature, w, z) -> np.ndarray:
-    """(2 pi i (z - w))^{-1} (0 I) Y^{-1}(w) Y(z) (I 0)^T."""
+    """(2 pi i (z - w))^{-1} (0 I) Y^{-1}(w) Y(z) (I 0)^T; w and z
+    broadcast, and the contour data are built once for all pairs."""
     r = system.r
     Yi = assemble_Yinv(system, family, quad, w)
     Y = assemble_Y(system, family, quad, z)
-    return (Yi[r:, :] @ Y[:, :r]) / (TWO_PI_I * (z - w))
+    d = TWO_PI_I * (np.asarray(z, dtype=complex) - w)
+    return (Yi[..., r:, :] @ Y[..., :r]) / d[..., None, None]
 
 
 # --- verification helpers -----------------------------------------------
@@ -394,11 +402,15 @@ def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
 
 def biorthogonality_residual(system: MOPSystem, family: WeightFamily,
                              quad: ContourQuadrature) -> float:
-    """max_{j,k} || <P^L_j, Q^R_k> - delta_{jk} I ||_max."""
+    """max_{j,k} || <P^L_j, Q^R_k> - delta_{jk} I ||_max, formed as
+    `pairing` does from W and polynomials evaluated once at the nodes."""
+    z, W = quad.nodes, family.weight(quad.nodes)
+    QR = [system.QR[k](z) for k in range(system.N)]
     res = 0.0
     eye = np.eye(system.r)
     for j in range(system.N):
-        for k in range(system.N):
-            val = pairing(system.PL[j], system.QR[k], family, quad)
+        PW = system.PL[j](z) @ W
+        for k, Q in enumerate(QR):
+            val = np.tensordot(quad.weights, PW @ Q, axes=(0, 0))
             res = max(res, float(np.max(np.abs(val - (eye if j == k else 0)))))
     return res

@@ -94,14 +94,15 @@ def scalar_cd_kernel(system: ScalarOPSystem, omega, zeta):
 def scalar_cd_kernel_formula(system: ScalarOPSystem, omega, zeta,
                              eps_switch: float = mops.EPS_SWITCH):
     """(zeta-omega)^{-1} (q_{n-1}(omega) p_n(zeta) - p_n(omega) q_{n-1}(zeta)),
-    falling back to the biorthogonal sum near omega = zeta."""
-    n = system.n
-    if np.ndim(omega) == 0 and np.ndim(zeta) == 0 \
-            and abs(zeta - omega) < eps_switch:
-        return scalar_cd_kernel_sum(system, omega, zeta)
-    num = (system.q_at(n - 1, omega) * system.p_at(n, zeta)
-           - system.p_at(n, omega) * system.q_at(n - 1, zeta))
-    return num / (np.asarray(zeta, dtype=complex) - omega)
+    falling back to the biorthogonal sum per pair with omega near zeta."""
+    def formula(omega, zeta):
+        n = system.n
+        num = (system.q_at(n - 1, omega) * system.p_at(n, zeta)
+               - system.p_at(n, omega) * system.q_at(n - 1, zeta))
+        return num / (zeta - omega)
+    return mops._by_distance(
+        omega, zeta, eps_switch, formula,
+        lambda omega, zeta: scalar_cd_kernel_sum(system, omega, zeta))[()]
 
 
 def scalar_cd_kernel_sum(system: ScalarOPSystem, omega, zeta):

@@ -357,11 +357,13 @@ class DKEvaluator:
                  cond_max: float = mops.COND_MAX):
         self.model = model
         self.quad = unit_circle_quadrature(n)
-        self.system = mops.mop_system(model, self.quad, model.N // model.r,
-                                      cond_max)
+        N = model.N // model.r
+        self.kernel_coeffs, cond = mops.kernel_coefficients(
+            mops.compute_moments(model, self.quad, N), N, cond_max)
+        self.conditions = {"kernel": cond}
         z, A = self.quad.nodes, model.period_matrix(self.quad.nodes)
         self._routes = {"dk": _Route(
-            model, z, self.quad.weights, self.system.kernel_coeffs, z,
+            model, z, self.quad.weights, self.kernel_coeffs, z,
             (lambda p: np.linalg.matrix_power(A, p),) * 3)}
 
     def route(self, form: str) -> _Route:
@@ -402,14 +404,14 @@ def _sheet_route(ev: DKEvaluator) -> _Route:
     power = _spectral_power([spectral.lambda_hat(k, z) for k in sheets],
                             [spectral.evec(k, z) for k in sheets],
                             [spectral.evec_inv(k, z) for k in sheets])
-    return _Route(ev.model, z, ev.quad.weights, ev.system.kernel_coeffs, z,
+    return _Route(ev.model, z, ev.quad.weights, ev.kernel_coeffs, z,
                   (power,) * 3)
 
 
 def _plane_route(ev: DKEvaluator) -> _Route:
     _, _, phi, wts, lamh, e, einv = ev.chart_nodes
     power = _spectral_power([lamh], [e], [einv])
-    return _Route(ev.model, phi, wts, ev.system.kernel_coeffs, phi,
+    return _Route(ev.model, phi, wts, ev.kernel_coeffs, phi,
                   (power,) * 3)
 
 
@@ -422,13 +424,13 @@ def _explicit_route(ev: DKEvaluator) -> _Route:
     degree N/r; the scalar CD kernel then has degree r (N/r) = N."""
     chart, quad, phi, wts, lamh, e, einv = ev.chart_nodes
     zeta = quad.nodes
-    system = sops.solve_scalar_ops(chart.scalar_weight, quad, ev.model.N)
+    coeffs, _ = mops.kernel_coefficients(sops.scalar_moments(
+        chart.scalar_weight, quad, ev.model.N).reshape(-1, 1, 1), ev.model.N)
     h, hhat = chart.h(zeta), chart.hhat(zeta)
     powers = (lambda p: (lamh ** p / hhat)[:, None, None] * e[:, :, None],
               lambda p: (lamh ** p / h)[:, None, None] * einv[:, None, :],
               _spectral_power([lamh], [e], [einv]))
-    return _Route(ev.model, phi, wts, system.kernel_coeffs[:, :, None, None],
-                  zeta, powers)
+    return _Route(ev.model, phi, wts, coeffs, zeta, powers)
 
 
 _ROUTES = {"sheets": _sheet_route, "plane": _plane_route,
@@ -494,9 +496,9 @@ def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
 
     Columns are re-indexed as x1 = 2 m1 + eps1 and x2 = 2 m2 - eps2 so
     the partial transfer products reduce to single factors A_0^{eps1},
-    A_1^{eps2}.  The scalar CD kernel of the chart weight is computed
-    with `sops` on the pulled-back contour, which keeps this route
-    numerically independent of the matrix-kernel path."""
+    A_1^{eps2}.  The scalar CD kernel inverts the chart weight's Hankel
+    moments on the pulled-back contour (`mops.kernel_coefficients` of
+    `sops.scalar_moments`), independent of the matrix moments."""
     if model.r != 2 or model.q != 2:
         raise UnsupportedFamilyError("explicit 2x2 kernel needs r=2, q=2")
     return _contour_block(dk_evaluator(model, n).route("explicit"), query)
@@ -515,10 +517,11 @@ def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
 
     quad = unit_circle_quadrature(n)
     z = quad.nodes
-    system = sops.solve_scalar_ops(wtilde, quad, N)
+    coeffs, _ = mops.kernel_coefficients(
+        sops.scalar_moments(wtilde, quad, N).reshape(-1, 1, 1), N)
     cu = quad.weights * (1 + z) ** (L - x2) * z ** (y2 - M - N)
     cv = quad.weights * (1 + z) ** x1 * z ** (-y1 - 1) / TWO_PI_I
-    out = complex(mops.kernel_integral(system.kernel_coeffs, z, cu, z, cv))
+    out = complex(mops.kernel_integral(coeffs[:, :, 0, 0], z, cu, z, cv))
     if x1 > x2:
         c = quad.weights * (1 + z) ** (x1 - x2) * z ** (y2 - y1 - 1)
         out -= np.sum(c) / TWO_PI_I

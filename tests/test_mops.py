@@ -95,6 +95,18 @@ def test_scalar_hand_solution(quad256):
                                atol=1e-12)
 
 
+def test_biorthogonality_residual_matches_pairings(families, quad256):
+    fam = families["periodic-2x1"]
+    system = mops.mop_system(fam, quad256, 2)
+    expect = 0.0
+    for j in range(system.N):
+        for k in range(system.N):
+            val = mops.pairing(system.PL[j], system.QR[k], fam, quad256)
+            expect = max(expect, float(np.max(np.abs(
+                val - (np.eye(2) if j == k else 0)))))
+    assert mops.biorthogonality_residual(system, fam, quad256) == expect
+
+
 def test_biorthogonality(quad256):
     # L=4, R=3 keeps every moment system through degree 3 invertible
     # (the pole order has to match the degree window)
@@ -189,6 +201,46 @@ def test_kernel_removable_singularity(quad256):
     near = mops.cd_kernel_formula(system, z + 1e-9, z)
     np.testing.assert_allclose(near, mops.cd_kernel_sum(system, z, z),
                                atol=1e-8)
+
+
+def test_kernel_formula_on_arrays_falls_back_per_pair(quad256):
+    fam = CyclicUniform(r_size=2, L=2, R=2)
+    system = mops.mop_system(fam, quad256, 2)
+    w = np.array([0.3, 0.4, 0.9 + 0.2j + 1e-9, 1.3j])
+    z = np.array([0.3, 0.1, 0.9 + 0.2j, 0.7])
+    K = mops.cd_kernel_formula(system, w, z)
+    assert K.shape == (4, 2, 2)
+    for k in range(4):
+        assert np.array_equal(K[k], mops.cd_kernel_formula(system, w[k], z[k]))
+    for k in (0, 2):  # coincident and 1e-9 apart: the sum, per pair
+        assert np.array_equal(K[k], mops.cd_kernel_sum(system, w[k], z[k]))
+    np.testing.assert_allclose(K, mops.cd_kernel(system, w, z), atol=1e-8)
+    grid = mops.cd_kernel_formula(system, w[:, None], z[None, :])
+    np.testing.assert_allclose(grid, mops.cd_kernel(system, w[:, None],
+                                                    z[None, :]), atol=1e-8)
+
+
+BATCH_FAMILIES = {"periodic-2x1": None, "periodic-2x2-b": None,
+                  "cyclic-r3": CyclicUniform(r_size=3, L=2, R=2)}
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+def test_kernel_from_Y_batch_matches_pairs(families, name, n, rng):
+    # the contour data are built once for the batch; every pair's
+    # kernel is the number a call with that pair alone gives
+    fam = BATCH_FAMILIES[name] or families[name]
+    quad = unit_circle_quadrature(n)
+    system = mops.mop_system(fam, quad, 2)
+    w = 1.3 * np.exp(2j * np.pi * rng.random(10))
+    z = 0.8 * np.exp(2j * np.pi * rng.random(10))
+    batch = mops.kernel_from_Y(system, fam, quad, w, z)
+    assert batch.shape == (10, fam.r, fam.r)
+    pairs = [mops.kernel_from_Y(system, fam, quad, a, b)
+             for a, b in zip(w, z)]
+    assert np.array_equal(batch, pairs)
+    np.testing.assert_allclose(batch, mops.cd_kernel(system, w, z),
+                               atol=1e-7)
 
 
 # --- Riemann-Hilbert assembly -------------------------------------------

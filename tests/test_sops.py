@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -102,6 +104,22 @@ def test_kernel_routes_agree(quad256, rng):
         b = sops.scalar_cd_kernel_formula(system, om, zt)
         c = sops.scalar_cd_kernel_sum(system, om, zt)
         assert abs(a - b) < 1e-10 and abs(b - c) < 1e-10
+
+
+def test_kernel_formula_on_arrays_falls_back_per_pair(quad256):
+    system = solve(lambda z: 2 * z ** (-3) * (1 + z) ** 2, 2, quad256)
+    om = np.array([0.3, 0.4, 0.9 + 0.2j + 1e-9, 1.3j])
+    zt = np.array([0.3, 0.1, 0.9 + 0.2j, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = sops.scalar_cd_kernel_formula(system, om, zt)
+    assert vals.shape == (4,)
+    for k in range(4):
+        assert vals[k] == sops.scalar_cd_kernel_formula(system, om[k], zt[k])
+        assert abs(vals[k] - sops.scalar_cd_kernel(system, om[k], zt[k])) \
+            < 1e-10
+    for k in (0, 2):  # coincident and 1e-9 apart: the sum, per pair
+        assert vals[k] == sops.scalar_cd_kernel_sum(system, om[k], zt[k])
 
 
 def test_kernel_weight_scaling(quad256):

@@ -12,7 +12,7 @@ from cdsurface import (HexagonModel, InvalidArgumentError, KernelQuery,
                        simplified_kernel_2x1, simplified_kernel_2x2,
                        simplified_kernel_general, uniform_scalar_kernel,
                        unit_circle_quadrature)
-from cdsurface import tiling
+from cdsurface import mops, tiling
 
 QN = 256
 
@@ -335,8 +335,8 @@ def counting(calls, name, fn):
 def test_route_data_built_once_per_evaluator(monkeypatch):
     calls = Counter()
     counted = partial(counting, calls)
-    monkeypatch.setattr(tiling.sops, "solve_scalar_ops",
-                        counted("solve", tiling.sops.solve_scalar_ops))
+    monkeypatch.setattr(tiling.sops, "scalar_moments",
+                        counted("solve", tiling.sops.scalar_moments))
     monkeypatch.setattr(tiling, "build_chart",
                         counted("chart", tiling.build_chart))
     for cls in (Periodic2x1, Periodic2x2):
@@ -372,8 +372,8 @@ def test_failed_route_is_not_kept(monkeypatch):
     # the chart's degree-4 scalar moment system of this model is singular
     m = random_r2_model(np.random.default_rng((5, 5, 0)), 2, 4, 6)
     solves = Counter()
-    monkeypatch.setattr(tiling.sops, "solve_scalar_ops", counting(
-        solves, "solve", tiling.sops.solve_scalar_ops))
+    monkeypatch.setattr(tiling.sops, "scalar_moments", counting(
+        solves, "solve", tiling.sops.scalar_moments))
     q = KernelQuery(4, 1, 2, 2)
     for _ in range(3):
         with pytest.raises(SingularSystemError):
@@ -381,6 +381,29 @@ def test_failed_route_is_not_kept(monkeypatch):
     assert solves["solve"] == 3
     ev = tiling.dk_evaluator(m, QN)
     assert np.array_equal(ev.block(q), tiling.DKEvaluator(m, QN).block(q))
+
+
+def test_evaluator_kernel_coeffs_match_mop_system():
+    models = ROUTE_MODELS + (random_r2_model(np.random.default_rng(3),
+                                             2, 4, 8),)
+    for m in models:
+        for n in (128, QN):
+            ev = tiling.DKEvaluator(m, n)
+            system = mops.mop_system(m, unit_circle_quadrature(n),
+                                     m.N // m.r)
+            assert np.array_equal(ev.kernel_coeffs, system.kernel_coeffs)
+            assert ev.conditions == {"kernel": system.conditions["kernel"]}
+
+
+def test_singular_model_evaluator_build_raises():
+    # wall 1: at N/r = 10 the block moment matrix of this model is
+    # numerically singular, so the DK kernel does not exist
+    m = model_2x1(L=40, M=20, N=20)
+    with pytest.raises(SingularSystemError):
+        mops.mop_system(m, unit_circle_quadrature(QN), m.N // m.r)
+    for _ in range(2):
+        with pytest.raises(SingularSystemError):
+            tiling.dk_kernel(m, KernelQuery(0, 0, 0, 0), QN)
 
 
 def test_uniform_measure_proposition():
