@@ -3,8 +3,8 @@ scalar counterparts on genus-0 Riemann surfaces, and correlation kernels
 of doubly periodic lozenge-tiling models."""
 
 from .contour import (ContourQuadrature, circle_quadrature, default_n,
-                      integrate, union_quadrature, unit_circle_quadrature)
-from .errors import (BranchCutWarning, CDSurfaceError,
+                      union_quadrature, unit_circle_quadrature)
+from .errors import (CDSurfaceError,
                      InconsistentParametersError, InvalidArgumentError,
                      NearContourWarning, PoleError, SingularSystemError,
                      SizeGuardError, UnsupportedFamilyError)
@@ -17,7 +17,7 @@ from .sops import (ScalarOPSystem, scalar_cd_kernel, scalar_cd_kernel_formula,
                    solve_scalar_ops)
 from .surface import (Genus0Chart, build_chart, check_reproducing_plane,
                       check_reproducing_surface,
-                      check_reproducing_surface_dual, frak_R, r_lambda,
+                      check_reproducing_surface_dual, frak_R,
                       r_lambda_matrix)
 from .tiling import (HexagonModel, KernelQuery, PathSystem, dk_evaluator,
                      dk_kernel, edge_weight, enumerate_path_systems,
@@ -27,8 +27,7 @@ from .tiling import (HexagonModel, KernelQuery, PathSystem, dk_evaluator,
                      simplified_kernel_general, uniform_scalar_kernel)
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,
                       SpectralData, TwoByTwoRootK, WeightFamily,
-                      check_spectral, eval_transition, eval_weight,
-                      family_from_json)
+                      check_spectral, family_from_json, transfer_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 A contour is stored directly as a quadrature rule: complex nodes plus
 complex weights with the dz measure absorbed, so that
 
-    integrate(f, quad) == sum_j weights[j] * f(nodes[j])
+    quad.integrate(f) == sum_j weights[j] * f(nodes[j])
 
 approximates the oriented contour integral of f.  Circles use the
 trapezoid rule, which is spectrally accurate for integrands analytic in
@@ -117,7 +117,3 @@ def union_quadrature(parts: list[ContourQuadrature]) -> ContourQuadrature:
     return ContourQuadrature(np.concatenate(nodes), np.concatenate(weights),
                              np.concatenate(comp_ids), np.concatenate(orient),
                              np.concatenate(npc))
-
-
-def integrate(f, quad: ContourQuadrature):
-    return quad.integrate(f)

@@ -33,7 +33,3 @@ class SizeGuardError(CDSurfaceError):
 
 class NearContourWarning(UserWarning):
     """Evaluation point too close to a quadrature contour for full accuracy."""
-
-
-class BranchCutWarning(UserWarning):
-    """Evaluation point too close to a branch cut; sheet labels unreliable."""

@@ -2,16 +2,23 @@
 
 For each supported weight family the r-sheeted spectral curve is a
 genus-0 Riemann surface with an explicit rational uniformization
-zeta -> (phi(zeta), eta(zeta)).  A chart packages:
+zeta -> (phi(zeta), eta(zeta)) onto the family's curve points (z, eta).
+A chart supplies only the uniformization:
 
   phi, dphi      projection to the base plane and its derivative,
-  e_phi, einv_phi  eigenvector column / inverse-eigenvector row pulled
-                 back through the chart (rational in zeta),
+  eta            the curve coordinate over phi(zeta),
   h, hhat        rational correction factors clearing the poles of
                  e_phi / einv_phi at the points above infinity,
   scalar_weight  the induced scalar weight
                  W_s(zeta) = lam(phi(zeta)) dphi(zeta) / (h(zeta) hhat(zeta)),
-  gamma_C        the pulled-back contour phi^{-1}(gamma).
+                 in a hand-simplified form,
+  gamma_C        the pulled-back contour phi^{-1}(gamma),
+  phi_inv        the inverse (sheet, z) -> zeta.
+
+The eigen-data pulled back through the chart, e_phi, einv_phi and
+lamhat_phi, are the family's curve functions evaluated at
+(phi(zeta), eta(zeta)), and `sheet_of` is the sheet whose branch
+eta(k, phi(zeta)) lies nearest eta(zeta).
 
 The surface kernel R^lam(w^(j), z^(k)) = einv_j(w) R_N(w, z) e_k(z) is
 scalar-valued; its genus-0 scalarization
@@ -25,6 +32,7 @@ S is a reproducing kernel that is *not* a CD kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -45,6 +53,10 @@ def _row_poly(coeffs: np.ndarray, z) -> np.ndarray:
                        0, -1)
 
 
+def _identity(zeta):
+    return zeta
+
+
 @dataclass(frozen=True)
 class Genus0Chart:
     family: WeightFamily
@@ -52,17 +64,36 @@ class Genus0Chart:
     n: int                       # MOP degree the chart is built for
     phi: Callable
     dphi: Callable
+    eta: Callable                # zeta -> curve coordinate over phi(zeta)
     h: Callable
     hhat: Callable
-    e_phi: Callable              # zeta -> (..., r) eigenvector column
-    einv_phi: Callable           # zeta -> (..., r) inverse-eigenvector row
-    lam_phi: Callable
-    lamhat_phi: Callable | None
     scalar_weight: Callable
     gamma_C: Callable            # n_nodes -> ContourQuadrature
-    sheet_of: Callable           # zeta -> sheet index of phi(zeta)
     phi_inv: Callable            # (sheet, z) -> zeta
     V_is_full: bool
+
+    def _curve_point(self, zeta):
+        zeta = np.asarray(zeta, dtype=complex)
+        return self.phi(zeta), self.eta(zeta)
+
+    def e_phi(self, zeta):
+        """Eigenvector column at the curve point over zeta, (..., r)."""
+        return self.family.evec(*self._curve_point(zeta))
+
+    def einv_phi(self, zeta):
+        """Inverse-eigenvector row at the curve point over zeta, (..., r)."""
+        return self.family.evec_inv(*self._curve_point(zeta))
+
+    def lamhat_phi(self, zeta):
+        """Eigenvalue of the base matrix at the curve point over zeta."""
+        return self.family.lamhat(*self._curve_point(zeta))
+
+    def sheet_of(self, zeta):
+        """Sheet index of the curve point over zeta: the k whose branch
+        eta(k, phi(zeta)) lies nearest eta(zeta)."""
+        z, e = self._curve_point(zeta)
+        return np.argmin([np.abs(self.family.eta(k, z) - e)
+                          for k in range(self.r)], axis=0)[()]
 
     def v_element(self, coeffs: np.ndarray) -> Callable:
         """Member of V from P in P_{n-1}^{1 x r}: coeffs shape (n, r),
@@ -106,59 +137,30 @@ def build_chart(family: WeightFamily, n: int) -> Genus0Chart:
     if isinstance(family, Periodic2x1):
         return _chart_periodic_2x1(family, n)
     if isinstance(family, Periodic2x2):
-        return _chart_periodic_2x2(family, n)
+        if family.a_minus == 0:
+            return _chart_periodic_2x2_case_a(family, n)
+        return _chart_periodic_2x2_case_b(family, n)
     if isinstance(family, ScalarMonomial):
         return _chart_scalar_monomial(family, n)
     raise UnsupportedFamilyError(f"no genus-0 chart for {family!r}")
 
 
+# Chart functions are plain numpy expressions in zeta, scalar or array.
+
 def _chart_cyclic(family: CyclicUniform, n: int) -> Genus0Chart:
     r, L, R = family.r, family.L, family.R
-    rho = np.exp(2j * np.pi / r)
-
-    def phi(z):
-        return np.asarray(z, dtype=complex) ** r
-
-    def sheet_of(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        principal = np.exp(np.log(phi(zeta)) / r)
-        k = np.round(np.real(np.log(zeta / principal) / (2j * np.pi / r)))
-        return (k.astype(int) % r)[()]
-
     return Genus0Chart(
         family=family, r=r, n=n,
-        phi=phi,
-        dphi=lambda z: r * np.asarray(z, dtype=complex) ** (r - 1),
-        h=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        hhat=lambda z: np.asarray(z, dtype=complex) ** (r - 1),
-        e_phi=lambda z: np.stack(
-            [np.asarray(z, dtype=complex) ** j for j in range(r)], axis=-1),
-        einv_phi=lambda z: np.stack(
-            [np.asarray(z, dtype=complex) ** (-j) / r for j in range(r)],
-            axis=-1),
-        lam_phi=lambda z: (1 + np.asarray(z, dtype=complex)) ** L
-        * np.asarray(z, dtype=complex) ** (-r * R),
-        lamhat_phi=lambda z: 1 + np.asarray(z, dtype=complex),
-        scalar_weight=lambda z: r * np.asarray(z, dtype=complex) ** (-r * R)
-        * (1 + np.asarray(z, dtype=complex)) ** L,
-        gamma_C=lambda nn=None: unit_circle_quadrature(nn),
-        sheet_of=sheet_of,
-        phi_inv=lambda k, z: rho ** k
-        * np.exp(np.log(np.asarray(z, dtype=complex)) / r),
+        phi=lambda z: z ** r, dphi=lambda z: r * z ** (r - 1),
+        eta=_identity, h=np.ones_like, hhat=lambda z: z ** (r - 1),
+        scalar_weight=lambda z: r * z ** (-r * R)
+        * family.lamhat(z ** r, z) ** L,
+        gamma_C=unit_circle_quadrature, phi_inv=family.eta,
         V_is_full=True)
 
 
 def _chart_root_k(family: TwoByTwoRootK, n: int) -> Genus0Chart:
     k_exp, L, M = family.k, family.L, family.M
-
-    def phi(z):
-        return np.asarray(z, dtype=complex) ** 2
-
-    def sheet_of(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        principal = np.sqrt(phi(zeta))
-        return np.where(np.abs(zeta - principal) < np.abs(zeta + principal),
-                        0, 1)[()]
 
     def phi_inv(k, z):
         s = np.sqrt(np.asarray(z, dtype=complex))
@@ -166,144 +168,59 @@ def _chart_root_k(family: TwoByTwoRootK, n: int) -> Genus0Chart:
 
     return Genus0Chart(
         family=family, r=2, n=n,
-        phi=phi,
-        dphi=lambda z: 2 * np.asarray(z, dtype=complex),
-        h=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        hhat=lambda z: np.asarray(z, dtype=complex) ** k_exp,
-        e_phi=lambda z: np.stack(
-            [np.ones_like(np.asarray(z, dtype=complex)),
-             np.asarray(z, dtype=complex) ** k_exp], axis=-1),
-        einv_phi=lambda z: np.stack(
-            [0.5 * np.ones_like(np.asarray(z, dtype=complex)),
-             0.5 * np.asarray(z, dtype=complex) ** (-k_exp)], axis=-1),
-        lam_phi=lambda z: np.asarray(z, dtype=complex) ** (-2 * M)
-        * (1 + np.asarray(z, dtype=complex) ** k_exp) ** L,
-        lamhat_phi=lambda z: 1 + np.asarray(z, dtype=complex) ** k_exp,
-        scalar_weight=lambda z: 2 * np.asarray(z, dtype=complex)
-        ** (-2 * M - k_exp + 1)
-        * (1 + np.asarray(z, dtype=complex) ** k_exp) ** L,
-        gamma_C=lambda nn=None: unit_circle_quadrature(nn),
-        sheet_of=sheet_of, phi_inv=phi_inv,
+        phi=lambda z: z ** 2, dphi=lambda z: 2 * z,
+        eta=lambda z: z ** k_exp, h=np.ones_like,
+        hhat=lambda z: z ** k_exp,
+        scalar_weight=lambda z: 2 * z ** (-2 * M - k_exp + 1)
+        * family.lamhat(z ** 2, z ** k_exp) ** L,
+        gamma_C=unit_circle_quadrature, phi_inv=phi_inv,
         V_is_full=(k_exp == 1))
 
 
 def _chart_periodic_2x1(family: Periodic2x1, n: int) -> Genus0Chart:
     a0, a1, b0, b1 = family.a0, family.a1, family.b0, family.b1
-    L, half = family.L, (family.M + family.N) // 2
-    z1 = family.z1
+    L, half, z1 = family.L, family.shift, family.z1
 
     def phi(z):
-        return z1 + np.asarray(z, dtype=complex) ** 2 / (4 * a0 * a1)
-
-    def lamhat(z):
-        return (b0 + b1 + np.asarray(z, dtype=complex)) / 2
-
-    def sqrt_delta(z):
-        return 2 * np.sqrt(a0 * a1) * np.sqrt(np.asarray(z, dtype=complex)
-                                              - z1)
-
-    def sheet_of(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        s = sqrt_delta(phi(zeta))
-        return np.where(np.abs(zeta - s) < np.abs(zeta + s), 0, 1)[()]
-
-    def phi_inv(k, z):
-        s = sqrt_delta(z)
-        return s if k == 0 else -s
+        return z1 + z ** 2 / (4 * a0 * a1)
 
     def scalar_weight(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return (lamhat(zeta) ** L / (2 * a0 * a1)
+        return (family.lamhat(phi(zeta), zeta) ** L / (2 * a0 * a1)
                 * (4 * a0 * a1 / (zeta ** 2 - (b0 - b1) ** 2)) ** half)
-
-    radius = abs(b0 - b1) + 1.0
 
     return Genus0Chart(
         family=family, r=2, n=n,
-        phi=phi,
-        dphi=lambda z: np.asarray(z, dtype=complex) / (2 * a0 * a1),
-        h=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        hhat=lambda z: np.asarray(z, dtype=complex),
-        e_phi=lambda z: np.stack(
-            [np.ones_like(np.asarray(z, dtype=complex)),
-             (b1 - b0 + np.asarray(z, dtype=complex)) / (2 * a0)], axis=-1),
-        einv_phi=lambda z: np.stack(
-            [(np.asarray(z, dtype=complex) + b0 - b1)
-             / (2 * np.asarray(z, dtype=complex)),
-             a0 / np.asarray(z, dtype=complex)], axis=-1),
-        lam_phi=lambda z: lamhat(z) ** L * phi(z) ** (-half),
-        lamhat_phi=lamhat,
+        phi=phi, dphi=lambda z: z / (2 * a0 * a1),
+        eta=_identity, h=np.ones_like, hhat=_identity,
         scalar_weight=scalar_weight,
-        gamma_C=lambda nn=None: circle_quadrature(0.0, radius, nn),
-        sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=True)
+        gamma_C=partial(circle_quadrature, 0.0, abs(b0 - b1) + 1.0),
+        phi_inv=family.eta, V_is_full=True)
 
 
-def _chart_periodic_2x2(family: Periodic2x2, n: int) -> Genus0Chart:
-    am, ap = family.a_minus, family.a_plus
-    bm, bp = family.b_minus, family.b_plus
-    d = family.d
-    Lhalf, half = family.L // 2, (family.M + family.N) // 2
-
-    if am == 0:
-        return _chart_periodic_2x2_case_a(family, n, ap, bm, bp, d,
-                                          Lhalf, half)
-    return _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d,
-                                      Lhalf, half)
-
-
-def _chart_periodic_2x2_case_a(family, n, ap, bm, bp, d, Lhalf, half):
-    c01 = family.c0 + family.c1
+def _chart_periodic_2x2_case_a(family: Periodic2x2, n: int) -> Genus0Chart:
+    c01, bm = family.c0 + family.c1, family.b_minus
+    Lhalf, half = family.power, family.shift
 
     def phi(z):
-        return (np.asarray(z, dtype=complex) ** 2 - bm ** 2) / (2 * c01)
-
-    def lamhat(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return (ap * phi(zeta) + bp + zeta) / 2
-
-    def sqrt_delta(z):
-        z1 = -bm ** 2 / (2 * c01)
-        return np.sqrt(2 * c01) * np.sqrt(np.asarray(z, dtype=complex) - z1)
-
-    def sheet_of(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        s = sqrt_delta(phi(zeta))
-        return np.where(np.abs(zeta - s) < np.abs(zeta + s), 0, 1)[()]
-
-    def phi_inv(k, z):
-        s = sqrt_delta(z)
-        return s if k == 0 else -s
+        return (z ** 2 - bm ** 2) / (2 * c01)
 
     def scalar_weight(zeta):
         # dphi / (h hhat) = (zeta / c01) / zeta = 1 / c01
-        return lamhat(zeta) ** Lhalf * phi(zeta) ** (-half) / c01
-
-    radius = abs(bm) + 1.0
+        return (family.lamhat(phi(zeta), zeta) ** Lhalf
+                * phi(zeta) ** (-half) / c01)
 
     return Genus0Chart(
         family=family, r=2, n=n,
-        phi=phi,
-        dphi=lambda z: np.asarray(z, dtype=complex) / c01,
-        h=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        hhat=lambda z: np.asarray(z, dtype=complex),
-        e_phi=lambda z: np.stack(
-            [np.ones_like(np.asarray(z, dtype=complex)),
-             (np.asarray(z, dtype=complex) + bm) / (2 * d)], axis=-1),
-        einv_phi=lambda z: np.stack(
-            [(np.asarray(z, dtype=complex) - bm)
-             / (2 * np.asarray(z, dtype=complex)),
-             d / np.asarray(z, dtype=complex)], axis=-1),
-        lam_phi=lambda z: lamhat(z) ** Lhalf * phi(z) ** (-half),
-        lamhat_phi=lamhat,
+        phi=phi, dphi=lambda z: z / c01,
+        eta=_identity, h=np.ones_like, hhat=_identity,
         scalar_weight=scalar_weight,
-        gamma_C=lambda nn=None: circle_quadrature(0.0, radius, nn),
-        sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=True)
+        gamma_C=partial(circle_quadrature, 0.0, abs(bm) + 1.0),
+        phi_inv=family.eta, V_is_full=True)
 
 
-def _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d, Lhalf, half):
+def _chart_periodic_2x2_case_b(family: Periodic2x2, n: int) -> Genus0Chart:
     zm, zp = family.branch_points()
+    Lhalf, half = family.power, family.shift
     kappa = (zp - zm) / 4
     sm, sp = np.sqrt(abs(zm)), np.sqrt(abs(zp))
     c = (sm - sp) / (sm + sp)
@@ -312,29 +229,10 @@ def _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d, Lhalf, half):
             f"periodic-2x2(b): expected c in (0,1), got {c}")
 
     def phi(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
         return kappa * (zeta - (c + 1 / c) + 1 / zeta)
 
     def eta(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return am * kappa * (zeta - 1 / zeta)
-
-    def dphi(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return kappa * (1 - zeta ** (-2))
-
-    def lamhat(zeta):
-        return (ap * phi(zeta) + bp + eta(zeta)) / 2
-
-    def sqrt_delta(z):
-        z = np.asarray(z, dtype=complex)
-        return am * np.sqrt(z - zp) * np.sqrt(z - zm)
-
-    def sheet_of(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        s = sqrt_delta(phi(zeta))
-        e = eta(zeta)
-        return np.where(np.abs(e - s) < np.abs(e + s), 0, 1)[()]
+        return family.a_minus * kappa * (zeta - 1 / zeta)
 
     def phi_inv(k, z):
         z = np.asarray(z, dtype=complex)
@@ -343,35 +241,15 @@ def _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d, Lhalf, half):
         disc = np.sqrt(bq ** 2 - 4 * kappa ** 2)
         roots = np.stack([(bq + disc) / (2 * kappa),
                           (bq - disc) / (2 * kappa)])
-        target = sqrt_delta(z) if k == 0 else -sqrt_delta(z)
+        target = family.eta(k, z)
         pick = np.abs(eta(roots[0]) - target) < np.abs(eta(roots[1]) - target)
         return np.where(pick, roots[0], roots[1])[()]
-
-    def h(zeta):
-        return np.asarray(zeta, dtype=complex) ** n
-
-    def hhat(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return zeta ** (n - 2) * (zeta ** 2 - 1)
-
-    def e_phi(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return np.stack([np.ones_like(zeta),
-                         (bm - am * phi(zeta) + eta(zeta)) / (2 * d)],
-                        axis=-1)
-
-    def einv_phi(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        e = eta(zeta)
-        return np.stack([(am * phi(zeta) + e - bm) / (2 * e), d / e],
-                        axis=-1)
 
     def scalar_weight(zeta):
         # dphi / (h hhat) = kappa (zeta^2-1)/zeta^2 / (zeta^{2n-2}(zeta^2-1))
         #                 = kappa / zeta^{2n}: the zeta = +-1 poles cancel.
-        zeta = np.asarray(zeta, dtype=complex)
-        return lamhat(zeta) ** Lhalf * phi(zeta) ** (-half) \
-            * kappa / zeta ** (2 * n)
+        return (family.lamhat(phi(zeta), eta(zeta)) ** Lhalf
+                * phi(zeta) ** (-half) * kappa / zeta ** (2 * n))
 
     # Circle around c and 1/c excluding 0.  The integrands' poles sit at
     # {0, c, 1/c}, so the radius is placed midway between the enclosed
@@ -384,14 +262,11 @@ def _chart_periodic_2x2_case_b(family, n, am, ap, bm, bp, d, Lhalf, half):
 
     return Genus0Chart(
         family=family, r=2, n=n,
-        phi=phi, dphi=dphi, h=h, hhat=hhat,
-        e_phi=e_phi, einv_phi=einv_phi,
-        lam_phi=lambda zeta: lamhat(zeta) ** Lhalf * phi(zeta) ** (-half),
-        lamhat_phi=lamhat,
+        phi=phi, dphi=lambda z: kappa * (1 - z ** (-2)), eta=eta,
+        h=lambda z: z ** n, hhat=lambda z: z ** (n - 2) * (z ** 2 - 1),
         scalar_weight=scalar_weight,
-        gamma_C=lambda nn=None: circle_quadrature(center, radius, nn),
-        sheet_of=sheet_of, phi_inv=phi_inv,
-        V_is_full=True)
+        gamma_C=partial(circle_quadrature, center, radius),
+        phi_inv=phi_inv, V_is_full=True)
 
 
 def _chart_scalar_monomial(family: ScalarMonomial, n: int) -> Genus0Chart:
@@ -400,35 +275,16 @@ def _chart_scalar_monomial(family: ScalarMonomial, n: int) -> Genus0Chart:
             "scalar-monomial with r > 1 has a disconnected spectral curve; "
             "no genus-0 chart")
     Nw = family.N
-
-    def ident(z):
-        return np.asarray(z, dtype=complex)
-
-    ones = lambda z: np.ones_like(np.asarray(z, dtype=complex))
-
     return Genus0Chart(
         family=family, r=1, n=n,
-        phi=ident, dphi=ones, h=ones, hhat=ones,
-        e_phi=lambda z: np.ones(np.shape(z) + (1,), dtype=complex),
-        einv_phi=lambda z: np.ones(np.shape(z) + (1,), dtype=complex),
-        lam_phi=lambda z: np.asarray(z, dtype=complex) ** (-Nw),
-        lamhat_phi=None,
-        scalar_weight=lambda z: np.asarray(z, dtype=complex) ** (-Nw),
-        gamma_C=lambda nn=None: unit_circle_quadrature(nn),
-        sheet_of=lambda z: 0, phi_inv=lambda k, z: np.asarray(z, dtype=complex),
+        phi=_identity, dphi=np.ones_like,
+        eta=lambda z: family.eta(0, z), h=np.ones_like, hhat=np.ones_like,
+        scalar_weight=lambda z: z ** (-Nw),
+        gamma_C=unit_circle_quadrature, phi_inv=lambda k, z: z,
         V_is_full=True)
 
 
 # --- surface kernels ----------------------------------------------------
-
-def r_lambda(chart: Genus0Chart, system: mops.MOPSystem,
-             w_sheet: int, w, z_sheet: int, z,
-             spectral: SpectralData | None = None) -> complex:
-    """R^lam(w^(j), z^(k)) = einv_j(w) R_N(w, z) e_k(z)."""
-    sd = spectral if spectral is not None else chart.family.spectral()
-    R = mops.cd_kernel_formula(system, w, z)
-    return complex(sd.evec_inv(w_sheet, w) @ R @ sd.evec(z_sheet, z))
-
 
 def r_lambda_matrix(spectral: SpectralData, system: mops.MOPSystem,
                     w, z) -> np.ndarray:

@@ -44,7 +44,8 @@ from .contour import default_n, unit_circle_quadrature
 from .errors import InvalidArgumentError, SizeGuardError, \
     UnsupportedFamilyError
 from .surface import build_chart
-from .weights import CyclicUniform, Periodic2x1, Periodic2x2, WeightFamily
+from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, WeightFamily,
+                      transfer_matrix)
 
 TWO_PI_I = 2j * np.pi
 
@@ -108,18 +109,7 @@ class HexagonModel:
     def transition(self, ell: int, z):
         """Column-transfer matrix A_ell(z): b on the diagonal, a on the
         superdiagonal, z * a[ell][r-1] in the bottom-left corner."""
-        ell = ell % self.q
-        arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        r = self.r
-        A = np.zeros(arr.shape + (r, r), dtype=complex)
-        for j in range(r):
-            A[..., j, j] = self.b[ell][j]
-            if j + 1 < r:
-                A[..., j, j + 1] = self.a[ell][j]
-        A[..., r - 1, 0] += self.a[ell][r - 1] * arr
-        return A[0] if scalar else A
+        return transfer_matrix(self.a[ell % self.q], self.b[ell % self.q], z)
 
     def period_matrix(self, z):
         """A(z) = A_0(z) ... A_{q-1}(z)."""

@@ -1,48 +1,32 @@
-"""Rational matrix weight families and their sheet-indexed spectral data.
+"""Rational matrix weight families and their eigen-data on the spectral
+curve.
 
-Each family W(z) is an r x r rational matrix, diagonalizable as
-E(z) diag(lambda_1..lambda_r) E(z)^{-1} away from finitely many points.
-The eigenvalue branches lambda_k, the eigenvector columns e_k and the
-inverse-eigenvector rows are supplied in closed form per family, with a
-fixed branch convention, so that the sheet labelling is coherent across
-evaluations -- a generic numerical eigendecomposition would scramble the
-sheets and randomize eigenvector phases.
+Each family is W(z) = z^{-shift} B(z)^power, with B = `base(z)` an r x r
+polynomial matrix.  Its eigenvalue and eigenvectors are single
+meromorphic functions on the spectral curve det(lambda - B(z)) = 0,
+written once per family as closed-form functions of a curve point
+(z, eta): `lamhat(z, eta)` (eigenvalue of B), `evec(z, eta)` (eigenvector
+column) and `evec_inv(z, eta)` (inverse-eigenvector row); `lam(z, eta)`
+is the eigenvalue of W.  The sheets of the curve over z are the branches
+`eta(k, z)`, k = 0..r-1, with a fixed branch convention, so the sheet
+labelling is coherent across evaluations -- a generic numerical
+eigendecomposition would scramble the sheets and randomize eigenvector
+phases.  `spectral()` evaluates the curve functions on the sheets; a
+genus-0 chart (`surface`) evaluates the same functions at
+(phi(zeta), eta(zeta)).
 
-Sheets are indexed 0..r-1.  Evaluators accept scalar or ndarray z.
+Evaluators accept scalar or ndarray z.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (BranchCutWarning, InconsistentParametersError,
-                     InvalidArgumentError, PoleError, UnsupportedFamilyError)
-
-_CUT_WARN_DIST = 1e-8
-
-
-def _asz(z):
-    """Return (complex array, was_scalar)."""
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
-
-
-def _dist_to_ray(z, x0):
-    """Distance from z to the real ray (-inf, x0]."""
-    z = np.asarray(z, dtype=complex)
-    left = np.real(z) <= x0
-    return np.where(left, np.abs(np.imag(z)), np.abs(z - x0))
-
-
-def _dist_to_segment(z, x0, x1):
-    """Distance from z to the real segment [x0, x1]."""
-    z = np.asarray(z, dtype=complex)
-    x = np.clip(np.real(z), x0, x1)
-    return np.abs(z - x)
+from .errors import (InconsistentParametersError, InvalidArgumentError,
+                     PoleError, UnsupportedFamilyError)
 
 
 @dataclass(frozen=True)
@@ -52,53 +36,75 @@ class SpectralData:
     lam(k, z): eigenvalue branch of W on sheet k.
     evec(k, z): eigenvector column (shape z.shape + (r,)).
     evec_inv(k, z): inverse-eigenvector row (same shape).
-    lambda_hat(k, z): eigenvalue branch of the transition matrix A,
-        or None for families without transition structure.
+    lambda_hat(k, z): eigenvalue branch of the base matrix B, which is
+        the period matrix of families with transition structure.
     """
 
     r: int
     lam: Callable
     evec: Callable
     evec_inv: Callable
-    lambda_hat: Callable | None
+    lambda_hat: Callable
     cut_description: str
-    cut_distance: Callable
-
-    def warn_if_near_cut(self, z):
-        d = np.min(self.cut_distance(z))
-        if d < _CUT_WARN_DIST:
-            warnings.warn(
-                f"evaluation within {d:.2e} of branch cut "
-                f"({self.cut_description}); sheet labels unreliable",
-                BranchCutWarning, stacklevel=3)
 
 
-def _stack_matrix(z, entries):
-    """Assemble shape z.shape + (r, r) from a nested list of entries that
-    are scalars or arrays broadcastable to z.shape."""
-    r = len(entries)
-    out = np.empty(np.shape(z) + (r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            out[..., i, j] = entries[i][j]
-    return out
+def transfer_matrix(a_row, b_row, z):
+    """Column-transfer matrix of one column with up-step weights a_row
+    and flat-step weights b_row: b on the diagonal, a_row[:-1] on the
+    superdiagonal and a_row[-1] z added in the bottom-left corner (the
+    diagonal when r = 1); shape z.shape + (r, r)."""
+    z = np.asarray(z, dtype=complex)
+    r = len(b_row)
+    A = np.zeros(z.shape + (r, r), dtype=complex)
+    flat = A.reshape(z.shape + (r * r,))   # a view: entry (i, j) is i r + j
+    flat[..., ::r + 1] = b_row
+    flat[..., 1::r + 1] = a_row[:-1]
+    A[..., r - 1, 0] += a_row[-1] * z
+    return A
 
 
 class WeightFamily:
-    """Common interface: r, weight(z), spectral(), transition(l, z)."""
+    """W(z) = z^{-shift} base(z)^power and the eigen-data of base(z) as
+    functions of a curve point (z, eta); `eta(k, z)` is sheet k.
+
+    A family gives r, shift, power, eta, lamhat, evec, evec_inv, and
+    `base` or, when it has transfer-matrix structure, `transition`."""
 
     tag = "abstract"
+    cut_description = "none"
 
     @property
     def r(self) -> int:
         raise NotImplementedError
 
+    def base(self, z):
+        """B(z) for a complex array z; shape z.shape + (r, r)."""
+        return self.transition(0, z)
+
+    def lam(self, z, eta):
+        """Eigenvalue of W at the curve point (z, eta)."""
+        return z ** (-self.shift) * self.lamhat(z, eta) ** self.power
+
     def weight(self, z):
         """W(z); z scalar or ndarray, result shape z.shape + (r, r)."""
-        raise NotImplementedError
+        arr = np.asarray(z, dtype=complex)
+        if np.any(arr == 0):
+            raise PoleError(f"{self.tag}: weight has a pole at z = 0")
+        W = np.linalg.matrix_power(self.base(arr), self.power)
+        W = W * (arr ** (-self.shift))[..., None, None]
+        return W[()] if np.ndim(z) == 0 else W
 
     def spectral(self) -> SpectralData:
-        raise NotImplementedError
+        """The curve functions on the sheets: f(k, z) = f(z, eta(k, z))."""
+        def on_sheets(f):
+            def on_sheet(k, z):
+                z = np.asarray(z, dtype=complex)
+                return f(z, self.eta(k, z))
+            return on_sheet
+
+        return SpectralData(self.r, *map(on_sheets, (
+            self.lam, self.evec, self.evec_inv, self.lamhat)),
+            self.cut_description)
 
     def transition(self, ell: int, z):
         raise UnsupportedFamilyError(
@@ -110,23 +116,27 @@ class WeightFamily:
     def to_json(self) -> dict:
         return {"family": self.tag, "params": self.params()}
 
-    def _check_pole(self, z):
-        arr, _ = _asz(z)
-        if np.any(arr == 0):
-            raise PoleError(f"{self.tag}: weight has a pole at z = 0")
-        return arr
+
+class _TwoSheeted(WeightFamily):
+    """r = 2 family whose sheets are eta = +-`_branch(z)`."""
+
+    def eta(self, k, z):
+        e = self._branch(np.asarray(z, dtype=complex))
+        return e if k == 0 else -e
 
 
 @dataclass(frozen=True)
 class CyclicUniform(WeightFamily):
     """W(z) = z^{-R} C(z)^L with C the cyclic r x r matrix that has ones
-    on the diagonal and superdiagonal and z in the bottom-left corner."""
+    on the diagonal and superdiagonal and z in the bottom-left corner;
+    eta = z^{1/r}, rotated by exp(2 pi i k / r) on sheet k."""
 
     r_size: int
     L: int
     R: int
 
     tag = "cyclic"
+    cut_description = "negative real axis (principal z^{1/r})"
 
     def __post_init__(self):
         if self.r_size < 2:
@@ -138,60 +148,34 @@ class CyclicUniform(WeightFamily):
     def r(self) -> int:
         return self.r_size
 
+    shift = property(lambda self: self.R)
+    power = property(lambda self: self.L)
+
     def params(self) -> dict:
         return {"r": self.r_size, "L": self.L, "R": self.R}
 
     def transition(self, ell: int, z):
-        arr, scalar = _asz(z)
-        r = self.r_size
-        A = np.zeros(arr.shape + (r, r), dtype=complex)
-        for j in range(r):
-            A[..., j, j] = 1.0
-            if j + 1 < r:
-                A[..., j, j + 1] = 1.0
-        A[..., r - 1, 0] = arr
-        return A[()] if scalar else A
+        ones = (1.0,) * self.r_size
+        return transfer_matrix(ones, ones, z)
 
-    def weight(self, z):
-        arr = self._check_pole(z)
-        C = self.transition(0, arr)
-        C = np.asarray(C).reshape(arr.shape + (self.r_size, self.r_size))
-        W = np.linalg.matrix_power(C, self.L)
-        W = W * (arr ** (-self.R))[..., None, None]
-        return W[()] if np.ndim(z) == 0 else W
+    def eta(self, k, z):
+        rho = np.exp(2j * np.pi / self.r_size)
+        return rho ** k * np.exp(np.log(np.asarray(z, dtype=complex))
+                                 / self.r_size)
 
-    def spectral(self) -> SpectralData:
-        r, L, R = self.r_size, self.L, self.R
-        rho = np.exp(2j * np.pi / r)
+    def lamhat(self, z, eta):
+        return 1 + eta
 
-        def eta(k, z):
-            z, _ = _asz(z)
-            return rho ** k * np.exp(np.log(z) / r)
+    def evec(self, z, eta):
+        return np.stack([eta ** j for j in range(self.r_size)], axis=-1)
 
-        def lam(k, z):
-            z, _ = _asz(z)
-            return (1 + eta(k, z)) ** L * z ** (-R)
-
-        def lambda_hat(k, z):
-            return 1 + eta(k, z)
-
-        def evec(k, z):
-            e = eta(k, z)
-            return np.stack([e ** j for j in range(r)], axis=-1)
-
-        def evec_inv(k, z):
-            e = eta(k, z)
-            return np.stack([e ** (-j) / r for j in range(r)], axis=-1)
-
-        return SpectralData(
-            r=r, lam=lam, evec=evec, evec_inv=evec_inv,
-            lambda_hat=lambda_hat,
-            cut_description="negative real axis (principal z^{1/r})",
-            cut_distance=lambda z: _dist_to_ray(z, 0.0))
+    def evec_inv(self, z, eta):
+        return np.stack([eta ** (-j) / self.r_size
+                         for j in range(self.r_size)], axis=-1)
 
 
 @dataclass(frozen=True)
-class TwoByTwoRootK(WeightFamily):
+class TwoByTwoRootK(_TwoSheeted):
     """W(z) = z^{-M} [[1, 1], [z^k, 1]]^L with k odd; eigen-data rational
     in the square root eta = z^{k/2} (principal branch)."""
 
@@ -200,6 +184,7 @@ class TwoByTwoRootK(WeightFamily):
     M: int
 
     tag = "root-k"
+    cut_description = "negative real axis (principal z^{k/2})"
 
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
@@ -211,52 +196,35 @@ class TwoByTwoRootK(WeightFamily):
     def r(self) -> int:
         return 2
 
+    shift = property(lambda self: self.M)
+    power = property(lambda self: self.L)
+
     def params(self) -> dict:
         return {"k": self.k, "L": self.L, "M": self.M}
 
-    def weight(self, z):
-        arr = self._check_pole(z)
-        zk = arr ** self.k
-        B = _stack_matrix(arr, [[np.ones_like(arr), np.ones_like(arr)],
-                                [zk, np.ones_like(arr)]])
-        W = np.linalg.matrix_power(B.reshape(arr.shape + (2, 2)), self.L)
-        W = W * (arr ** (-self.M))[..., None, None]
-        return W[()] if np.ndim(z) == 0 else W
+    def base(self, z):
+        B = np.ones(z.shape + (2, 2), dtype=complex)
+        B[..., 1, 0] = z ** self.k
+        return B
 
-    def spectral(self) -> SpectralData:
-        k_exp, L, M = self.k, self.L, self.M
+    def _branch(self, z):
+        return np.exp(0.5 * self.k * np.log(z))
 
-        def eta(k, z):
-            z, _ = _asz(z)
-            e = np.exp(0.5 * k_exp * np.log(z))
-            return e if k == 0 else -e
+    def lamhat(self, z, eta):
+        return 1 + eta
 
-        def lam(k, z):
-            z, _ = _asz(z)
-            return z ** (-M) * (1 + eta(k, z)) ** L
+    def evec(self, z, eta):
+        return np.stack([np.ones_like(eta), eta], axis=-1)
 
-        def lambda_hat(k, z):
-            return 1 + eta(k, z)
-
-        def evec(k, z):
-            e = eta(k, z)
-            return np.stack([np.ones_like(e), e], axis=-1)
-
-        def evec_inv(k, z):
-            e = eta(k, z)
-            return np.stack([0.5 * np.ones_like(e), 0.5 / e], axis=-1)
-
-        return SpectralData(
-            r=2, lam=lam, evec=evec, evec_inv=evec_inv,
-            lambda_hat=lambda_hat,
-            cut_description="negative real axis (principal z^{k/2})",
-            cut_distance=lambda z: _dist_to_ray(z, 0.0))
+    def evec_inv(self, z, eta):
+        return np.stack([0.5 * np.ones_like(eta), 0.5 / eta], axis=-1)
 
 
 @dataclass(frozen=True)
-class Periodic2x1(WeightFamily):
+class Periodic2x1(_TwoSheeted):
     """2-periodic (in the vertical direction) tiling weight:
-    A(z) = [[b0, a0], [a1 z, b1]],  W(z) = z^{-(M+N)/2} A(z)^L."""
+    A(z) = [[b0, a0], [a1 z, b1]],  W(z) = z^{-(M+N)/2} A(z)^L;
+    eta = sqrt(4 a0 a1 (z - z1)), positive for z > z1."""
 
     a0: float
     a1: float
@@ -280,6 +248,9 @@ class Periodic2x1(WeightFamily):
     def r(self) -> int:
         return 2
 
+    shift = property(lambda self: (self.M + self.N) // 2)
+    power = property(lambda self: self.L)
+
     def params(self) -> dict:
         return {"a0": self.a0, "a1": self.a1, "b0": self.b0, "b1": self.b1,
                 "L": self.L, "M": self.M, "N": self.N}
@@ -289,63 +260,34 @@ class Periodic2x1(WeightFamily):
         """Branch point: the single zero of the discriminant."""
         return -((self.b0 - self.b1) ** 2) / (4 * self.a0 * self.a1)
 
+    @property
+    def cut_description(self) -> str:
+        return f"real ray (-inf, {self.z1}]"
+
     def transition(self, ell: int, z):
-        arr, scalar = _asz(z)
-        A = _stack_matrix(arr, [[self.b0 * np.ones_like(arr),
-                                 self.a0 * np.ones_like(arr)],
-                                [self.a1 * arr,
-                                 self.b1 * np.ones_like(arr)]])
-        return A[()] if scalar else A
+        return transfer_matrix((self.a0, self.a1), (self.b0, self.b1), z)
 
-    def weight(self, z):
-        arr = self._check_pole(z)
-        A = np.asarray(self.transition(0, arr)).reshape(arr.shape + (2, 2))
-        W = np.linalg.matrix_power(A, self.L)
-        W = W * (arr ** (-(self.M + self.N) // 2))[..., None, None]
-        return W[()] if np.ndim(z) == 0 else W
+    def _branch(self, z):
+        return 2 * np.sqrt(self.a0 * self.a1) * np.sqrt(z - self.z1)
 
-    def spectral(self) -> SpectralData:
-        a0, a1, b0, b1 = self.a0, self.a1, self.b0, self.b1
-        L, half = self.L, (self.M + self.N) // 2
-        z1 = self.z1
+    def lamhat(self, z, eta):
+        return (self.b0 + self.b1 + eta) / 2
 
-        def sqrt_delta(z):
-            z, _ = _asz(z)
-            # sqrt of Delta(z) = 4 a0 a1 (z - z1), positive for z > z1
-            return 2 * np.sqrt(a0 * a1) * np.sqrt(z - z1)
+    def evec(self, z, eta):
+        return np.stack([np.ones_like(eta),
+                         (self.b1 - self.b0 + eta) / (2 * self.a0)], axis=-1)
 
-        def eta(k, z):
-            s = sqrt_delta(z)
-            return s if k == 0 else -s
-
-        def lambda_hat(k, z):
-            return (b0 + b1 + eta(k, z)) / 2
-
-        def lam(k, z):
-            z_, _ = _asz(z)
-            return z_ ** (-half) * lambda_hat(k, z) ** L
-
-        def evec(k, z):
-            e = eta(k, z)
-            return np.stack([np.ones_like(e), (b1 - b0 + e) / (2 * a0)],
-                            axis=-1)
-
-        def evec_inv(k, z):
-            e = eta(k, z)
-            return np.stack([(e + b0 - b1) / (2 * e), a0 / e], axis=-1)
-
-        return SpectralData(
-            r=2, lam=lam, evec=evec, evec_inv=evec_inv,
-            lambda_hat=lambda_hat,
-            cut_description=f"real ray (-inf, {z1}]",
-            cut_distance=lambda z: _dist_to_ray(z, z1))
+    def evec_inv(self, z, eta):
+        return np.stack([(eta + self.b0 - self.b1) / (2 * eta),
+                         self.a0 / eta], axis=-1)
 
 
 @dataclass(frozen=True)
-class Periodic2x2(WeightFamily):
+class Periodic2x2(_TwoSheeted):
     """2x2-periodic tiling weight: A(z) = A_0(z) A_1(z) with
     A_l = [[b_{l,0}, a_{l,0}], [a_{l,1} z, b_{l,1}]],
-    W(z) = z^{-(M+N)/2} A(z)^{L/2}."""
+    W(z) = z^{-(M+N)/2} A(z)^{L/2}; eta is the square root of the
+    discriminant of A (see `_branch`)."""
 
     a: tuple  # ((a00, a01), (a10, a11)) indexed a[l][j]
     b: tuple
@@ -370,6 +312,9 @@ class Periodic2x2(WeightFamily):
     @property
     def r(self) -> int:
         return 2
+
+    shift = property(lambda self: (self.M + self.N) // 2)
+    power = property(lambda self: self.L // 2)
 
     def params(self) -> dict:
         return {"a": [list(row) for row in self.a],
@@ -426,94 +371,52 @@ class Periodic2x2(WeightFamily):
                 f"periodic-2x2: expected z- < z+ < 0, got {zm}, {zp}")
         return (zm, zp)
 
-    def transition(self, ell: int, z):
-        arr, scalar = _asz(z)
-        l = ell % 2
-        al, bl = self.a[l], self.b[l]
-        A = _stack_matrix(arr, [[bl[0] * np.ones_like(arr),
-                                 al[0] * np.ones_like(arr)],
-                                [al[1] * arr, bl[1] * np.ones_like(arr)]])
-        return A[()] if scalar else A
-
-    def weight(self, z):
-        arr = self._check_pole(z)
-        A0 = np.asarray(self.transition(0, arr)).reshape(arr.shape + (2, 2))
-        A1 = np.asarray(self.transition(1, arr)).reshape(arr.shape + (2, 2))
-        A = A0 @ A1
-        W = np.linalg.matrix_power(A, self.L // 2)
-        W = W * (arr ** (-(self.M + self.N) // 2))[..., None, None]
-        return W[()] if np.ndim(z) == 0 else W
-
-    def spectral(self) -> SpectralData:
-        am, ap = self.a_minus, self.a_plus
-        bm, bp = self.b_minus, self.b_plus
-        d = self.d
-        half, Lhalf = (self.M + self.N) // 2, self.L // 2
+    @property
+    def cut_description(self) -> str:
         bpts = self.branch_points()
+        if len(bpts) == 1:
+            return f"real ray (-inf, {bpts[0]}]"
+        return f"real segment [{bpts[0]}, {bpts[1]}]"
 
-        if am == 0:
-            z1 = bpts[0]
-            coef = np.sqrt(2 * (self.c0 + self.c1))
+    def transition(self, ell: int, z):
+        return transfer_matrix(self.a[ell % 2], self.b[ell % 2], z)
 
-            def sqrt_delta(z):
-                z, _ = _asz(z)
-                return coef * np.sqrt(z - z1)
+    def base(self, z):
+        return self.transition(0, z) @ self.transition(1, z)
 
-            cut_desc = f"real ray (-inf, {z1}]"
+    def _branch(self, z):
+        bpts = self.branch_points()
+        if len(bpts) == 1:
+            return np.sqrt(2 * (self.c0 + self.c1)) * np.sqrt(z - bpts[0])
+        # branch cut on [z-, z+]; ~ a_- z at infinity
+        zm, zp = bpts
+        return self.a_minus * np.sqrt(z - zp) * np.sqrt(z - zm)
 
-            def cut_dist(z):
-                return _dist_to_ray(z, z1)
-        else:
-            zm, zp = bpts
+    def lamhat(self, z, eta):
+        return (self.a_plus * z + self.b_plus + eta) / 2
 
-            def sqrt_delta(z):
-                z, _ = _asz(z)
-                # branch cut on [z-, z+]; ~ a_- z at infinity
-                return am * np.sqrt(z - zp) * np.sqrt(z - zm)
+    def evec(self, z, eta):
+        return np.stack([np.ones_like(eta),
+                         (self.b_minus - self.a_minus * z + eta)
+                         / (2 * self.d)], axis=-1)
 
-            cut_desc = f"real segment [{zm}, {zp}]"
-
-            def cut_dist(z):
-                return _dist_to_segment(z, zm, zp)
-
-        def eta(k, z):
-            s = sqrt_delta(z)
-            return s if k == 0 else -s
-
-        def lambda_hat(k, z):
-            z_, _ = _asz(z)
-            return (ap * z_ + bp + eta(k, z)) / 2
-
-        def lam(k, z):
-            z_, _ = _asz(z)
-            return z_ ** (-half) * lambda_hat(k, z) ** Lhalf
-
-        def evec(k, z):
-            z_, _ = _asz(z)
-            e = eta(k, z)
-            return np.stack([np.ones_like(e), (bm - am * z_ + e) / (2 * d)],
-                            axis=-1)
-
-        def evec_inv(k, z):
-            z_, _ = _asz(z)
-            e = eta(k, z)
-            return np.stack([(am * z_ + e - bm) / (2 * e), d / e], axis=-1)
-
-        return SpectralData(
-            r=2, lam=lam, evec=evec, evec_inv=evec_inv,
-            lambda_hat=lambda_hat,
-            cut_description=cut_desc, cut_distance=cut_dist)
+    def evec_inv(self, z, eta):
+        return np.stack([(self.a_minus * z + eta - self.b_minus) / (2 * eta),
+                         self.d / eta], axis=-1)
 
 
 @dataclass(frozen=True)
 class ScalarMonomial(WeightFamily):
     """W(z) = z^{-N} I_r: a diagonal test family with trivial spectral
-    data and closed-form orthogonal polynomials."""
+    data and closed-form orthogonal polynomials.  Its spectral curve is
+    r disjoint copies of the plane; the sheet label is eta."""
 
     r_size: int
     N: int
 
     tag = "scalar-monomial"
+    shift = property(lambda self: self.N)
+    power = 1
 
     def __post_init__(self):
         if self.r_size < 1 or self.N < 1:
@@ -526,30 +429,21 @@ class ScalarMonomial(WeightFamily):
     def params(self) -> dict:
         return {"r": self.r_size, "N": self.N}
 
-    def weight(self, z):
-        arr = self._check_pole(z)
-        eye = np.eye(self.r_size, dtype=complex)
-        W = (arr ** (-self.N))[..., None, None] * eye
-        return W[()] if np.ndim(z) == 0 else W
+    def base(self, z):
+        return np.broadcast_to(np.eye(self.r_size, dtype=complex),
+                               z.shape + (self.r_size, self.r_size))
 
-    def spectral(self) -> SpectralData:
-        r, N = self.r_size, self.N
+    def eta(self, k, z):
+        return np.full(np.shape(z), k)
 
-        def lam(k, z):
-            z, _ = _asz(z)
-            return z ** (-N)
+    def lamhat(self, z, eta):
+        return np.ones_like(z)
 
-        def evec(k, z):
-            z, _ = _asz(z)
-            out = np.zeros(z.shape + (r,), dtype=complex)
-            out[..., k] = 1.0
-            return out
+    def evec(self, z, eta):
+        return (np.asarray(eta)[..., None]
+                == np.arange(self.r_size)).astype(complex)
 
-        return SpectralData(
-            r=r, lam=lam, evec=evec, evec_inv=evec,
-            lambda_hat=None,
-            cut_description="none",
-            cut_distance=lambda z: np.full(np.shape(z), np.inf))
+    evec_inv = evec
 
 
 _FAMILIES = {cls.tag: cls for cls in
@@ -580,21 +474,10 @@ def family_from_json(obj: dict) -> WeightFamily:
                                  f"known: {sorted(_FAMILIES)}")
 
 
-# --- module-level functional interface ----------------------------------
-
-def eval_weight(family: WeightFamily, z):
-    return family.weight(z)
-
-
-def eval_transition(family: WeightFamily, ell: int, z):
-    return family.transition(ell, z)
-
-
 def check_spectral(spectral: SpectralData, family: WeightFamily,
                    z: complex) -> float:
     """Max residual over the eigen-relations at a point z off the cuts:
     W e_k = lam_k e_k, biorthogonality of rows/columns, completeness."""
-    spectral.warn_if_near_cut(z)
     r = spectral.r
     W = np.asarray(family.weight(z))
     E = np.stack([spectral.evec(k, z) for k in range(r)], axis=-1)

@@ -60,18 +60,15 @@ def test_dphi_matches_finite_difference():
 # --- surface kernel R^lambda --------------------------------------------
 
 def test_r_lambda_scalar_monomial_diagonal(quad256):
-    # r_lambda only needs the spectral data when it is passed explicitly
     fam = ScalarMonomial(r_size=2, N=2)
-    chart = None
     system = mops.mop_system(fam, quad256, 2)
     w, z = 1.2 + 0.4j, 0.6 - 0.5j
     closed = (z ** 2 - w ** 2) / (TWO_PI_I * (z - w))
-    sd = fam.spectral()
+    Rlam = surface.r_lambda_matrix(fam.spectral(), system, w, z)
     for j in range(2):
         for k in range(2):
-            val = surface.r_lambda(chart, system, j, w, k, z, spectral=sd)
             expect = closed if j == k else 0.0
-            assert abs(val - expect) < 1e-12
+            assert abs(Rlam[j, k] - expect) < 1e-12
 
 
 def test_r_lambda_full_matrix_recovery(quad256):
@@ -90,12 +87,12 @@ def test_r_lambda_full_matrix_recovery(quad256):
 
 def test_r_lambda_quadrature_stability():
     fam = CyclicUniform(r_size=2, L=2, R=2)
-    chart = build_chart(fam, 2)
+    sd = fam.spectral()
     vals = []
     for n in (128, 256):
         system = mops.mop_system(fam, unit_circle_quadrature(n), 2)
-        vals.append(surface.r_lambda(chart, system, 0, 1.2 + 0.4j,
-                                     1, 0.7 - 0.3j))
+        vals.append(surface.r_lambda_matrix(sd, system, 1.2 + 0.4j,
+                                            0.7 - 0.3j)[0, 1])
     assert abs(vals[0] - vals[1]) < 1e-10
 
 
@@ -215,3 +212,27 @@ def test_2x2_case_b_integrand_finite_at_pm1():
         vals = [abs(chart.scalar_weight(np.asarray(s + d)))
                 for d in (1e-6, -1e-6, 1e-6j)]
         assert all(np.isfinite(v) and v < 1e8 for v in vals)
+
+
+def test_chart_data_are_the_family_curve_data(rng):
+    # the chart's eigen-data and scalar weight are the family's sheet
+    # data at phi(zeta), on the sheet that zeta lies over
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    for name, fam in make_families().items():
+        if name == "scalar-monomial":
+            continue
+        sd = fam.spectral()
+        for n in (1, 2, 3):
+            chart = build_chart(fam, n)
+            rad = 0.55 + 1.45 * rng.random(30)
+            for zeta in rad * np.exp(2j * np.pi * rng.random(30)):
+                k, z = chart.sheet_of(zeta), chart.phi(np.asarray(zeta))
+                assert close(chart.e_phi(zeta), sd.evec(k, z)), name
+                assert close(chart.einv_phi(zeta), sd.evec_inv(k, z)), name
+                assert close(chart.lamhat_phi(zeta),
+                             sd.lambda_hat(k, z)), name
+                expect = (sd.lam(k, z) * chart.dphi(zeta)
+                          / (chart.h(zeta) * chart.hhat(zeta)))
+                assert close(chart.scalar_weight(zeta), expect), name

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from cdsurface import (CyclicUniform, InvalidArgumentError, Periodic2x1,
                        Periodic2x2, PoleError, ScalarMonomial,
                        TwoByTwoRootK, UnsupportedFamilyError,
-                       check_spectral, eval_transition, eval_weight,
-                       family_from_json)
+                       check_spectral, family_from_json)
 from conftest import make_families, random_offcut_points
 
 
@@ -33,7 +32,7 @@ def test_weight_periodic_2x1_all_ones():
 def test_weight_pole_error():
     for fam in make_families().values():
         with pytest.raises(PoleError):
-            eval_weight(fam, 0.0)
+            fam.weight(0.0)
 
 
 # --- transition matrices ------------------------------------------------
@@ -42,26 +41,26 @@ def test_transition_periodic_2x1():
     fam = Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=2, M=2, N=2)
     z = 1.3 - 0.2j
     expect = np.array([[1.2, 1.0], [0.7 * z, 0.5]])
-    np.testing.assert_allclose(eval_transition(fam, 0, z), expect,
+    np.testing.assert_allclose(fam.transition(0, z), expect,
                                atol=1e-14)
 
 
 def test_transition_periodicity_2x2():
     fam = make_families()["periodic-2x2-b"]
     z = 0.8 + 0.1j
-    np.testing.assert_allclose(eval_transition(fam, 2, z),
-                               eval_transition(fam, 0, z), atol=1e-15)
+    np.testing.assert_allclose(fam.transition(2, z),
+                               fam.transition(0, z), atol=1e-15)
 
 
 def test_transition_uniform_rx1_at_zero():
     fam = CyclicUniform(r_size=2, L=2, R=1)
-    np.testing.assert_allclose(eval_transition(fam, 0, 0.0),
+    np.testing.assert_allclose(fam.transition(0, 0.0),
                                np.array([[1, 1], [0, 1]]), atol=1e-15)
 
 
 def test_transition_unsupported():
     with pytest.raises(UnsupportedFamilyError):
-        eval_transition(ScalarMonomial(r_size=2, N=2), 0, 1.0)
+        ScalarMonomial(r_size=2, N=2).transition(0, 1.0)
 
 
 # --- closed-form spectral data ------------------------------------------
