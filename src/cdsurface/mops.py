@@ -72,10 +72,12 @@ def pairing(P: MatrixPolynomial, Q: MatrixPolynomial,
 
 
 def compute_moments(family: WeightFamily, quad: ContourQuadrature,
-                    N: int) -> np.ndarray:
-    """M_k = int z^k W(z) dz for k = 0..2N, shape (2N+1, r, r)."""
+                    N: int, W: np.ndarray | None = None) -> np.ndarray:
+    """M_k = int z^k W(z) dz for k = 0..2N, shape (2N+1, r, r); W, the
+    weight at the nodes, is `family.weight(quad.nodes)` unless given."""
     z = quad.nodes
-    W = family.weight(z)
+    if W is None:
+        W = family.weight(z)
     powers = z[None, :] ** np.arange(2 * N + 1)[:, None]
     return np.einsum("kn,n,nab->kab", powers, quad.weights, W)
 
@@ -287,6 +289,36 @@ def cd_kernel(system: MOPSystem, w, z) -> np.ndarray:
     return np.einsum("...a,abcd,...b->...cd", wp, system.kernel_coeffs, zp)
 
 
+def power_rows(x, N: int) -> np.ndarray:
+    """(N, len(x)), contiguous: row a holds the powers x ** a."""
+    return np.ascontiguousarray(_powers(x, N).T)
+
+
+def flat_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """(N s, N s): the kernel coefficients (N, N, s, s) with row (a, i)
+    and column (b, j) holding (C_ab)_ij; (N, N) coefficients as they are."""
+    if coeffs.ndim == 2:
+        return coeffs
+    N, s = coeffs.shape[1:3]
+    return coeffs.transpose(0, 2, 1, 3).reshape(N * s, N * s)
+
+
+def contract(wrows: np.ndarray, left, zrows: np.ndarray, right,
+             flat: np.ndarray) -> np.ndarray:
+    """sum_ab U_a C_ab V_b with U_a = sum_k wrows[a, k] left[k] and
+    V_b = sum_j zrows[b, j] right[j]: `kernel_integral` on the powers
+    (`power_rows`) and coefficients (`flat_coefficients`) laid out once.
+
+    left (nw, ..., s) and right (nz, s, ...) meet C_ab's s x s values;
+    the result has shape left.shape[1:-1] + right.shape[2:]."""
+    size = flat.shape[0]
+    U = wrows @ left.reshape(len(left), -1)
+    V = zrows @ right.reshape(len(right), -1)
+    U = U.reshape(len(U), -1, size // len(U)).transpose(1, 0, 2)
+    out = U.reshape(-1, size) @ (flat @ V.reshape(size, -1))
+    return out.reshape(left.shape[1:-1] + right.shape[2:])
+
+
 def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
     """sum_{k,j} left[k] R(w_k, z_j) right[j] for the kernel
     R(w, z) = sum_ab w^a C_ab z^b with coefficients `coeffs`.
@@ -300,14 +332,12 @@ def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
     left.shape[1:-1] + right.shape[2:].
     coeffs (N, N) (a scalar kernel): the result is the outer product of
     the factors, of shape left.shape[1:] + right.shape[1:]."""
-    N = coeffs.shape[0]
-    U = np.tensordot(_powers(w, N), left, axes=(0, 0))
-    V = np.tensordot(_powers(z, N), right, axes=(0, 0))
+    left, right = np.asarray(left), np.asarray(right)
     if coeffs.ndim == 2:
-        return np.tensordot(U, np.tensordot(coeffs, V, axes=(1, 0)),
-                            axes=(0, 0))
-    CV = np.tensordot(coeffs, V, axes=([1, 3], [0, 1]))
-    return np.tensordot(U, CV, axes=([0, U.ndim - 1], [0, 1]))
+        left, right = left[..., None], right[:, None]
+    N = coeffs.shape[0]
+    return contract(power_rows(w, N), left, power_rows(z, N), right,
+                    flat_coefficients(coeffs))
 
 
 # --- Riemann-Hilbert assembly -------------------------------------------

@@ -21,11 +21,14 @@ This module provides:
 
 The DK, sheet, plane and explicit routes evaluate one double-contour
 block (`_contour_block`) and contract it through CD kernel coefficients
-(`mops.kernel_integral`); they differ only in their nodes, their kernel
+(`mops.contract`); they differ only in their nodes, their kernel
 coefficients and how they write powers of the period matrix.  A block
 serves one column pair and any batch of heights.  Each route's node data
-is built once per (model, n) on the cached `DKEvaluator`, with its powers
-and transfer products memoized (O(n r^2) numbers each; see DKEvaluator).
+is built once per (model, n) on the cached `DKEvaluator`: the powers of
+its kernel points and its flattened kernel coefficients are laid out at
+build, and its period-matrix powers, transfer products, side factors
+(product times power) and node powers x^e are memoized, so a warm block
+does only the work that depends on its heights (sizes: see DKEvaluator).
 """
 
 from __future__ import annotations
@@ -208,13 +211,13 @@ class KernelQuery:
     def indices(self, model: HexagonModel) -> QueryGeometry:
         """Exponent data and transfer-product ranges of the
         double-contour formula."""
+        if not (0 <= self.x1 <= model.L and 0 <= self.x2 <= model.L):
+            raise InvalidArgumentError(
+                f"query columns outside [0, L]: {self.x1}, {self.x2}")
         q = model.q
         L1 = self.x1 // q
         ceil2 = -(-self.x2 // q)
         L2 = model.L // q - ceil2
-        if L1 < 0 or L2 < 0:
-            raise InvalidArgumentError(
-                f"query columns out of range: {self.x1}, {self.x2}")
         prod1 = (q * L1, self.x1)
         prod2 = (self.x2, q * ceil2)
         if L1 >= ceil2:
@@ -225,20 +228,23 @@ class KernelQuery:
                              prod1, prod2, B4, B3)
 
 
-def _mul(a, b):
-    """a @ b, where None stands for the identity."""
-    return b if a is None else a if b is None else a @ b
-
-
 class _Route:
-    """Node data of one tiling route: the arguments of `_contour_block`,
-    with the power factors memoized per (factor, exponent) in `memo` and
-    the transfer products per (lo mod q, hi - lo) in `products`."""
+    """Node data of one tiling route: the arguments of `_contour_block`.
+
+    Laid out once: the powers of the kernel points `at` (`rows`) and the
+    flattened kernel coefficients (`flat`), as `mops.contract` takes them.
+    Memoized: the power factors per (factor, exponent) in `memo`, the
+    transfer products per (lo mod q, hi - lo) in `products`, the side
+    factors B2 A^p and A^p B1 per (side, product, exponent) in `sides`,
+    and the node powers x ** e per exponent e in `node_powers`."""
 
     def __init__(self, model: HexagonModel, x, wts, coeffs, at, powers):
         self.model, self.x, self.wts = model, x, wts
         self.coeffs, self.at, self._powers = coeffs, at, powers
-        self.memo, self.products = {}, {}
+        self.rows = mops.power_rows(at, coeffs.shape[0])
+        self.flat = mops.flat_coefficients(coeffs)
+        self.memo, self.products, self.sides, self.node_powers = \
+            {}, {}, {}, {}
 
     def power(self, k: int, p: int) -> np.ndarray:
         f = self._powers[k]
@@ -246,15 +252,39 @@ class _Route:
             self.memo[f, p] = f(p)
         return self.memo[f, p]
 
+    def _product_key(self, cols: tuple):
+        lo, hi = cols
+        return (lo % self.model.q, hi - lo) if hi > lo else None
+
     def product(self, cols: tuple):
         """A_lo ... A_{hi-1} at the nodes, (lo, hi) = cols; None (the
         identity) when the range is empty."""
-        lo, hi = cols
-        key = (lo % self.model.q, hi - lo)
-        if hi > lo and key not in self.products:
+        key = self._product_key(cols)
+        if key is not None and key not in self.products:
             self.products[key] = reduce(np.matmul, (
-                self.model.transition(ell, self.x) for ell in range(lo, hi)))
+                self.model.transition(ell, self.x) for ell in range(*cols)))
         return self.products.get(key)
+
+    def side(self, k: int, cols: tuple, p: int) -> np.ndarray:
+        """The left factor B A^p (k = 0) or the right factor A^p B
+        (k = 1) of the double integral, B = product(cols)."""
+        key = (k, self._product_key(cols), p)
+        if key not in self.sides:
+            P, B = self.power(k, p), self.product(cols)
+            self.sides[key] = P if B is None else B @ P if k == 0 else P @ B
+        return self.sides[key]
+
+    def node_power(self, exps) -> np.ndarray:
+        """(n, len(exps)): x ** e per node for every int e of `exps`.
+
+        Each power is taken, and memoized, with a Python int exponent, as
+        for a single height (numpy rounds array-exponent powers
+        differently), so a height's factor is the same number in any
+        batch of heights."""
+        for e in exps:
+            if e not in self.node_powers:
+                self.node_powers[e] = self.x ** e
+        return np.array([self.node_powers[e] for e in exps]).T
 
 
 def _heights(y) -> tuple:
@@ -263,15 +293,6 @@ def _heights(y) -> tuple:
     if np.ndim(y) == 0:
         return [int(y)], ()
     return [int(v) for v in y], (len(y),)
-
-
-def _node_powers(x, exps) -> np.ndarray:
-    """(n, len(exps)): x ** e per node for every int e of `exps`.
-
-    Each power is taken with a Python int exponent, as for a single
-    height (numpy rounds array-exponent powers differently), so a
-    height's factor is the same number in any batch of heights."""
-    return np.array([x ** e for e in exps]).T
 
 
 def _contour_block(route: _Route, query: KernelQuery) -> np.ndarray:
@@ -295,20 +316,18 @@ def _contour_block(route: _Route, query: KernelQuery) -> np.ndarray:
     half = (model.M + model.N) // model.r
     y1s, shape1 = _heights(query.y1)
     y2s, shape2 = _heights(query.y2)
-    x, wn = route.x, route.wts[:, None]
+    wn = route.wts[:, None]
 
-    cw = wn * _node_powers(x, [y - half for y in y2s])
-    cz = wn * _node_powers(x, [-y - 1 for y in y1s]) / TWO_PI_I
-    left = cw[:, :, None, None] \
-        * _mul(route.product(g.prod2), route.power(0, g.L2))[:, None]
-    right = cz[:, None, :, None] \
-        * _mul(route.power(1, g.L1), route.product(g.prod1))[:, :, None]
-    # kernel_integral gives (y2, r, y1, r); blocks are indexed (y2, y1)
-    out = mops.kernel_integral(route.coeffs, route.at, left, route.at, right)
+    cw = wn * route.node_power([y - half for y in y2s])
+    cz = wn * route.node_power([-y - 1 for y in y1s]) / TWO_PI_I
+    left = cw[:, :, None, None] * route.side(0, g.prod2, g.L2)[:, None]
+    right = cz[:, None, :, None] * route.side(1, g.prod1, g.L1)[:, :, None]
+    # the contraction gives (y2, r, y1, r); blocks are indexed (y2, y1)
+    out = mops.contract(route.rows, left, route.rows, right, route.flat)
     out = out.transpose(0, 2, 1, 3)
     if g.chi:
         exps = [b - a - 1 for b in y2s for a in y1s]
-        c = _node_powers(x, exps).reshape(-1, len(y2s), len(y1s))
+        c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
         c = wn[:, :, None] * c / TWO_PI_I
         mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
                             route.product(g.B3)) if m is not None]
@@ -339,22 +358,33 @@ class DKEvaluator:
     coefficients of W at degree N/r and the node data of the tiling
     routes (see `route`): "dk" built here, "sheets", "plane" and
     "explicit" on first use, so a query does only its height-dependent
-    work.  A route holds O(n r^2) numbers per memo entry: its nodes and
-    factors, at most L/q + 1 powers per power factor and at most q^2
-    transfer products."""
+    work.  A route holds its nodes, the powers of its kernel points (N/r
+    rows of n; N for the explicit route), its kernel coefficients
+    flattened to (N, N), and memos of O(n r^2) numbers per entry: at
+    most L/q + 1 powers per power factor, at most q^2 transfer products
+    and at most 2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per
+    node-power exponent queried."""
 
     def __init__(self, model: HexagonModel, n: int | None = None,
                  cond_max: float = mops.COND_MAX):
         self.model = model
         self.quad = unit_circle_quadrature(n)
         N = model.N // model.r
-        self.kernel_coeffs, cond = mops.kernel_coefficients(
-            mops.compute_moments(model, self.quad, N), N, cond_max)
-        self.conditions = {"kernel": cond}
         z, A = self.quad.nodes, model.period_matrix(self.quad.nodes)
-        self._routes = {"dk": _Route(
-            model, z, self.quad.weights, self.kernel_coeffs, z,
-            (lambda p: np.linalg.matrix_power(A, p),) * 3)}
+
+        def power(p):
+            return np.linalg.matrix_power(A, p)
+
+        # W = z^(-h) A^(L/q), the arithmetic of HexagonModel.weight
+        top = power(model.L // model.q)
+        W = top * (z ** (-(model.M + model.N) // model.r))[:, None, None]
+        self.kernel_coeffs, cond = mops.kernel_coefficients(
+            mops.compute_moments(model, self.quad, N, W), N, cond_max)
+        self.conditions = {"kernel": cond}
+        dk = _Route(model, z, self.quad.weights, self.kernel_coeffs, z,
+                    (power,) * 3)
+        dk.memo[power, model.L // model.q] = top
+        self._routes = {"dk": dk}
 
     def route(self, form: str) -> _Route:
         """Node data of the `form` route, built on first use; a build

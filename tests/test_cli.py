@@ -89,6 +89,14 @@ def test_kernel_tiling_kind():
     assert abs(entry["K"][0] - 0.5) < 1e-8
 
 
+def test_kernel_tiling_column_outside_hexagon_exits_2(tmp_path):
+    for at in (["5,0", "1,0"], ["1,0", "-1,0"]):
+        rc = main(["kernel", "--kind", "tiling", "--hexagon", "4,2,2",
+                   "--r", "2", "--n", "64", "--at", *at,
+                   "--output", str(tmp_path / "k.csv")])
+        assert rc == 2
+
+
 # --- verify -------------------------------------------------------------
 
 def test_verify_contour_suite():

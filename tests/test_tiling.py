@@ -354,8 +354,13 @@ def test_route_data_built_once_per_evaluator(monkeypatch):
 
 def test_route_memo_holds_no_identity():
     m = random_r2_model(np.random.default_rng(11), 2, 6, 12)
+    half = (m.M + m.N) // m.r
+    exps = {2 - half, -2, 0}    # y2 - h, -y1 - 1 and y2 - y1 - 1 below
     for x in range(m.L + 1):
         tiling.column_probabilities(m, x, n=128)
+        ys = m.column_range(x)
+        heights = range(ys[0] // m.r, ys[-1] // m.r + 1)
+        exps |= {y - half for y in heights} | {-y - 1 for y in heights}
     for x1 in range(m.L + 1):
         for x2 in range(m.L + 1):
             tiling.dk_kernel(m, KernelQuery(x1, 1, x2, 2), 128)
@@ -366,6 +371,42 @@ def test_route_memo_holds_no_identity():
         assert 0 <= lo < m.q and length >= 1
         assert not np.allclose(prod, eye)
     assert len(route.memo) <= m.L // m.q + 1
+    assert 0 < len(route.sides) <= 2 * (m.q ** 2 + 1) * (m.L // m.q + 1)
+    assert 0 < len(route.node_powers) <= len(exps)
+
+
+def test_warm_blocks_match_fresh_evaluator(rng):
+    # every column pair (x1 <, =, > x2), int heights and height arrays;
+    # one evaluator answers every query twice, in two orders, and each
+    # block equals the first block of a fresh evaluator, bit for bit
+    n = 128
+    heights = ((0, 1), (np.array([-1, 0, 2]), np.array([1, 0])),
+               (np.array([2, 0, -1]), np.array([0, 1])))
+    for m in ROUTE_MODELS:
+        queries = [KernelQuery(x1, y1, x2, y2) for x1 in range(m.L + 1)
+                   for x2 in range(m.L + 1) for y1, y2 in heights]
+        fresh = []
+        for q in queries:
+            ev = tiling.DKEvaluator(m, n)
+            fresh.append({form: tiling._contour_block(ev.route(form), q)
+                          for form in ROUTES})
+        ev = tiling.DKEvaluator(m, n)
+        order = list(range(len(queries)))
+        for i in order + order[::-1]:
+            for form, blk in fresh[i].items():
+                assert np.array_equal(
+                    tiling._contour_block(ev.route(form), queries[i]), blk
+                ), (form, queries[i])
+        for form in ROUTES:
+            route = ev.route(form)
+            s = len(route.flat) // len(route.rows)
+            left, right = (rng.standard_normal(shape + (2,)) @ [1, 1j]
+                           for shape in ((n, 3, m.r, s), (n, s, 2, m.r)))
+            assert np.array_equal(
+                mops.kernel_integral(route.coeffs, route.at, left, route.at,
+                                     right),
+                mops.contract(route.rows, left, route.rows, right,
+                              route.flat)), form
 
 
 def test_failed_route_is_not_kept(monkeypatch):
@@ -418,6 +459,14 @@ def test_uniform_measure_proposition():
                 a = ev.scalar(x1, Y1, x1, Y2)
                 b = uniform_scalar_kernel(L, M, N, x1, Y1, x1, Y2, QN)
                 assert abs(a - b) < 1e-8
+
+
+def test_query_columns_outside_hexagon_raise():
+    for m in ROUTE_MODELS:
+        for x1, x2 in ((m.L + 1, 0), (-1, 0), (0, m.L + 1), (0, -1)):
+            for fn in ROUTES.values():
+                with pytest.raises(InvalidArgumentError):
+                    fn(m, KernelQuery(x1, 0, x2, 0), 64)
 
 
 def test_chi_term_indices():
