@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import mops, sops, surface, tiling, weights
-from .contour import default_n, unit_circle_quadrature
+from .contour import unit_circle_quadrature
 from .errors import (CDSurfaceError, InconsistentParametersError,
                      InvalidArgumentError, SingularSystemError,
                      SizeGuardError, UnsupportedFamilyError)
@@ -110,18 +110,29 @@ def _family_from_args(args) -> weights.WeightFamily:
                                      L=_req(args, "L"), R=_req(args, "R"))
     if tag == "root-k":
         return weights.TwoByTwoRootK(k=_req(args, "k"),
-                                     L=args.L if args.L else 2,
-                                     M=args.M if args.M else 2)
+                                     L=2 if args.L is None else args.L,
+                                     M=2 if args.M is None else args.M)
     if tag == "periodic-2x1":
         return weights.Periodic2x1(a0=_req(args, "a0"), a1=_req(args, "a1"),
                                    b0=_req(args, "b0"), b1=_req(args, "b1"),
                                    L=_req(args, "L"), M=_req(args, "M"),
                                    N=_req(args, "NW"))
     if tag == "scalar-monomial":
-        return weights.ScalarMonomial(r_size=args.r if args.r else 1,
-                                      N=args.NW if args.NW else args.N)
+        return weights.ScalarMonomial(
+            r_size=1 if args.r is None else args.r,
+            N=args.N if args.NW is None else args.NW)
     raise UnsupportedFamilyError(
         f"unknown family {tag!r} (use --family-json for periodic-2x2)")
+
+
+def _kernel_degree(args, default=None) -> int:
+    """--N, or `default` when it is not given; at least 1."""
+    N = default if args.N is None else args.N
+    if N is None:
+        raise InvalidArgumentError("--N (kernel degree) is required")
+    if N < 1:
+        raise InvalidArgumentError(f"--N must be >= 1, got {N}")
+    return N
 
 
 def _req(args, name):
@@ -137,8 +148,8 @@ def _hexagon_model(args) -> tiling.HexagonModel:
     if args.hexagon is None:
         raise InvalidArgumentError("--hexagon L,N,M is required")
     L, N, M = _parse_hexagon(args.hexagon)
-    r = args.r or 1
-    q = args.q or 1
+    r = 1 if args.r is None else args.r
+    q = 1 if args.q is None else args.q
     if args.a or args.b:
         if not (args.a and args.b):
             raise InvalidArgumentError("--a and --b must be given together")
@@ -168,7 +179,6 @@ def _probe_pairs(args) -> list:
 
 
 def cmd_kernel(args) -> int:
-    n = args.n or default_n()
     if args.kind == "tiling":
         model = _hexagon_model(args)
         if not args.at:
@@ -177,7 +187,7 @@ def cmd_kernel(args) -> int:
         toks = list(args.at)
         if len(toks) % 2:
             raise InvalidArgumentError("--at needs point pairs (even count)")
-        ev = tiling.dk_evaluator(model, n)
+        ev = tiling.dk_evaluator(model, args.n)
         rows, results = [], []
         for i in range(0, len(toks), 2):
             x1, y1 = _parse_int_pair(toks[i])
@@ -191,9 +201,8 @@ def cmd_kernel(args) -> int:
         return _finish_kernel(args, rows, header, results)
 
     family = _family_from_args(args)
-    if args.N is None:
-        raise InvalidArgumentError("--N (kernel degree) is required")
-    system = mops.mop_system(family, unit_circle_quadrature(n), args.N)
+    N = _kernel_degree(args)
+    system = mops.mop_system(family, unit_circle_quadrature(args.n), N)
     pairs = _probe_pairs(args)
     r = family.r
     if args.kind == "surface":
@@ -305,24 +314,24 @@ def _suite_spectral(args) -> list:
 
 def _suite_mops(args) -> list:
     family = _family_from_args(args)
-    N = args.N or 2
-    quad = unit_circle_quadrature(args.n or default_n())
-    system = mops.mop_system(family, quad, N)
+    N = _kernel_degree(args, 2)
+    quad = unit_circle_quadrature(args.n)
+    W = family.weight(quad.nodes)
+    system = mops.solve_mops(mops.compute_moments(family, quad, N, W), N)
     rng = np.random.default_rng(args.seed)
     r = family.r
     checks = []
 
-    res = 0.0
+    Ps, zs = [], []
     for _ in range(5):
-        P = mops.MatrixPolynomial(rng.standard_normal((N, r, r))
-                                  + 1j * rng.standard_normal((N, r, r)))
-        z = 0.9 * np.exp(2j * np.pi * rng.random())
-        res = max(res, mops.reproducing_residual(system, family, quad, P, z))
-    checks.append(_check("reproducing", res, 1e-8))
+        Ps.append(mops.MatrixPolynomial(rng.standard_normal((N, r, r))
+                                        + 1j * rng.standard_normal((N, r, r))))
+        zs.append(0.9 * np.exp(2j * np.pi * rng.random()))
+    checks.append(_check("reproducing", mops.reproducing_residual(
+        system, family, quad, Ps, zs, W=W), 1e-8))
 
-    checks.append(_check("biorthogonality",
-                         mops.biorthogonality_residual(system, family, quad),
-                         1e-10))
+    checks.append(_check("biorthogonality", mops.biorthogonality_residual(
+        system, family, quad, W=W), 1e-10))
 
     t = rng.random((10, 2))     # per pair: the w draw, then the z draw
     w = 1.3 * np.exp(2j * np.pi * t[:, 0])
@@ -330,12 +339,12 @@ def _suite_mops(args) -> list:
     Kf = mops.cd_kernel_formula(system, w, z)
     res_sf = float(np.max(np.abs(mops.cd_kernel_sum(system, w, z) - Kf)))
     res_fy = float(np.max(np.abs(
-        mops.kernel_from_Y(system, family, quad, w, z) - Kf)))
+        mops.kernel_from_Y(system, family, quad, w, z, W=W) - Kf)))
     checks.append(_check("sum-vs-formula", res_sf, 1e-10))
     checks.append(_check("formula-vs-Y", res_fy, 1e-7))
 
     z0 = 1.7 + 0.3j
-    Y = mops.assemble_Y(system, family, quad, z0)
+    Y = mops.assemble_Y(system, family, quad, z0, W=W)
     checks.append(_check("det-Y-unimodular",
                          abs(np.linalg.det(Y) - 1.0), 1e-8))
     return checks
@@ -343,9 +352,9 @@ def _suite_mops(args) -> list:
 
 def _suite_surface(args) -> list:
     family = _family_from_args(args)
-    N = args.N or 2
-    n = args.n or default_n()
-    quad = unit_circle_quadrature(n)
+    N = _kernel_degree(args, 2)
+    quad = unit_circle_quadrature(args.n)
+    n = quad.size
     system = mops.mop_system(family, quad, N)
     chart = surface.build_chart(family, N)
     rng = np.random.default_rng(args.seed)
@@ -446,9 +455,7 @@ def cmd_verify(args) -> int:
 def cmd_prob(args) -> int:
     model = _hexagon_model(args)
     points = [_parse_int_pair(tok) for tok in (args.points or [])]
-    n = args.n or default_n()
-
-    p_det = tiling.point_probability(model, points, "determinant", n)
+    p_det = tiling.point_probability(model, points, "determinant", args.n)
     notice = None
     try:
         p_enum = tiling.point_probability(model, points, "enumeration")
@@ -457,7 +464,7 @@ def cmd_prob(args) -> int:
         notice = f"enumeration skipped: {exc}"
 
     column_sums = {
-        str(x): float(sum(tiling.column_probabilities(model, x, n=n)
+        str(x): float(sum(tiling.column_probabilities(model, x, n=args.n)
                           .values()))
         for x in range(model.L + 1)}
     report = {

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from cdsurface.cli import main
+from cdsurface import Periodic2x1, Periodic2x2, WeightFamily
+from cdsurface.cli import EXIT_CONFIG, main
 
 RUN = [sys.executable, "-m", "cdsurface.cli"]
 
@@ -134,6 +135,33 @@ def test_verify_tiling_oracle():
     assert singles and singles[0]["residual"] < 1e-8
 
 
+@pytest.mark.parametrize("family", [
+    Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=4, M=2, N=2),
+    Periodic2x2(a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
+                L=4, M=2, N=2)])
+def test_verify_mops_suite_one_weight_evaluation(family, monkeypatch,
+                                                 tmp_path):
+    # every check of the suite reads the weight evaluated once at the nodes
+    calls = []
+    weight = WeightFamily.weight
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return weight(self, z)
+
+    monkeypatch.setattr(WeightFamily, "weight", counted)
+    out = tmp_path / "mops.json"
+    code = main(["verify", "--suite", "mops",
+                 "--family-json", json.dumps(family.to_json()),
+                 "--N", "2", "--n", "256", "--output", str(out)])
+    assert calls == [(256,)]
+    report = json.loads(out.read_text())
+    assert code == 0 and report["pass"]
+    assert {c["check"]: c["pass"] for c in report["checks"]} == dict.fromkeys(
+        ["reproducing", "biorthogonality", "sum-vs-formula", "formula-vs-Y",
+         "det-Y-unimodular"], True)
+
+
 def test_verify_unknown_suite_exits_2():
     res = run_cli("verify", "--suite", "nope")
     assert res.returncode == 2
@@ -180,6 +208,44 @@ def test_prob_guard_notice():
     report = json.loads(res.stdout)
     assert report["probability_enumeration"] is None
     assert "enumeration skipped" in report.get("notice", "")
+
+
+# --- option values -----------------------------------------------------
+
+CYCLIC = ["--family", "cyclic", "--r", "2", "--L", "2", "--R", "2"]
+HEXAGON = ["--hexagon", "4,2,2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", *HEXAGON, "--r", "0", "--points", "0,0"],
+    ["prob", *HEXAGON, "--q", "0", "--points", "0,0"],
+    ["prob", *HEXAGON, "--n", "0", "--points", "0,0"],
+    ["prob", *HEXAGON, "--n", "-1"],
+    ["kernel", "--kind", "tiling", *HEXAGON, "--n", "0", "--at", "1,0",
+     "1,0"],
+    ["kernel", *CYCLIC, "--N", "0", "--grid", "2"],
+    ["kernel", *CYCLIC, "--N", "-2", "--grid", "2"],
+    ["kernel", *CYCLIC, "--N", "2", "--n", "0", "--grid", "2"],
+    ["verify", "--suite", "mops", *CYCLIC, "--N", "0"],
+    ["verify", "--suite", "mops", *CYCLIC, "--n", "0"],
+    ["verify", "--suite", "surface", *CYCLIC, "--N", "0"],
+    ["verify", "--suite", "surface", *CYCLIC, "--n", "-4"],
+    ["verify", "--suite", "spectral", "--family", "root-k", "--k", "3",
+     "--L", "0"],
+    ["verify", "--suite", "spectral", "--family", "root-k", "--k", "3",
+     "--M", "0"],
+    ["verify", "--suite", "spectral", "--family", "scalar-monomial",
+     "--r", "0", "--weight-N", "2"],
+    ["verify", "--suite", "spectral", "--family", "scalar-monomial",
+     "--weight-N", "0"],
+], ids=" ".join)
+def test_zero_or_negative_option_exits_2(argv, capsys):
+    # a value given on the command line is used as given, never replaced
+    # by the default, so a zero or negative one is rejected
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err
 
 
 # --- parser reuse -------------------------------------------------------

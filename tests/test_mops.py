@@ -296,6 +296,34 @@ def test_reproducing_and_dual(quad256, rng):
                                                   P, z) < 1e-8
 
 
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("name", ["periodic-2x1", "periodic-2x2-b",
+                                  "cyclic-r3-L2R2"])
+def test_reproducing_residual_batch_matches_single(families, name, n, rng):
+    # one contraction over five (P, z) pairs gives the max of the five
+    # single calls; a degree-N polynomial, outside the reproduced space,
+    # misses both alone and inside a batch.  Batch and single calls round
+    # differently in the last product, where |U_a| |C_ab| reaches 2e3
+    # and cancels to |P(z)|: on these cases they differ by up to 1.7e-13.
+    fam = (CyclicUniform(r_size=3, L=2, R=2) if name == "cyclic-r3-L2R2"
+           else families[name])
+    quad = unit_circle_quadrature(n)
+    system = mops.mop_system(fam, quad, 2)
+    r = fam.r
+    polys = [MatrixPolynomial(cnormal(rng, 2, r, r)) for _ in range(5)]
+    zs = 0.9 * np.exp(2j * np.pi * rng.random(5))
+    outside = MatrixPolynomial(cnormal(rng, 3, r, r))
+    for residual in (mops.reproducing_residual,
+                     mops.dual_reproducing_residual):
+        batch = residual(system, fam, quad, polys, zs)
+        singles = [residual(system, fam, quad, P, z)
+                   for P, z in zip(polys, zs)]
+        assert abs(batch - max(singles)) <= 1e-12
+        assert batch < 1e-8
+        assert residual(system, fam, quad, outside, zs[0]) > 1e-3
+        assert residual(system, fam, quad, polys[:4] + [outside], zs) > 1e-3
+
+
 # --- kernel integral ----------------------------------------------------
 
 def cnormal(rng, *shape):
