@@ -29,6 +29,8 @@ its kernel points and its flattened kernel coefficients are laid out at
 build, and its period-matrix powers, transfer products, side factors
 (product times power) and node powers x^e are memoized, so a warm block
 does only the work that depends on its heights (sizes: see DKEvaluator).
+The evaluator also keeps each column's one-point density K(x, y, x, y),
+so `column_probabilities` asks one block per column and (model, n).
 """
 
 from __future__ import annotations
@@ -363,7 +365,8 @@ class DKEvaluator:
     flattened to (N, N), and memos of O(n r^2) numbers per entry: at
     most L/q + 1 powers per power factor, at most q^2 transfer products
     and at most 2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per
-    node-power exponent queried."""
+    node-power exponent queried.  The one-point densities of the columns
+    queried (`densities`) are at most (L + 1)(N + M) floats."""
 
     def __init__(self, model: HexagonModel, n: int | None = None,
                  cond_max: float = mops.COND_MAX):
@@ -384,7 +387,7 @@ class DKEvaluator:
         dk = _Route(model, z, self.quad.weights, self.kernel_coeffs, z,
                     (power,) * 3)
         dk.memo[power, model.L // model.q] = top
-        self._routes = {"dk": dk}
+        self._routes, self.densities = {"dk": dk}, {}
 
     def route(self, form: str) -> _Route:
         """Node data of the `form` route, built on first use; a build
@@ -409,6 +412,19 @@ class DKEvaluator:
         """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}; with height
         arrays, the stack of these blocks indexed by (y2, y1)."""
         return _contour_block(self.route("dk"), query)
+
+    def density(self, x: int) -> dict:
+        """{y: K(x, y, x, y)} over the heights of column x, kept: one
+        block over heights y // r on first use; raises off [0, L]."""
+        if x not in self.densities:
+            ys = self.model.column_range(x)
+            r, lo = self.model.r, ys.start // self.model.r
+            heights = np.arange(lo, (ys.stop - 1) // r + 1)
+            blk = self.block(KernelQuery(x, heights, x, heights))
+            self.densities[x] = {
+                y: float(blk[y // r - lo, y // r - lo, y % r, y % r].real)
+                for y in ys}
+        return self.densities[x]
 
     def scalar(self, x1: int, Y1: int, x2: int, Y2: int) -> complex:
         """K(x1, Y1, x2, Y2) for general integer heights Y1, Y2."""
@@ -659,7 +675,8 @@ def point_probability(model: HexagonModel, points,
     """P(a path passes through every point in `points`).
 
     route="determinant": det[K(x_i, y_i, x_j, y_j)] via the matrix
-    double-contour kernel.  route="enumeration": exhaustive-path ratio."""
+    double-contour kernel (exactly 0.0 for a height outside its column).
+    route="enumeration": exhaustive-path ratio."""
     points = list(points)
     if len(set(points)) != len(points):
         raise InvalidArgumentError("points must be distinct")
@@ -678,6 +695,8 @@ def point_probability(model: HexagonModel, points,
 
     if route != "determinant":
         raise InvalidArgumentError(f"unknown route {route!r}")
+    if any(y not in model.column_range(x) for x, y in points):
+        return 0.0
 
     ev = dk_evaluator(model, n)
     m = len(points)
@@ -692,13 +711,9 @@ def column_probabilities(model: HexagonModel, x: int,
                          n: int | None = None) -> dict:
     """{y: P(point at (x, y))} over the admissible heights of column x.
 
-    P = K(x, y, x, y); every height of the column comes from one
-    double-contour block over the block heights y // r."""
+    P = K(x, y, x, y): one double-contour block over the block heights
+    y // r on the first call per column and (model, n), kept by the
+    cached evaluator; each call returns a fresh copy of the kept values."""
     if not 0 <= x <= model.L:
         raise InvalidArgumentError(f"column {x} outside [0, L]")
-    ys = model.column_range(x)
-    r, lo = model.r, ys[0] // model.r
-    heights = np.arange(lo, ys[-1] // r + 1)
-    blk = dk_evaluator(model, n).block(KernelQuery(x, heights, x, heights))
-    return {y: float(blk[y // r - lo, y // r - lo, y % r, y % r].real)
-            for y in ys}
+    return dict(dk_evaluator(model, n).density(x))

@@ -195,6 +195,46 @@ def test_prob_periodic_r2_q2_hexagon():
     assert abs(p_det - report["probability_enumeration"]) < 1e-8
 
 
+def test_prob_point_outside_column_reports_zero(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["prob", "--hexagon", "4,2,2", "--r", "2", "--points", "1,9",
+                 "--n", "64", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["probability_determinant"] == 0.0
+    assert report["probability_enumeration"] == 0.0
+    assert '"probability_determinant": 0.0,' in out.read_text()
+    for total in report["column_sums"].values():
+        assert abs(total - 2) < 1e-7
+
+
+def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
+    # the second call finds every column's density on the cached
+    # evaluator and evaluates only the k^2 blocks of its k points
+    from cdsurface import tiling
+    blocks = []
+    contour_block = tiling._contour_block
+
+    def counted(*args):
+        blocks.append(args)
+        return contour_block(*args)
+
+    monkeypatch.setattr(tiling, "_contour_block", counted)
+    tiling._dk_evaluator.cache_clear()
+    argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
+            "--a", "[[1.0, 2.0], [1.0, 1.0]]",
+            "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--n", "128",
+            "--points", "1,1", "3,2"]
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / f"{name}.json"
+        blocks.clear()
+        assert main(argv + ["--output", str(out)]) == 0
+        runs.append((out.read_bytes(), len(blocks)))
+    (first, cold), (second, warm) = runs
+    assert first == second
+    assert (cold, warm) == (2 ** 2 + 5, 2 ** 2)
+
+
 def test_prob_empty_points():
     res = run_cli("prob", "--hexagon", "2,1,1")
     assert res.returncode == 0

@@ -172,9 +172,56 @@ def test_column_probabilities_match_point_probability():
 def test_column_probabilities_column_outside_hexagon():
     for m, xs in ((HexagonModel.uniform(2, 1, 1), (-1, 3, 5)),
                   (HexagonModel.uniform(4, 2, 2), (-1, 5, 7))):
-        for x in xs:
+        ev = tiling.DKEvaluator(m, QN)
+        for x in xs + (-m.N, m.L + m.N):    # the last two: no heights
             with pytest.raises(InvalidArgumentError):
                 tiling.column_probabilities(m, x, n=QN)
+            with pytest.raises(InvalidArgumentError):
+                ev.density(x)
+        assert not ev.densities
+
+
+def test_point_outside_column_range_has_probability_zero(monkeypatch):
+    # a height outside the column's range carries no path: the
+    # determinant route returns 0.0 exactly, as enumeration does, and
+    # evaluates no block, whose rounding could make it negative
+    m = HexagonModel.uniform(4, 2, 2, r=2)
+    calls = Counter()
+    monkeypatch.setattr(tiling, "_contour_block",
+                        counting(calls, "block", tiling._contour_block))
+    for pt in ((4, 5), (1, 9), (1, -1)):
+        for pts in ([pt], [(2, 1), pt]):
+            p = point_probability(m, pts, "determinant", 64)
+            assert p == 0.0 and not np.signbit(p), pts
+            assert point_probability(m, pts, "enumeration") == 0.0
+    assert calls["block"] == 0
+
+
+def test_column_densities_kept_on_evaluator(monkeypatch):
+    m = random_r2_model(np.random.default_rng(11), 2, 6, 12)
+    calls = Counter()
+    monkeypatch.setattr(tiling, "_contour_block",
+                        counting(calls, "block", tiling._contour_block))
+    tiling._dk_evaluator.cache_clear()
+    cold = [tiling.column_probabilities(m, x, n=128) for x in range(m.L + 1)]
+    assert calls["block"] == m.L + 1
+    warm = [tiling.column_probabilities(m, x, n=128) for x in range(m.L + 1)]
+    assert calls["block"] == m.L + 1
+    for x, col in enumerate(warm):
+        tiling._dk_evaluator.cache_clear()
+        fresh = tiling.column_probabilities(m, x, n=128)
+        assert col == cold[x] == fresh, x
+        assert np.array_equal(list(col.values()), list(fresh.values())), x
+
+
+def test_column_probabilities_returns_a_copy():
+    m = model_2x1()
+    col = tiling.column_probabilities(m, 2, n=QN)
+    kept = dict(col)
+    col[0] = -1.0
+    del col[1]
+    col[99] = 5.0
+    assert tiling.column_probabilities(m, 2, n=QN) == kept
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: K(12,9,0,2) reads "
