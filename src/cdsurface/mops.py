@@ -57,18 +57,31 @@ class MatrixPolynomial:
 
     def __call__(self, z):
         """Horner evaluation; z scalar or ndarray -> z.shape + (r, r)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.broadcast_to(self.coeffs[-1], z.shape + self.coeffs.shape[1:]).copy()
-        for C in self.coeffs[-2::-1]:
-            out = out * z[..., None, None] + C
+        z = np.asarray(z, dtype=complex)[..., None, None]
+        C = self.coeffs
+        if len(C) == 1:
+            return np.broadcast_to(C[0], z.shape[:-2] + C.shape[1:]).copy()
+        out = C[-1] * z + C[-2]
+        for c in C[-3::-1]:
+            out = out * z + c
         return out
+
+
+def node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(..., p, r) @ (..., r, s) per node, as r broadcast multiply-adds:
+    for the r of a weight this is several times faster than a stacked
+    matmul, and a block of a stacked operand gets the bits it gets alone."""
+    out = A[..., :1] * B[..., :1, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., k:k + 1] * B[..., k:k + 1, :]
+    return out
 
 
 def pairing(P: MatrixPolynomial, Q: MatrixPolynomial,
             family: WeightFamily, quad: ContourQuadrature) -> np.ndarray:
     """<P, Q> = int P(z) W(z) Q(z) dz by quadrature."""
     z = quad.nodes
-    vals = P(z) @ family.weight(z) @ Q(z)
+    vals = node_product(node_product(P(z), family.weight(z)), Q(z))
     return np.tensordot(quad.weights, vals, axes=(0, 0))
 
 
@@ -109,25 +122,6 @@ def _check_singular(A, scale, cond_max, what):
             f"singular (smallest singular value {s[-1]:.2e} vs moment scale "
             f"{scale:.2e}); the polynomials need not exist")
     return cond
-
-
-def _solve_right(moments, rhs_blocks, size, cond_max, what):
-    """Solve sum_m M_{k+m} C_m = RHS_k for k = 0..size-1."""
-    r = moments.shape[1]
-    A = _block(moments, range(size), range(size))
-    scale = float(np.max(np.abs(moments))) or 1.0
-    cond = _check_singular(A, scale, cond_max, what)
-    rhs = np.concatenate(rhs_blocks, axis=0)
-    X = np.linalg.solve(A, rhs)
-    return [X[m * r:(m + 1) * r] for m in range(size)], cond
-
-
-def _solve_left(moments, rhs_blocks, size, cond_max, what):
-    """Solve sum_m C_m M_{m+k} = RHS_k via the blockwise transpose."""
-    mT = np.transpose(moments, (0, 2, 1))
-    rhsT = [B.T for B in rhs_blocks]
-    blocks, cond = _solve_right(mT, rhsT, size, cond_max, what)
-    return [B.T for B in blocks], cond
 
 
 class _PolyRow(tuple):
@@ -189,42 +183,36 @@ def solve_mops(moments: np.ndarray, N: int,
     """
     r = moments.shape[1]
     eye = np.eye(r, dtype=complex)
+    scale = float(np.max(np.abs(moments))) or 1.0
     conds, missing = {}, {}
-    PL, PR, QL, QR = [], [], [], []
+    P0 = MatrixPolynomial(eye[None])
+    PL, PR, QL, QR = [P0], [P0], [], []
     kernel_coeffs, conds["kernel"] = kernel_coefficients(moments, N, cond_max)
 
-    for j in range(N + 1):
-        if j == 0:
-            PL.append(MatrixPolynomial(eye[None]))
-            PR.append(MatrixPolynomial(eye[None]))
-        else:
-            rhs = [-moments[j + k] for k in range(j)]
-            try:
-                blocksL, condL = _solve_left(moments, rhs, j, cond_max,
-                                             f"P^L_{j}")
-                blocksR, condR = _solve_right(moments, rhs, j, cond_max,
-                                              f"P^R_{j}")
-                conds[("P", j)] = max(condL, condR)
-                PL.append(MatrixPolynomial(np.stack(blocksL + [eye])))
-                PR.append(MatrixPolynomial(np.stack(blocksR + [eye])))
-            except SingularSystemError as exc:
-                missing[("P", j)] = str(exc)
-                PL.append(None)
-                PR.append(None)
-        if j <= N - 1:
-            rhs = [eye if k == j else np.zeros((r, r)) for k in range(j + 1)]
-            try:
-                blocksL, condL = _solve_left(moments, rhs, j + 1, cond_max,
-                                             f"Q^L_{j}")
-                blocksR, condR = _solve_right(moments, rhs, j + 1, cond_max,
-                                              f"Q^R_{j}")
-                conds[("Q", j)] = max(condL, condR)
-                QL.append(MatrixPolynomial(np.stack(blocksL)))
-                QR.append(MatrixPolynomial(np.stack(blocksR)))
-            except SingularSystemError as exc:
-                missing[("Q", j)] = str(exc)
-                QL.append(None)
-                QR.append(None)
+    # The size-j system sum_m M_{k+m} C_m = RHS_k (k < j) gives P^R_j for
+    # RHS_k = -M_{j+k} and Q^R_{j-1} for RHS_k = delta_{k,j-1} I; the left
+    # families solve the blockwise transpose, which is A^T.
+    for j in range(1, N + 1):
+        A = _block(moments, range(j), range(j))
+        try:
+            conds[("P", j)] = conds[("Q", j - 1)] = _check_singular(
+                A, scale, cond_max, f"P_{j}, Q_{j - 1}")
+        except SingularSystemError as exc:
+            missing[("P", j)] = missing[("Q", j - 1)] = str(exc)
+            for fam in (PL, PR, QL, QR):
+                fam.append(None)
+            continue
+        rhs = np.zeros((j, r, 2 * r), dtype=complex)
+        rhs[-1, :, r:] = eye
+        rhs[:, :, :r] = -moments[j:2 * j]
+        XR = np.linalg.solve(A, rhs.reshape(j * r, 2 * r)).reshape(j, r, -1)
+        rhs[:, :, :r] = -moments[j:2 * j].transpose(0, 2, 1)
+        XL = np.linalg.solve(A.T, rhs.reshape(j * r, 2 * r)).reshape(j, r, -1)
+        XL = XL.transpose(0, 2, 1)
+        PL.append(MatrixPolynomial(np.concatenate([XL[:, :r], eye[None]])))
+        PR.append(MatrixPolynomial(np.concatenate([XR[..., :r], eye[None]])))
+        QL.append(MatrixPolynomial(XL[:, r:]))
+        QR.append(MatrixPolynomial(XR[..., r:]))
     return MOPSystem(N=N, r=r, moments=moments,
                      PL=_PolyRow(PL), PR=_PolyRow(PR),
                      QL=_PolyRow(QL), QR=_PolyRow(QR),
@@ -363,44 +351,65 @@ def _warn_near(quad, z):
             f"quadrature loses accuracy", NearContourWarning, stacklevel=3)
 
 
+def node_values(system: MOPSystem, family: WeightFamily,
+                quad: ContourQuadrature, W: np.ndarray | None = None) -> tuple:
+    """(W, PW, Q): the MOPs that the biorthogonality and Riemann-Hilbert
+    checks read, each evaluated once at the nodes of quad.  W (n, r, r) is
+    the weight there, evaluated unless given; PW (n, (N+2) r, r) stacks
+    P^L_j W for j = 0..N, then Q^L_{N-1} W; Q (n, r, (N+1) r) stacks Q^R_k
+    for k < N, then P^R_N.  Every MOP through degree N must exist."""
+    z, W, N = quad.nodes, _weight_at(family, quad, W), system.N
+    left = [system.PL[j](z) for j in range(N + 1)] + [system.QL[N - 1](z)]
+    right = [system.QR[k](z) for k in range(N)] + [system.PR[N](z)]
+    return (W, node_product(np.concatenate(left, axis=1), W),
+            np.concatenate(right, axis=2))
+
+
 def assemble_Y(system: MOPSystem, family: WeightFamily,
                quad: ContourQuadrature, z,
                cauchy_quad: ContourQuadrature | None = None,
-               W: np.ndarray | None = None) -> np.ndarray:
+               values: tuple | None = None) -> np.ndarray:
     """The 2r x 2r matrix Y(z) built from P^L_N and Q^L_{N-1}.
 
     cauchy_quad optionally replaces the contour used for the Cauchy
     transforms (a deformation, valid while no poles of W are crossed) --
-    used to evaluate boundary values accurately from either side.  W,
-    the weight at that contour's nodes, is evaluated unless given.
+    used to evaluate boundary values accurately from either side.
+    values, `node_values` at that contour's nodes, are read if given;
+    otherwise the two MOPs and W are evaluated there.
     """
     cq = cauchy_quad if cauchy_quad is not None else quad
     _warn_near(cq, z)
     N, r = system.N, system.r
     PN, Qm = system.PL[N], system.QL[N - 1]
-    Wn = _weight_at(family, cq, W)
+    PW = (node_product(np.concatenate([PN(cq.nodes), Qm(cq.nodes)], 1),
+                       family.weight(cq.nodes))
+          if values is None else values[1][:, -2 * r:])
+    C = _cauchy(cq, PW, z)
     Y = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Y[..., :r, :r] = PN(z)
-    Y[..., :r, r:] = _cauchy(cq, PN(cq.nodes) @ Wn, z) / TWO_PI_I
+    Y[..., :r, r:] = C[..., :r, :] / TWO_PI_I
     Y[..., r:, :r] = -TWO_PI_I * Qm(z)
-    Y[..., r:, r:] = -_cauchy(cq, Qm(cq.nodes) @ Wn, z)
+    Y[..., r:, r:] = -C[..., r:, :]
     return Y
 
 
 def assemble_Yinv(system: MOPSystem, family: WeightFamily,
                   quad: ContourQuadrature, z,
                   cauchy_quad: ContourQuadrature | None = None,
-                  W: np.ndarray | None = None) -> np.ndarray:
+                  values: tuple | None = None) -> np.ndarray:
     """Y(z)^{-1} built directly from the right MOPs P^R_N, Q^R_{N-1};
-    cauchy_quad and W as for `assemble_Y`."""
+    cauchy_quad and values as for `assemble_Y`."""
     cq = cauchy_quad if cauchy_quad is not None else quad
     _warn_near(cq, z)
     N, r = system.N, system.r
     PN, Qm = system.PR[N], system.QR[N - 1]
-    Wn = _weight_at(family, cq, W)
+    W, Q = ((family.weight(cq.nodes),
+             np.concatenate([Qm(cq.nodes), PN(cq.nodes)], 2))
+            if values is None else (values[0], values[2][..., -2 * r:]))
+    C = _cauchy(cq, node_product(W, Q), z)
     Yi = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
-    Yi[..., :r, :r] = -_cauchy(cq, Wn @ Qm(cq.nodes), z)
-    Yi[..., :r, r:] = -_cauchy(cq, Wn @ PN(cq.nodes), z) / TWO_PI_I
+    Yi[..., :r, :r] = -C[..., :r]
+    Yi[..., :r, r:] = -C[..., r:] / TWO_PI_I
     Yi[..., r:, :r] = TWO_PI_I * Qm(z)
     Yi[..., r:, r:] = PN(z)
     return Yi
@@ -408,13 +417,13 @@ def assemble_Yinv(system: MOPSystem, family: WeightFamily,
 
 def kernel_from_Y(system: MOPSystem, family: WeightFamily,
                   quad: ContourQuadrature, w, z,
-                  W: np.ndarray | None = None) -> np.ndarray:
+                  values: tuple | None = None) -> np.ndarray:
     """(2 pi i (z - w))^{-1} (0 I) Y^{-1}(w) Y(z) (I 0)^T; w and z
-    broadcast, and the contour data are built once for all pairs.  W,
-    the weight at the nodes of quad, is evaluated unless given."""
-    r, W = system.r, _weight_at(family, quad, W)
-    Yi = assemble_Yinv(system, family, quad, w, W=W)
-    Y = assemble_Y(system, family, quad, z, W=W)
+    broadcast, and the contour data are built once for all pairs.
+    values, `node_values` at the nodes of quad, are read if given."""
+    r = system.r
+    Yi = assemble_Yinv(system, family, quad, w, values=values)
+    Y = assemble_Y(system, family, quad, z, values=values)
     d = TWO_PI_I * (np.asarray(z, dtype=complex) - w)
     return (Yi[..., r:, :] @ Y[..., :r]) / d[..., None, None]
 
@@ -456,9 +465,7 @@ def reproducing_residual(system: MOPSystem, family: WeightFamily,
     P, z = _pairs(P, z)
     nodes, m, r = quad.nodes, len(P), system.r
     W = _weight_at(family, quad, W)
-    # one (m r, r) @ (r, r) product per node: a broadcast (n, m, r, r) @
-    # (n, 1, r, r) matmul gives the same bits about four times slower
-    left = np.concatenate([p(nodes) for p in P], axis=1) @ W
+    left = node_product(np.concatenate([p(nodes) for p in P], axis=1), W)
     left = left.reshape(-1, m, r, r) * quad.weights[:, None, None, None]
     right = np.eye(m)[:, None, :, None] * np.eye(r)[:, None]
     table = kernel_integral(system.kernel_coeffs, nodes, left, z, right)
@@ -474,7 +481,7 @@ def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
     Q, w = _pairs(Q, w)
     nodes, m, r = quad.nodes, len(Q), system.r
     W = _weight_at(family, quad, W)
-    right = W @ np.concatenate([q(nodes) for q in Q], axis=2)
+    right = node_product(W, np.concatenate([q(nodes) for q in Q], axis=2))
     right = right.reshape(-1, r, m, r) * quad.weights[:, None, None, None]
     left = np.eye(m)[:, :, None, None] * np.eye(r)
     table = kernel_integral(system.kernel_coeffs, w, left, nodes, right)
@@ -483,17 +490,15 @@ def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
 
 def biorthogonality_residual(system: MOPSystem, family: WeightFamily,
                              quad: ContourQuadrature,
-                             W: np.ndarray | None = None) -> float:
+                             values: tuple | None = None) -> float:
     """max_{j,k} || <P^L_j, Q^R_k> - delta_{jk} I ||_max, formed as
-    `pairing` does from W and polynomials evaluated once at the nodes;
-    W, the weight at the nodes, is evaluated unless given."""
-    z, W = quad.nodes, _weight_at(family, quad, W)
-    QR = [system.QR[k](z) for k in range(system.N)]
-    res = 0.0
-    eye = np.eye(system.r)
-    for j in range(system.N):
-        PW = system.PL[j](z) @ W
-        for k, Q in enumerate(QR):
-            val = np.tensordot(quad.weights, PW @ Q, axes=(0, 0))
-            res = max(res, float(np.max(np.abs(val - (eye if j == k else 0)))))
-    return res
+    `pairing` does, for every (j, k) at once, from `node_values` at the
+    nodes of quad, which are evaluated unless given."""
+    _, PW, Q = values or node_values(system, family, quad)
+    N, r = system.N, system.r
+    vals = node_product(PW[:, :N * r], Q[..., :N * r]).reshape(-1, N, r, N, r)
+    # one node sum per (j, k) block, the sum `pairing` makes: a single
+    # product over all blocks sums each block with other bits
+    gram = [[np.tensordot(quad.weights, vals[:, j, :, k], axes=(0, 0))
+             for k in range(N)] for j in range(N)]
+    return float(np.max(np.abs(np.block(gram) - np.eye(N * r))))

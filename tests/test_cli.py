@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from cdsurface import Periodic2x1, Periodic2x2, WeightFamily
+from cdsurface import MatrixPolynomial, Periodic2x1, Periodic2x2, WeightFamily
+from cdsurface import mops
 from cdsurface.cli import EXIT_CONFIG, main
 
 RUN = [sys.executable, "-m", "cdsurface.cli"]
@@ -160,6 +161,44 @@ def test_verify_mops_suite_one_weight_evaluation(family, monkeypatch,
     assert {c["check"]: c["pass"] for c in report["checks"]} == dict.fromkeys(
         ["reproducing", "biorthogonality", "sum-vs-formula", "formula-vs-Y",
          "det-Y-unimodular"], True)
+
+
+@pytest.mark.parametrize("family", [
+    Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=4, M=2, N=2),
+    Periodic2x2(a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
+                L=4, M=2, N=2)])
+def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family,
+                                                            monkeypatch,
+                                                            tmp_path):
+    # every polynomial the suite reads at the 256 nodes is evaluated there
+    # once, and the Riemann-Hilbert assemblies evaluate none there
+    at_nodes = []
+    call = MatrixPolynomial.__call__
+
+    def counted(self, z):
+        if np.shape(z) == (256,):
+            at_nodes.append(id(self))
+        return call(self, z)
+
+    in_Y = []
+    assemble_Y = mops.assemble_Y
+
+    def assemble_counted(*args, **kwargs):
+        before = len(at_nodes)
+        Y = assemble_Y(*args, **kwargs)
+        in_Y.append(len(at_nodes) - before)
+        return Y
+
+    monkeypatch.setattr(MatrixPolynomial, "__call__", counted)
+    monkeypatch.setattr(mops, "assemble_Y", assemble_counted)
+    code = main(["verify", "--suite", "mops",
+                 "--family-json", json.dumps(family.to_json()),
+                 "--N", "2", "--n", "256",
+                 "--output", str(tmp_path / "mops.json")])
+    assert code == 0
+    # five reproducing polynomials, P^L_0..2 and Q^L_1, Q^R_0..1 and P^R_2
+    assert len(at_nodes) == len(set(at_nodes)) == 5 + 4 + 3
+    assert in_Y == [0, 0]    # formula-vs-Y, then det-Y
 
 
 def test_verify_unknown_suite_exits_2():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdsurface import (CyclicUniform, MatrixPolynomial, ScalarMonomial,
                        circle_quadrature, unit_circle_quadrature)
 from cdsurface import mops, sops
+from cdsurface.errors import SingularSystemError
+from cdsurface.cli import _DEFAULT_FAMILIES
 
 TWO_PI_I = 2j * np.pi
 
@@ -12,6 +16,38 @@ def eye_poly(deg, r):
     coeffs = np.zeros((deg + 1, r, r), dtype=complex)
     coeffs[deg] = np.eye(r)
     return MatrixPolynomial(coeffs)
+
+
+# --- polynomial values and node products --------------------------------
+
+@pytest.mark.parametrize("degree", range(4))
+def test_matrix_polynomial_call_matches_horner_loop(degree, rng):
+    C = cnormal(rng, degree + 1, 2, 2)
+    P = MatrixPolynomial(C)
+    for z in (np.asarray(0.3 - 1.2j), cnormal(rng, 5), cnormal(rng, 3, 4)):
+        expect = np.empty(z.shape + (2, 2), dtype=complex)
+        for idx in np.ndindex(z.shape):
+            acc = C[-1]
+            for c in C[-2::-1]:
+                acc = acc * z[idx] + c
+            expect[idx] = acc
+        assert np.array_equal(P(z), expect)
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=st.sampled_from([1, 2, 3]), ps=st.sampled_from([(1, 2), (3, 1),
+                                                          (2, 5)]),
+       nodes=st.sampled_from([(), (1,), (7,), (256,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_node_product_matches_matmul(r, ps, nodes, seed):
+    # r multiply-adds per entry against BLAS, which may use fused ones
+    rng = np.random.default_rng(seed)
+    p, s = ps
+    A, B = cnormal(rng, *nodes, p, r), cnormal(rng, *nodes, r, s)
+    out = mops.node_product(A, B)
+    assert out.shape == nodes + (p, s)
+    bound = 4 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
+    assert np.all(np.abs(out - A @ B) <= bound)
 
 
 # --- pairing and moments ------------------------------------------------
@@ -93,6 +129,65 @@ def test_scalar_hand_solution(quad256):
     system = mops.solve_mops(moms, 1)
     np.testing.assert_allclose(system.PL[1].coeffs[:, 0, 0], [-1.0, 1.0],
                                atol=1e-12)
+
+
+def reference_mops(moments, N):
+    """{(name, j): coefficients} from one np.linalg.solve per family and
+    degree on the block moment matrices, left families through the
+    blockwise transpose."""
+    r = moments.shape[1]
+    mT = moments.transpose(0, 2, 1)
+    out = {}
+    for j in range(1, N + 1):
+        A, AT = (mops._block(m, range(j), range(j)) for m in (moments, mT))
+        unit = np.zeros((j * r, r))
+        unit[-r:] = np.eye(r)
+        out["PR", j] = np.linalg.solve(A, -moments[j:2 * j].reshape(-1, r))
+        out["PL", j] = np.linalg.solve(AT, -mT[j:2 * j].reshape(-1, r))
+        out["QR", j - 1] = np.linalg.solve(A, unit)
+        out["QL", j - 1] = np.linalg.solve(AT, unit)
+    for (name, j), X in out.items():
+        X = X.reshape(-1, r, r)
+        out[name, j] = X.transpose(0, 2, 1) if name[1] == "L" else X
+    return out
+
+
+# each family at the largest degree, up to 3, where its kernel exists;
+# scalar-monomial's P_1 and Q_0 are missing there
+SOLVE_DEGREES = {"cyclic-r3": 1, "root-k3": 1}
+SOLVE_CASES = [(name, make(), SOLVE_DEGREES.get(name, 2))
+               for name, make in _DEFAULT_FAMILIES]
+SOLVE_CASES.append(("cyclic-r3-L4R3", CyclicUniform(r_size=3, L=4, R=3), 3))
+
+
+@pytest.mark.parametrize("name, fam, N", SOLVE_CASES,
+                         ids=[f"{c[0]}-N{c[2]}" for c in SOLVE_CASES])
+def test_solve_mops_one_factorization_per_size(name, fam, N, quad256,
+                                               monkeypatch):
+    # sizes 1..N each serve P_j and Q_{j-1} on both sides, plus the
+    # kernel's own check: N + 1 singularity checks per solve
+    moments = mops.compute_moments(fam, quad256, N)
+    calls = []
+    check = mops._check_singular
+
+    def counted(A, *args):
+        calls.append(A.shape)
+        return check(A, *args)
+
+    monkeypatch.setattr(mops, "_check_singular", counted)
+    system = mops.solve_mops(moments, N)
+    assert len(calls) == N + 1
+    for (fam_name, j), X in reference_mops(moments, N).items():
+        key = ("P" if fam_name[0] == "P" else "Q", j)
+        if key in system.missing:
+            with pytest.raises(SingularSystemError):
+                getattr(system, fam_name)[j]
+            continue
+        got = getattr(system, fam_name)[j].coeffs
+        if fam_name[0] == "P":
+            assert np.array_equal(got[-1], np.eye(fam.r))
+            got = got[:-1]
+        assert np.max(np.abs(got - X)) <= 1e-12 * np.max(np.abs(X))
 
 
 def test_biorthogonality_residual_matches_pairings(families, quad256):
