@@ -2,26 +2,28 @@
 
 Subcommands:
   kernel  -- evaluate a kernel (matrix CD, surface scalar, or tiling
-             correlation kernel) on a grid or at explicit point pairs and
-             write a CSV/JSON table.
-  verify  -- run a named verification suite and emit a JSON report of
+             correlation kernel) on a grid or at explicit point pairs.
+  verify  -- run a named verification suite: a report of
              {check, residual, tolerance, pass} entries.
   prob    -- point (inclusion) probabilities for a hexagon tiling model,
              by the determinant route and (when the enumeration guard
              permits) by exhaustive enumeration.
 
+Each command returns (payload, exit code) and writes nothing.  `main`
+writes the payload once, to stdout or --output: as indented JSON, or for
+`kernel --format csv` as the same records flattened by `_columns`.
+
 Exit codes: 0 success (all checks pass for `verify`), 1 failed check,
-2 configuration/schema error, 3 numerical existence failure.
+2 configuration/schema error (an unwritable --output included),
+3 numerical existence failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -38,7 +40,7 @@ EXIT_NUMERICAL = 3
 
 _CONFIG_ERRORS = (InvalidArgumentError, UnsupportedFamilyError,
                   InconsistentParametersError, KeyError, TypeError,
-                  ValueError, json.JSONDecodeError)
+                  ValueError)
 _NUMERICAL_ERRORS = (SingularSystemError, SizeGuardError,
                      np.linalg.LinAlgError)
 
@@ -50,20 +52,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _write_csv(rows: list, header: list, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v
-                         for v in row])
+def _columns(name: str, value) -> list:
+    """(column, value) pairs of one JSON field: an [re, im] leaf gives
+    name_re and name_im, a nested list one column group per index (K00,
+    K01, ...), anything else one column."""
+    if not isinstance(value, list):
+        return [(name, value)]
+    if not isinstance(value[0], list):
+        return [(f"{name}_re", value[0]), (f"{name}_im", value[1])]
+    return [col for i, item in enumerate(value)
+            for col in _columns(f"{name}{i}", item)]
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _csv(records: list) -> str:
+    """Header from the first record's columns, then one row per record."""
+    rows = [[col for name, value in rec.items()
+             for col in _columns(name, value)] for rec in records]
+    lines = [[name for name, _ in rows[0]]]
+    lines += [[_fmt(value) for _, value in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 # --- config parsing ------------------------------------------------------
@@ -71,25 +78,16 @@ def _emit(text: str, path: str | None) -> None:
 def _parse_complex(token: str) -> complex:
     """'re,im' or a plain real number."""
     parts = token.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise InvalidArgumentError(f"cannot parse complex value {token!r}")
+    if len(parts) > 2:
+        raise InvalidArgumentError(f"cannot parse complex value {token!r}")
+    return complex(*map(float, parts))
 
 
-def _parse_int_pair(token: str) -> tuple:
+def _parse_ints(token: str, form: str) -> tuple:
+    """Integers of a token shaped like `form` ('x,y' or 'L,N,M')."""
     parts = token.split(",")
-    if len(parts) != 2:
-        raise InvalidArgumentError(f"expected 'x,y', got {token!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _parse_hexagon(token: str) -> tuple:
-    """'L,N,M' -> (L, N, M)."""
-    parts = token.split(",")
-    if len(parts) != 3:
-        raise InvalidArgumentError(f"expected 'L,N,M', got {token!r}")
+    if len(parts) != form.count(",") + 1:
+        raise InvalidArgumentError(f"expected {form!r}, got {token!r}")
     return tuple(int(p) for p in parts)
 
 
@@ -118,9 +116,12 @@ def _family_from_args(args) -> weights.WeightFamily:
                                    L=_req(args, "L"), M=_req(args, "M"),
                                    N=_req(args, "NW"))
     if tag == "scalar-monomial":
+        N = args.N if args.NW is None else args.NW
+        if N is None:
+            raise InvalidArgumentError(
+                f"--weight-N (or --N) is required for --family {tag}")
         return weights.ScalarMonomial(
-            r_size=1 if args.r is None else args.r,
-            N=args.N if args.NW is None else args.NW)
+            r_size=1 if args.r is None else args.r, N=N)
     raise UnsupportedFamilyError(
         f"unknown family {tag!r} (use --family-json for periodic-2x2)")
 
@@ -147,7 +148,7 @@ def _req(args, name):
 def _hexagon_model(args) -> tiling.HexagonModel:
     if args.hexagon is None:
         raise InvalidArgumentError("--hexagon L,N,M is required")
-    L, N, M = _parse_hexagon(args.hexagon)
+    L, N, M = _parse_ints(args.hexagon, "L,N,M")
     r = 1 if args.r is None else args.r
     q = 1 if args.q is None else args.q
     if args.a or args.b:
@@ -161,13 +162,16 @@ def _hexagon_model(args) -> tiling.HexagonModel:
 
 # --- kernel command ------------------------------------------------------
 
+def _at_pairs(tokens: list, parse) -> list:
+    """--at tokens read by `parse`, taken two at a time."""
+    if len(tokens) % 2:
+        raise InvalidArgumentError("--at needs pairs of points (even count)")
+    return list(zip(map(parse, tokens[::2]), map(parse, tokens[1::2])))
+
+
 def _probe_pairs(args) -> list:
     if args.at:
-        toks = list(args.at)
-        if len(toks) % 2:
-            raise InvalidArgumentError("--at needs w z pairs (even count)")
-        return [(_parse_complex(toks[i]), _parse_complex(toks[i + 1]))
-                for i in range(0, len(toks), 2)]
+        return _at_pairs(args.at, _parse_complex)
     g = args.grid
     if g is None:
         raise InvalidArgumentError("provide --grid or --at")
@@ -178,72 +182,37 @@ def _probe_pairs(args) -> list:
     return [(w, z) for w in ws for z in zs]
 
 
-def cmd_kernel(args) -> int:
+def _re_im(z) -> list:
+    """A complex scalar or array as nested lists of [re, im] leaves."""
+    z = np.asarray(z)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def cmd_kernel(args) -> tuple:
+    """Every pair is read and checked before any numerical work."""
     if args.kind == "tiling":
         model = _hexagon_model(args)
         if not args.at:
             raise InvalidArgumentError("--kind tiling requires --at "
                                        "x1,y1 x2,y2 pairs")
-        toks = list(args.at)
-        if len(toks) % 2:
-            raise InvalidArgumentError("--at needs point pairs (even count)")
+        pairs = _at_pairs(args.at, lambda tok: _parse_ints(tok, "x,y"))
+        for (x1, _), (x2, _) in pairs:
+            tiling.KernelQuery(x1, 0, x2, 0).indices(model)
         ev = tiling.dk_evaluator(model, args.n)
-        rows, results = [], []
-        for i in range(0, len(toks), 2):
-            x1, y1 = _parse_int_pair(toks[i])
-            x2, y2 = _parse_int_pair(toks[i + 1])
-            val = ev.scalar(x1, y1, x2, y2)
-            rows.append([float(x1), float(y1), float(x2), float(y2),
-                         float(val.real), float(val.imag)])
-            results.append({"x1": x1, "y1": y1, "x2": x2, "y2": y2,
-                            "K": [val.real, val.imag]})
-        header = ["x1", "y1", "x2", "y2", "K_re", "K_im"]
-        return _finish_kernel(args, rows, header, results)
+        return [{"x1": x1, "y1": y1, "x2": x2, "y2": y2,
+                 "K": _re_im(ev.scalar(x1, y1, x2, y2))}
+                for (x1, y1), (x2, y2) in pairs], EXIT_OK
 
     family = _family_from_args(args)
     N = _kernel_degree(args)
-    system = mops.mop_system(family, unit_circle_quadrature(args.n), N)
     pairs = _probe_pairs(args)
-    r = family.r
+    system = mops.mop_system(family, unit_circle_quadrature(args.n), N)
+    name, kern = "K", partial(mops.cd_kernel, system)
     if args.kind == "surface":
-        chart = surface.build_chart(family, args.N)
-        rows, results = [], []
-        for w, z in pairs:
-            val = complex(surface.frak_R(chart, system, w, z))
-            rows.append([w.real, w.imag, z.real, z.imag,
-                         val.real, val.imag])
-            results.append({"w": [w.real, w.imag], "z": [z.real, z.imag],
-                            "S": [val.real, val.imag]})
-        header = ["w_re", "w_im", "z_re", "z_im", "S_re", "S_im"]
-        return _finish_kernel(args, rows, header, results)
-
-    rows, results = [], []
-    for w, z in pairs:
-        K = mops.cd_kernel(system, w, z)
-        flat = []
-        for a in range(r):
-            for b in range(r):
-                flat += [K[a, b].real, K[a, b].imag]
-        rows.append([w.real, w.imag, z.real, z.imag] + flat)
-        results.append({"w": [w.real, w.imag], "z": [z.real, z.imag],
-                        "K": [[[K[a, b].real, K[a, b].imag]
-                               for b in range(r)] for a in range(r)]})
-    header = ["w_re", "w_im", "z_re", "z_im"]
-    for a in range(r):
-        for b in range(r):
-            header += [f"K{a}{b}_re", f"K{a}{b}_im"]
-    return _finish_kernel(args, rows, header, results)
-
-
-def _finish_kernel(args, rows, header, results) -> int:
-    if args.format == "json":
-        text = json.dumps(results, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        _write_csv(rows, header, buf)
-        text = buf.getvalue()
-    _emit(text, args.output)
-    return EXIT_OK
+        chart = surface.build_chart(family, N)
+        name, kern = "S", partial(surface.frak_R, chart, system)
+    return [{"w": _re_im(w), "z": _re_im(z), name: _re_im(kern(w, z))}
+            for w, z in pairs], EXIT_OK
 
 
 # --- verify command ------------------------------------------------------
@@ -360,10 +329,7 @@ def _suite_surface(args) -> list:
     chart = surface.build_chart(family, N)
     rng = np.random.default_rng(args.seed)
     checks = []
-
-    def kern(wn, zt):
-        return surface.frak_R_w_nodes(chart, system, wn, zt)
-
+    kern = partial(surface.frak_R_w_nodes, chart, system)
     zetas = [complex(chart.phi_inv(0, 0.9 * np.exp(2j * np.pi * t)))
              for t in rng.random(5)]
     res = 0.0
@@ -377,21 +343,18 @@ def _suite_surface(args) -> list:
     checks.append(_check("v-member-reproducing", res, 1e-8))
 
     if args.expect_not_cd:
-        def pz(zeta):
-            return np.asarray(zeta, dtype=complex)
+        pz = partial(np.asarray, dtype=complex)
         res_bad = max(surface.check_reproducing_plane(chart, kern, pz, zt, n)
                       for zt in zetas)
         checks.append(_check("non-cd-witness", res_bad, 1e-2, invert=True))
         try:
             sops.solve_scalar_ops(chart.scalar_weight, chart.gamma_C(n),
                                   chart.r * N)
-            checks.append({"check": "scalar-cd-nonexistence",
-                           "residual": 0.0, "tolerance": 0.0,
-                           "pass": False})
+            res = 0.0
         except SingularSystemError:
-            checks.append({"check": "scalar-cd-nonexistence",
-                           "residual": float("inf"), "tolerance": 0.0,
-                           "pass": True})
+            res = float("inf")
+        checks.append(_check("scalar-cd-nonexistence", res, 0.0,
+                             invert=True))
     return checks
 
 
@@ -409,21 +372,18 @@ def _suite_tiling_oracle(args) -> list:
                          abs(tiling.lgv_partition_function(model) - Z)
                          / abs(Z), 1e-10))
 
+    def gap(pts):
+        return abs(tiling.point_probability(model, pts, "determinant")
+                   - tiling.point_probability(model, pts, "enumeration"))
+
     singles = [(x, y) for x in range(model.L + 1)
                for y in model.column_range(x)]
-    res = max(abs(tiling.point_probability(model, [pt], "determinant")
-                  - tiling.point_probability(model, [pt], "enumeration"))
-              for pt in singles)
-    checks.append(_check("determinant-vs-enumeration-singles", res, 1e-8))
-
-    res = 0.0
-    for _ in range(10):
-        pts = [singles[i] for i in rng.choice(len(singles), 2,
-                                              replace=False)]
-        res = max(res, abs(
-            tiling.point_probability(model, pts, "determinant")
-            - tiling.point_probability(model, pts, "enumeration")))
-    checks.append(_check("determinant-vs-enumeration-pairs", res, 1e-8))
+    checks.append(_check("determinant-vs-enumeration-singles",
+                         max(gap([pt]) for pt in singles), 1e-8))
+    pairs = [[singles[i] for i in rng.choice(len(singles), 2, replace=False)]
+             for _ in range(10)]
+    checks.append(_check("determinant-vs-enumeration-pairs",
+                         max(gap(pts) for pts in pairs), 1e-8))
 
     res = max(abs(sum(tiling.column_probabilities(model, x).values())
                   - model.N) for x in range(model.L + 1))
@@ -440,51 +400,47 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.suite not in _SUITES:
         raise InvalidArgumentError(
             f"unknown suite {args.suite!r}; known: {sorted(_SUITES)}")
     checks = _SUITES[args.suite](args)
     ok = all(c["pass"] for c in checks)
-    report = {"suite": args.suite, "checks": checks, "pass": ok}
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
-    return EXIT_OK if ok else EXIT_FAIL
+    return ({"suite": args.suite, "checks": checks, "pass": ok},
+            EXIT_OK if ok else EXIT_FAIL)
 
 
 # --- prob command --------------------------------------------------------
 
-def cmd_prob(args) -> int:
+def cmd_prob(args) -> tuple:
     model = _hexagon_model(args)
-    points = [_parse_int_pair(tok) for tok in (args.points or [])]
-    p_det = tiling.point_probability(model, points, "determinant", args.n)
-    notice = None
-    try:
-        p_enum = tiling.point_probability(model, points, "enumeration")
-    except SizeGuardError as exc:
-        p_enum = None
-        notice = f"enumeration skipped: {exc}"
-
-    column_sums = {
-        str(x): float(sum(tiling.column_probabilities(model, x, n=args.n)
-                          .values()))
-        for x in range(model.L + 1)}
+    points = [_parse_ints(tok, "x,y") for tok in (args.points or [])]
     report = {
         "hexagon": {"L": model.L, "N": model.N, "M": model.M,
                     "r": model.r, "q": model.q},
-        "points": [[x, y] for x, y in points],
-        "probability_determinant": p_det,
-        "probability_enumeration": p_enum,
-        "column_sums": column_sums,
+        "points": [list(pt) for pt in points],
+        "probability_determinant": tiling.point_probability(
+            model, points, "determinant", args.n),
+        "probability_enumeration": None,
+        "column_sums": {
+            str(x): float(sum(tiling.column_probabilities(model, x, n=args.n)
+                              .values()))
+            for x in range(model.L + 1)},
     }
-    if notice:
-        report["notice"] = notice
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
-    return EXIT_OK
+    try:
+        report["probability_enumeration"] = tiling.point_probability(
+            model, points, "enumeration")
+    except SizeGuardError as exc:
+        report["notice"] = f"enumeration skipped: {exc}"
+    return report, EXIT_OK
 
 
 # --- argument parsing ----------------------------------------------------
 
-def _add_family_args(p) -> None:
+def _add_command(sub, command: str, summary: str, func):
+    """A subparser with the options every command shares."""
+    p = sub.add_parser(command, help=summary)
+    p.set_defaults(func=func)
     p.add_argument("--family", help="family tag (cyclic, root-k, "
                                     "periodic-2x1, scalar-monomial)")
     p.add_argument("--family-json",
@@ -502,6 +458,9 @@ def _add_family_args(p) -> None:
     p.add_argument("--a", help="JSON nested list of a-weights (tiling)")
     p.add_argument("--b", help="JSON nested list of b-weights (tiling)")
     p.add_argument("--hexagon", help="L,N,M")
+    p.add_argument("--n", type=int, help="quadrature nodes")
+    p.add_argument("--output")
+    return p
 
 
 @lru_cache(maxsize=1)
@@ -513,37 +472,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "correlation kernels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pk = sub.add_parser("kernel", help="evaluate a kernel table")
-    _add_family_args(pk)
+    pk = _add_command(sub, "kernel", "evaluate a kernel table", cmd_kernel)
     pk.add_argument("--N", type=int, help="kernel degree")
     pk.add_argument("--kind", choices=("matrix", "surface", "tiling"),
                     default="matrix")
     pk.add_argument("--grid", type=int, help="g x g probe grid")
     pk.add_argument("--at", nargs="+",
                     help="explicit w z (or x1,y1 x2,y2) pairs")
-    pk.add_argument("--n", type=int, help="quadrature nodes")
     pk.add_argument("--format", choices=("csv", "json"), default="csv")
-    pk.add_argument("--output")
-    pk.set_defaults(func=cmd_kernel)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    _add_family_args(pv)
+    pv = _add_command(sub, "verify", "run a verification suite", cmd_verify)
     pv.add_argument("--suite", required=True)
     pv.add_argument("--N", type=int)
-    pv.add_argument("--n", type=int)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--expect-not-cd", action="store_true",
                     help="assert the reproducing-failure witness instead "
                          "of full CD behaviour")
-    pv.add_argument("--output")
-    pv.set_defaults(func=cmd_verify)
 
-    pp = sub.add_parser("prob", help="tiling point probabilities")
-    _add_family_args(pp)
+    pp = _add_command(sub, "prob", "tiling point probabilities", cmd_prob)
     pp.add_argument("--points", nargs="*", help="x,y points")
-    pp.add_argument("--n", type=int)
-    pp.add_argument("--output")
-    pp.set_defaults(func=cmd_prob)
     return parser
 
 
@@ -554,7 +501,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -564,6 +511,20 @@ def main(argv=None) -> int:
     except CDSurfaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if getattr(args, "format", "json") == "csv":
+        text = _csv(payload)
+    else:
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

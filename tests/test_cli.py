@@ -359,3 +359,106 @@ def test_main_calls_in_sequence_match_calls_alone(tmp_path, capsys):
                                      cli.EXIT_CONFIG, cli.EXIT_OK]
     assert alone[1][1] and alone[1] == alone[3]
     assert in_sequence == alone
+
+
+# --- one report path ----------------------------------------------------
+
+@pytest.mark.parametrize("kind_args, header", [
+    (["--kind", "matrix", *CYCLIC, "--N", "2", "--grid", "2"],
+     ["w_re", "w_im", "z_re", "z_im", "K00_re", "K00_im", "K01_re",
+      "K01_im", "K10_re", "K10_im", "K11_re", "K11_im"]),
+    (["--kind", "surface", *CYCLIC, "--N", "2", "--grid", "2"],
+     ["w_re", "w_im", "z_re", "z_im", "S_re", "S_im"]),
+    (["--kind", "tiling", *HEXAGON, "--r", "2", "--n", "64",
+      "--at", "1,0", "1,0", "1,1", "2,1", "0,0", "3,2"],
+     ["x1", "y1", "x2", "y2", "K_re", "K_im"]),
+], ids=["matrix", "surface", "tiling"])
+def test_kernel_csv_cells_are_the_json_leaves(kind_args, header, tmp_path):
+    # the CSV is the JSON records flattened: one column per leaf, in order
+    csv_out, json_out = tmp_path / "k.csv", tmp_path / "k.json"
+    assert main(["kernel", *kind_args, "--output", str(csv_out)]) == 0
+    assert main(["kernel", *kind_args, "--format", "json",
+                 "--output", str(json_out)]) == 0
+    rows = list(csv.reader(open(csv_out)))
+    records = json.loads(json_out.read_text())
+    assert rows[0] == header
+    assert len(rows) == len(records) + 1 > 2
+    for row, rec in zip(rows[1:], records):
+        leaves = [v for value in rec.values() for v in np.ravel(value)]
+        assert row == [f"{v:.16e}" for v in leaves]
+
+
+@pytest.mark.parametrize("family_args, code, residual, ok", [
+    (CYCLIC, 1, 0.0, False),
+    (["--family", "root-k", "--k", "3"], 0, float("inf"), True),
+], ids=["cyclic", "root-k"])
+def test_verify_surface_scalar_cd_nonexistence(family_args, code, residual,
+                                               ok, tmp_path):
+    # the scalar orthogonal polynomials exist for cyclic, so the
+    # nonexistence check fails; for root-k their moment system is singular
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "surface", *family_args,
+                 "--expect-not-cd", "--output", str(out)]) == code
+    report = json.loads(out.read_text())
+    check, = [c for c in report["checks"]
+              if c["check"] == "scalar-cd-nonexistence"]
+    assert check == {"check": "scalar-cd-nonexistence", "residual": residual,
+                     "tolerance": 0.0, "pass": ok}
+    assert report["pass"] is ok
+    if ok:
+        assert '"residual": Infinity' in out.read_text()
+
+
+def test_kernel_malformed_at_exits_2_before_numerical_work(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # every pair is read before the evaluator or moment system is built,
+    # so a bad pair on a model whose kernel is singular is a configuration
+    # error, not a numerical failure
+    from cdsurface import tiling
+    built = []
+    dk_evaluator = tiling.dk_evaluator
+    monkeypatch.setattr(tiling, "dk_evaluator",
+                        lambda *a: built.append(a) or dk_evaluator(*a))
+    out = tmp_path / "k.csv"
+    singular = ["--family", "cyclic", "--r", "2", "--L", "1", "--R", "1",
+                "--N", "2"]
+    for argv in (["--kind", "tiling", "--hexagon", "40,20,20",
+                  "--at", "1,0", "x"],
+                 ["--kind", "tiling", "--hexagon", "40,20,20",
+                  "--at", "41,0", "1,0"],
+                 [*singular, "--at", "1,0"],
+                 [*singular, "--at", "1,0", "1,2,3"]):
+        assert main(["kernel", *argv, "--output", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", *CYCLIC, "--N", "2", "--grid", "2"],
+    ["verify", "--suite", "contour"],
+    ["prob", "--hexagon", "2,1,1", "--points", "1,0"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    assert main(argv + ["--output", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert str(out) in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "spectral"],
+    ["kernel", "--grid", "2"],
+], ids=" ".join)
+def test_scalar_monomial_without_weight_n_names_the_option(argv, capsys):
+    assert main(argv + ["--family", "scalar-monomial"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("configuration error: --weight-N (or --N) is required for "
+            "--family scalar-monomial") in captured.err
