@@ -95,11 +95,13 @@ def _family_from_args(args) -> weights.WeightFamily:
     if getattr(args, "family_json", None):
         spec = args.family_json
         if spec.startswith("@"):
-            with open(spec[1:]) as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.loads(spec)
-        return weights.family_from_json(obj)
+            try:
+                with open(spec[1:]) as fh:
+                    spec = fh.read()
+            except OSError as exc:
+                raise InvalidArgumentError(
+                    f"cannot read --family-json file: {exc}") from exc
+        return weights.family_from_json(json.loads(spec))
     tag = args.family
     if tag is None:
         raise InvalidArgumentError("--family or --family-json is required")
@@ -422,11 +424,10 @@ def cmd_prob(args) -> tuple:
         "probability_determinant": tiling.point_probability(
             model, points, "determinant", args.n),
         "probability_enumeration": None,
-        "column_sums": {
-            str(x): float(sum(tiling.column_probabilities(model, x, n=args.n)
-                              .values()))
-            for x in range(model.L + 1)},
     }
+    ev = tiling.dk_evaluator(model, args.n)
+    report["column_sums"] = {str(x): float(sum(ev.density(x).values()))
+                             for x in range(model.L + 1)}
     try:
         report["probability_enumeration"] = tiling.point_probability(
             model, points, "enumeration")

@@ -30,7 +30,9 @@ build, and its period-matrix powers, transfer products, side factors
 (product times power) and node powers x^e are memoized, so a warm block
 does only the work that depends on its heights (sizes: see DKEvaluator).
 The evaluator also keeps each column's one-point density K(x, y, x, y),
-so `column_probabilities` asks one block per column and (model, n).
+so `column_probabilities` asks one block per column and (model, n);
+`point_probability` asks none, but one contraction of its k points'
+stacked side factors (`DKEvaluator.point_matrix`).
 """
 
 from __future__ import annotations
@@ -313,30 +315,42 @@ def _contour_block(route: _Route, query: KernelQuery) -> np.ndarray:
     The heights enter only through the scalar node factors, so the
     transfer products and powers serve all heights of the query; the
     result has shape shape(y2) + shape(y1) + (r, r)."""
-    model = route.model
-    g = query.indices(model)
-    half = (model.M + model.N) // model.r
+    g = query.indices(route.model)
     y1s, shape1 = _heights(query.y1)
     y2s, shape2 = _heights(query.y2)
-    wn = route.wts[:, None]
-
-    cw = wn * route.node_power([y - half for y in y2s])
-    cz = wn * route.node_power([-y - 1 for y in y1s]) / TWO_PI_I
-    left = cw[:, :, None, None] * route.side(0, g.prod2, g.L2)[:, None]
-    right = cz[:, None, :, None] * route.side(1, g.prod1, g.L1)[:, :, None]
     # the contraction gives (y2, r, y1, r); blocks are indexed (y2, y1)
-    out = mops.contract(route.rows, left, route.rows, right, route.flat)
+    out = mops.contract(route.rows, _left(route, g, y2s), route.rows,
+                        _right(route, g, y1s), route.flat)
     out = out.transpose(0, 2, 1, 3)
     if g.chi:
-        exps = [b - a - 1 for b in y2s for a in y1s]
-        c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
-        c = wn[:, :, None] * c / TWO_PI_I
-        mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
-                            route.product(g.B3)) if m is not None]
-        idx = "abcd"[:len(mats) + 1]
-        chain = ",".join(f"n{i}{j}" for i, j in zip(idx, idx[1:]))
-        out = out - np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
+        out = out - _chi(route, g, y1s, y2s)
     return out.reshape(shape2 + shape1 + out.shape[2:])
+
+
+def _left(route: _Route, g: QueryGeometry, y2s: list) -> np.ndarray:
+    """(n, len(y2s), r, s): the left factor, of x2 and y2 only."""
+    half = (route.model.M + route.model.N) // route.model.r
+    cw = route.wts[:, None] * route.node_power([y - half for y in y2s])
+    return cw[:, :, None, None] * route.side(0, g.prod2, g.L2)[:, None]
+
+
+def _right(route: _Route, g: QueryGeometry, y1s: list) -> np.ndarray:
+    """(n, s, len(y1s), r): the right factor, of x1 and y1 only."""
+    cz = route.wts[:, None] * route.node_power([-y - 1 for y in y1s])
+    cz = cz / TWO_PI_I
+    return cz[:, None, :, None] * route.side(1, g.prod1, g.L1)[:, :, None]
+
+
+def _chi(route: _Route, g: QueryGeometry, y1s: list, y2s: list) -> np.ndarray:
+    """(len(y2s), len(y1s), r, r): the chi integral of the block."""
+    exps = [b - a - 1 for b in y2s for a in y1s]
+    c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
+    c = route.wts[:, None, None] * c / TWO_PI_I
+    mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
+                        route.product(g.B3)) if m is not None]
+    idx = "abcd"[:len(mats) + 1]
+    chain = ",".join(f"n{i}{j}" for i, j in zip(idx, idx[1:]))
+    return np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
 
 
 def _spectral_power(lams, cols, rows):
@@ -431,6 +445,28 @@ class DKEvaluator:
         r = self.model.r
         blk = self.block(KernelQuery(x1, Y1 // r, x2, Y2 // r))
         return blk[Y2 % r, Y1 % r]
+
+    def point_matrix(self, points: list) -> np.ndarray:
+        """[K(x_i, Y_i, x_j, Y_j)]_{i,j}, the entries of `scalar`: one
+        contraction of the k points' stacked left (n, k, r, s) and right
+        (n, s, k, r) factors, minus the chi term where x_i > x_j."""
+        route, r = self.route("dk"), self.model.r
+        # a point's factors are those of its own diagonal entry
+        sides = [(KernelQuery(x, Y // r, x, Y // r).indices(self.model),
+                  [Y // r]) for x, Y in points]
+        left = np.concatenate([_left(route, *s) for s in sides], axis=1)
+        right = np.concatenate([_right(route, *s) for s in sides], axis=2)
+        out = mops.contract(route.rows, left, route.rows, right, route.flat)
+        # entry (i, j) is out[j, Y_j % r, i, Y_i % r]
+        k, rows = np.arange(len(points)), np.array([Y % r for _, Y in points])
+        mat = out[k, rows, k[:, None], rows[:, None]]
+        for i, (x1, Y1) in enumerate(points):
+            for j, (x2, Y2) in enumerate(points):
+                if x1 > x2:
+                    q = KernelQuery(x1, Y1 // r, x2, Y2 // r)
+                    chi = _chi(route, q.indices(self.model), [q.y1], [q.y2])
+                    mat[i, j] -= chi[0, 0, Y2 % r, Y1 % r]
+        return mat
 
 
 def _sheet_route(ev: DKEvaluator) -> _Route:
@@ -698,12 +734,7 @@ def point_probability(model: HexagonModel, points,
     if any(y not in model.column_range(x) for x, y in points):
         return 0.0
 
-    ev = dk_evaluator(model, n)
-    m = len(points)
-    mat = np.empty((m, m), dtype=complex)
-    for i, (xi, yi) in enumerate(points):
-        for j, (xj, yj) in enumerate(points):
-            mat[i, j] = ev.scalar(xi, yi, xj, yj)
+    mat = dk_evaluator(model, n).point_matrix(points)
     return float(np.linalg.det(mat).real)
 
 

@@ -248,16 +248,21 @@ def test_prob_point_outside_column_reports_zero(tmp_path):
 
 def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     # the second call finds every column's density on the cached
-    # evaluator and evaluates only the k^2 blocks of its k points
-    from cdsurface import tiling
-    blocks = []
-    contour_block = tiling._contour_block
+    # evaluator and makes no block: its k points take one contraction
+    from cdsurface import mops, tiling
+    blocks, contractions = [], []
+    contour_block, contract = tiling._contour_block, mops.contract
 
     def counted(*args):
         blocks.append(args)
         return contour_block(*args)
 
+    def counted_contract(*args):
+        contractions.append(args)
+        return contract(*args)
+
     monkeypatch.setattr(tiling, "_contour_block", counted)
+    monkeypatch.setattr(mops, "contract", counted_contract)
     tiling._dk_evaluator.cache_clear()
     argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
             "--a", "[[1.0, 2.0], [1.0, 1.0]]",
@@ -267,11 +272,14 @@ def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     for name in ("first", "second"):
         out = tmp_path / f"{name}.json"
         blocks.clear()
+        contractions.clear()
         assert main(argv + ["--output", str(out)]) == 0
-        runs.append((out.read_bytes(), len(blocks)))
-    (first, cold), (second, warm) = runs
+        runs.append((out.read_bytes(), len(blocks),
+                     len(contractions) - len(blocks)))
+    (first, cold, cold_points), (second, warm, warm_points) = runs
     assert first == second
-    assert (cold, warm) == (2 ** 2 + 5, 2 ** 2)
+    assert (cold, warm) == (5, 0)
+    assert cold_points == warm_points == 1
 
 
 def test_prob_empty_points():
@@ -462,3 +470,17 @@ def test_scalar_monomial_without_weight_n_names_the_option(argv, capsys):
     assert captured.out == ""
     assert ("configuration error: --weight-N (or --N) is required for "
             "--family scalar-monomial") in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--N", "2", "--grid", "2"],
+    ["verify", "--suite", "mops"],
+], ids=lambda argv: argv[0])
+def test_unreadable_family_json_file_exits_2(argv, tmp_path, capsys):
+    missing = tmp_path / "missing" / "fam.json"
+    for spec in (missing, tmp_path):    # no such file; a directory
+        assert main(argv + ["--family-json", f"@{spec}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert str(spec) in captured.err

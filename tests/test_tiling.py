@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdsurface import (HexagonModel, InvalidArgumentError, KernelQuery,
                        Periodic2x1, Periodic2x2, SingularSystemError,
@@ -239,6 +241,60 @@ def test_point_probability_edge_cases():
         point_probability(m, [(1, 0), (1, 0)])
     with pytest.raises(InvalidArgumentError):
         point_probability(m, [(5, 0)])
+
+
+# --- stacked point matrix -----------------------------------------------
+
+def lattice(m):
+    return [(x, y) for x in range(m.L + 1) for y in m.column_range(x)]
+
+
+def assert_point_matrix_matches_scalar(ev, points):
+    """Every entry of the stacked matrix is K(x_i, y_i, x_j, y_j) from
+    its own single-height block, to 1e-15 max(1, |K|)."""
+    mat = ev.point_matrix(points)
+    ref = np.array([[ev.scalar(xi, yi, xj, yj) for xj, yj in points]
+                    for xi, yi in points])
+    assert mat.shape == ref.shape
+    assert np.all(np.abs(mat - ref) <= 1e-15 * np.maximum(1, np.abs(ref)))
+    return ref
+
+
+@st.composite
+def models_and_points(draw):
+    """A random r = 2 model with M = N = 2 and 1..4 distinct points."""
+    q = draw(st.sampled_from((1, 2)))
+    el = draw(st.sampled_from((4, 6)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    m = random_r2_model(np.random.default_rng(seed), q, 2, el)
+    points = draw(st.lists(st.sampled_from(lattice(m)), min_size=1,
+                           max_size=4, unique=True))
+    return m, points
+
+
+# a same-column pair, and x_i > x_j both ways round
+@example((random_r2_model(np.random.default_rng(1), 2, 2, 4),
+          [(2, 1), (2, 2), (0, 0), (4, 3)]))
+@settings(deadline=None, max_examples=40)
+@given(models_and_points())
+def test_point_matrix_matches_per_entry_kernel(case):
+    m, points = case
+    assert_point_matrix_matches_scalar(tiling.DKEvaluator(m, 128), points)
+
+
+SEED_505 = random_r2_model(np.random.default_rng(505), 2, 6, 12)
+
+
+@example([(0, 2), (12, 9)])     # the pair of the strict xfail
+@example([(12, 9), (0, 2), (5, 4), (5, 6)])
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(lattice(SEED_505)), min_size=1,
+                max_size=4, unique=True))
+def test_point_probability_is_det_of_per_entry_matrix(points):
+    ev = tiling.dk_evaluator(SEED_505, 128)
+    ref = assert_point_matrix_matches_scalar(ev, points)
+    assert point_probability(SEED_505, points, n=128) == \
+        float(np.linalg.det(ref).real)
 
 
 # --- kernel-route equality ----------------------------------------------
