@@ -27,8 +27,9 @@ serves one column pair and any batch of heights.  Each route's node data
 is built once per (model, n) on the cached `DKEvaluator`: the powers of
 its kernel points and its flattened kernel coefficients are laid out at
 build, and its period-matrix powers, transfer products, side factors
-(product times power) and node powers x^e are memoized, so a warm block
-does only the work that depends on its heights (sizes: see DKEvaluator).
+(product times power), node powers x^e and chi integrals are memoized, so
+a warm block does only the work that depends on its heights (sizes: see
+DKEvaluator); chi integrals are shared across columns and heights (`_chi`).
 The evaluator also keeps each column's one-point density K(x, y, x, y),
 so `column_probabilities` asks one block per column and (model, n);
 `point_probability` asks none, but one contraction of its k points'
@@ -232,6 +233,14 @@ class KernelQuery:
                              prod1, prod2, B4, B3)
 
 
+class _Memo(dict):
+    """A memo whose arrays are made read-only as they are stored."""
+
+    def __setitem__(self, key, value: np.ndarray):
+        value.setflags(write=False)
+        super().__setitem__(key, value)
+
+
 class _Route:
     """Node data of one tiling route: the arguments of `_contour_block`.
 
@@ -240,15 +249,18 @@ class _Route:
     Memoized: the power factors per (factor, exponent) in `memo`, the
     transfer products per (lo mod q, hi - lo) in `products`, the side
     factors B2 A^p and A^p B1 per (side, product, exponent) in `sides`,
-    and the node powers x ** e per exponent e in `node_powers`."""
+    the node powers x ** e per exponent e in `node_powers`, and the chi
+    integrals per (B4, L3, B3, height grid) in `chis` (see `_chi`).
+    Every memoized array is read-only, so no caller can change what a
+    later query reads."""
 
     def __init__(self, model: HexagonModel, x, wts, coeffs, at, powers):
         self.model, self.x, self.wts = model, x, wts
         self.coeffs, self.at, self._powers = coeffs, at, powers
         self.rows = mops.power_rows(at, coeffs.shape[0])
         self.flat = mops.flat_coefficients(coeffs)
-        self.memo, self.products, self.sides, self.node_powers = \
-            {}, {}, {}, {}
+        self.memo, self.products, self.sides, self.node_powers, self.chis = \
+            (_Memo() for _ in range(5))
 
     def power(self, k: int, p: int) -> np.ndarray:
         f = self._powers[k]
@@ -342,9 +354,22 @@ def _right(route: _Route, g: QueryGeometry, y1s: list) -> np.ndarray:
 
 
 def _chi(route: _Route, g: QueryGeometry, y1s: list, y2s: list) -> np.ndarray:
-    """(len(y2s), len(y1s), r, r): the chi integral of the block."""
-    exps = [b - a - 1 for b in y2s for a in y1s]
-    c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
+    """(len(y2s), len(y1s), r, r): the chi integral of the block, kept in
+    `route.chis` per (B4, L3, B3, exponents y2 - y1 - 1 and grid shape):
+    all it depends on, so queries of other columns and heights share it."""
+    exps = tuple(b - a - 1 for b in y2s for a in y1s)
+    shape = (len(y2s), len(y1s))
+    key = (route._product_key(g.B4), g.L3, route._product_key(g.B3),
+           shape, exps)
+    if key not in route.chis:
+        route.chis[key] = _chi_integral(route, g, shape, exps)
+    return route.chis[key]
+
+
+def _chi_integral(route: _Route, g: QueryGeometry, shape: tuple,
+                  exps: tuple) -> np.ndarray:
+    """The chi integral over the exponents `exps` of a `shape` grid."""
+    c = route.node_power(exps).reshape(-1, *shape)
     c = route.wts[:, None, None] * c / TWO_PI_I
     mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
                         route.product(g.B3)) if m is not None]
@@ -379,8 +404,10 @@ class DKEvaluator:
     flattened to (N, N), and memos of O(n r^2) numbers per entry: at
     most L/q + 1 powers per power factor, at most q^2 transfer products
     and at most 2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per
-    node-power exponent queried.  The one-point densities of the columns
-    queried (`densities`) are at most (L + 1)(N + M) floats."""
+    node-power exponent queried, and at most (q^2 + 1)^2 (L/q + 1) chi
+    integrals of r^2 numbers per height cell for each height grid queried
+    with x1 > x2.  The one-point densities of the columns queried
+    (`densities`) are at most (L + 1)(N + M) floats."""
 
     def __init__(self, model: HexagonModel, n: int | None = None,
                  cond_max: float = mops.COND_MAX):

@@ -282,6 +282,34 @@ def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     assert cold_points == warm_points == 1
 
 
+def test_prob_repeated_call_reuses_chi_integrals(tmp_path, monkeypatch):
+    # the pair with x_i > x_j takes one chi integral on the first call;
+    # the second call finds it on the cached evaluator's route
+    from cdsurface import tiling
+    chis = []
+    chi_integral = tiling._chi_integral
+
+    def counted(*args):
+        chis.append(args)
+        return chi_integral(*args)
+
+    monkeypatch.setattr(tiling, "_chi_integral", counted)
+    tiling._dk_evaluator.cache_clear()
+    argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
+            "--a", "[[1.0, 2.0], [1.0, 1.0]]",
+            "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--n", "128",
+            "--points", "3,2", "1,1"]
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / f"{name}.json"
+        chis.clear()
+        assert main(argv + ["--output", str(out)]) == 0
+        runs.append((out.read_bytes(), len(chis)))
+    (first, cold), (second, warm) = runs
+    assert first == second
+    assert (cold, warm) == (1, 0)
+
+
 def test_prob_empty_points():
     res = run_cli("prob", "--hexagon", "2,1,1")
     assert res.returncode == 0

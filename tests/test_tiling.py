@@ -512,6 +512,98 @@ def test_warm_blocks_match_fresh_evaluator(rng):
                               route.flat)), form
 
 
+# --- chi integrals kept on the route ------------------------------------
+
+CHI_HEIGHTS = st.integers(-2, 3) | st.lists(
+    st.integers(-2, 3), min_size=1, max_size=3).map(np.array)
+
+
+def chi_queries(m, y1, y2):
+    """Every column pair with x1 > x2, at heights (y1, y2)."""
+    return [KernelQuery(x1, y1, x2, y2) for x1 in range(m.L + 1)
+            for x2 in range(x1)]
+
+
+@st.composite
+def chi_cases(draw):
+    """A route model, a query with x1 > x2 and a nonzero height shift."""
+    m = draw(st.sampled_from(ROUTE_MODELS))
+    x1 = draw(st.integers(1, m.L))
+    x2 = draw(st.integers(0, x1 - 1))
+    y1, y2 = draw(CHI_HEIGHTS), draw(CHI_HEIGHTS)
+    shift = draw(st.integers(-2, 2).filter(bool))
+    return m, KernelQuery(x1, y1, x2, y2), shift
+
+
+# q = 1: (2, 0) shares all but L3 with (1, 0); q = 2: (3, 1) shares all
+# but B4 with (1, 0), and all but B3 with (2, 1)
+@example((ROUTE_MODELS[0], KernelQuery(2, 0, 0, 1), 1))
+@example((ROUTE_MODELS[1], KernelQuery(3, np.array([0, 1]), 1, 1), -1))
+@example((ROUTE_MODELS[1], KernelQuery(3, 2, 1, np.array([0, 2])), 2))
+@settings(deadline=None, max_examples=25)
+@given(chi_cases())
+def test_chi_memo_key_is_complete(case):
+    # first every column pair x1 > x2 at the query's heights shifted by a
+    # constant: the same exponents, and at the query's columns shifted by
+    # q the same transfer products; then at the mirrored heights
+    # (-y2, -y1), whose exponent grid is the transpose.  The query's block
+    # must still be the fresh evaluator's, bit for bit
+    m, query, shift = case
+    ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
+    others = (chi_queries(m, query.y1 + shift, query.y2 + shift)
+              + chi_queries(m, shift - query.y2, shift - query.y1))
+    for form in ROUTES:
+        route = ev.route(form)
+        for q in others:
+            tiling._contour_block(route, q)
+        assert np.array_equal(tiling._contour_block(route, query),
+                              tiling._contour_block(fresh.route(form), query)
+                              ), form
+
+
+def test_chi_integrals_evaluated_once_per_key(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(tiling, "_chi_integral",
+                        counting(calls, "chi", tiling._chi_integral))
+    # three height grids, each with its own exponent tuple
+    heights = ((0, 1), (2, -1), (np.array([-1, 0, 2]), np.array([0, 1])))
+    for m in ROUTE_MODELS:
+        ev = tiling.DKEvaluator(m, 128)
+        queries = [q for y1, y2 in heights for q in chi_queries(m, y1, y2)]
+        for form in ROUTES:
+            route = ev.route(form)
+            calls.clear()
+            for q in queries:
+                tiling._contour_block(route, q)
+            assert calls["chi"] == len(route.chis) < len(queries), form
+            assert len(route.chis) <= \
+                (m.q ** 2 + 1) ** 2 * (m.L // m.q + 1) * len(heights)
+            for q in queries:
+                tiling._contour_block(route, q)
+            assert calls["chi"] == len(route.chis), form
+
+
+def test_route_memos_are_read_only():
+    for m in ROUTE_MODELS:
+        ev = tiling.DKEvaluator(m, 128)
+        ev.point_matrix([(3, 2), (1, 1), (1, 2)])
+        for form in ROUTES:
+            route = ev.route(form)
+            for q in chi_queries(m, 0, 1) + [KernelQuery(x, 1, x, 0)
+                                             for x in range(m.L + 1)]:
+                tiling._contour_block(route, q)
+            # a q = 1 route has no nonempty transfer product
+            memos = (route.memo, route.products, route.sides,
+                     route.node_powers, route.chis)
+            assert all(memo or memo is route.products and m.q == 1
+                       for memo in memos), form
+            for memo in memos:
+                for arr in memo.values():
+                    assert not arr.flags.writeable, form
+                    with pytest.raises(ValueError):
+                        arr[...] = 0
+
+
 def test_failed_route_is_not_kept(monkeypatch):
     # the chart's degree-4 scalar moment system of this model is singular
     m = random_r2_model(np.random.default_rng((5, 5, 0)), 2, 4, 6)
