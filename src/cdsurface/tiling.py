@@ -29,7 +29,8 @@ its kernel points and its flattened kernel coefficients are laid out at
 build, and its period-matrix powers, transfer products, side factors
 (product times power), node powers x^e and chi integrals are memoized, so
 a warm block does only the work that depends on its heights (sizes: see
-DKEvaluator); chi integrals are shared across columns and heights (`_chi`).
+DKEvaluator); a single cell's chi integral is reused by later queries
+of the same geometry at other columns and heights (`_chi`).
 The evaluator also keeps each column's one-point density K(x, y, x, y),
 so `column_probabilities` asks one block per column and (model, n);
 `point_probability` asks none, but one contraction of its k points'
@@ -250,9 +251,9 @@ class _Route:
     transfer products per (lo mod q, hi - lo) in `products`, the side
     factors B2 A^p and A^p B1 per (side, product, exponent) in `sides`,
     the node powers x ** e per exponent e in `node_powers`, and the chi
-    integrals per (B4, L3, B3, height grid) in `chis` (see `_chi`).
-    Every memoized array is read-only, so no caller can change what a
-    later query reads."""
+    integrals of single height cells per (B4, L3, B3, y2 - y1) in `chis`
+    (see `_chi`).  Every memoized array is read-only, so no caller can
+    change what a later query reads."""
 
     def __init__(self, model: HexagonModel, x, wts, coeffs, at, powers):
         self.model, self.x, self.wts = model, x, wts
@@ -354,22 +355,25 @@ def _right(route: _Route, g: QueryGeometry, y1s: list) -> np.ndarray:
 
 
 def _chi(route: _Route, g: QueryGeometry, y1s: list, y2s: list) -> np.ndarray:
-    """(len(y2s), len(y1s), r, r): the chi integral of the block, kept in
-    `route.chis` per (B4, L3, B3, exponents y2 - y1 - 1 and grid shape):
-    all it depends on, so queries of other columns and heights share it."""
-    exps = tuple(b - a - 1 for b in y2s for a in y1s)
-    shape = (len(y2s), len(y1s))
+    """(len(y2s), len(y1s), r, r): the chi integral of the block.  A single
+    cell's is kept in `route.chis` per (B4, L3, B3, y2 - y1): all it
+    depends on, so later queries of the same geometry at other columns
+    and heights reuse it.  A batched grid's is computed each time: a memo
+    keyed by whole grids would grow with every new grid."""
+    if len(y1s) * len(y2s) > 1:
+        return _chi_integral(route, g, y1s, y2s)
     key = (route._product_key(g.B4), g.L3, route._product_key(g.B3),
-           shape, exps)
+           y2s[0] - y1s[0])
     if key not in route.chis:
-        route.chis[key] = _chi_integral(route, g, shape, exps)
+        route.chis[key] = _chi_integral(route, g, y1s, y2s)
     return route.chis[key]
 
 
-def _chi_integral(route: _Route, g: QueryGeometry, shape: tuple,
-                  exps: tuple) -> np.ndarray:
-    """The chi integral over the exponents `exps` of a `shape` grid."""
-    c = route.node_power(exps).reshape(-1, *shape)
+def _chi_integral(route: _Route, g: QueryGeometry, y1s: list,
+                  y2s: list) -> np.ndarray:
+    """The chi integral of the block, evaluated at the nodes."""
+    exps = [b - a - 1 for b in y2s for a in y1s]
+    c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
     c = route.wts[:, None, None] * c / TWO_PI_I
     mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
                         route.product(g.B3)) if m is not None]
@@ -404,10 +408,10 @@ class DKEvaluator:
     flattened to (N, N), and memos of O(n r^2) numbers per entry: at
     most L/q + 1 powers per power factor, at most q^2 transfer products
     and at most 2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per
-    node-power exponent queried, and at most (q^2 + 1)^2 (L/q + 1) chi
-    integrals of r^2 numbers per height cell for each height grid queried
-    with x1 > x2.  The one-point densities of the columns queried
-    (`densities`) are at most (L + 1)(N + M) floats."""
+    node-power exponent queried, and r^2 numbers per chi integral: at
+    most (q^2 + 1)^2 (L/q + 1) per height difference y2 - y1 of the
+    single-cell queries with x1 > x2.  The one-point densities of the
+    columns queried (`densities`) are at most (L + 1)(N + M) floats."""
 
     def __init__(self, model: HexagonModel, n: int | None = None,
                  cond_max: float = mops.COND_MAX):

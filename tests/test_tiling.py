@@ -536,21 +536,24 @@ def chi_cases(draw):
 
 
 # q = 1: (2, 0) shares all but L3 with (1, 0); q = 2: (3, 1) shares all
-# but B4 with (1, 0), and all but B3 with (2, 1)
+# but B4 with (1, 0), and all but B3 with (2, 1).  Single heights: only a
+# single cell's chi integral is kept
 @example((ROUTE_MODELS[0], KernelQuery(2, 0, 0, 1), 1))
-@example((ROUTE_MODELS[1], KernelQuery(3, np.array([0, 1]), 1, 1), -1))
-@example((ROUTE_MODELS[1], KernelQuery(3, 2, 1, np.array([0, 2])), 2))
+@example((ROUTE_MODELS[1], KernelQuery(3, 0, 1, 1), -1))
+@example((ROUTE_MODELS[1], KernelQuery(3, 2, 1, 0), 2))
 @settings(deadline=None, max_examples=25)
 @given(chi_cases())
 def test_chi_memo_key_is_complete(case):
-    # first every column pair x1 > x2 at the query's heights shifted by a
-    # constant: the same exponents, and at the query's columns shifted by
-    # q the same transfer products; then at the mirrored heights
-    # (-y2, -y1), whose exponent grid is the transpose.  The query's block
+    # first the query's columns with y2 shifted, which change only
+    # y2 - y1; then every column pair x1 > x2 at the query's heights
+    # shifted by a constant: the same height differences, and at the
+    # query's columns shifted by q the same transfer products; then at the
+    # mirrored heights (-y2, -y1), which keep y2 - y1.  The query's block
     # must still be the fresh evaluator's, bit for bit
     m, query, shift = case
     ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
-    others = (chi_queries(m, query.y1 + shift, query.y2 + shift)
+    others = ([KernelQuery(query.x1, query.y1, query.x2, query.y2 + shift)]
+              + chi_queries(m, query.y1 + shift, query.y2 + shift)
               + chi_queries(m, shift - query.y2, shift - query.y1))
     for form in ROUTES:
         route = ev.route(form)
@@ -565,11 +568,13 @@ def test_chi_integrals_evaluated_once_per_key(monkeypatch):
     calls = Counter()
     monkeypatch.setattr(tiling, "_chi_integral",
                         counting(calls, "chi", tiling._chi_integral))
-    # three height grids, each with its own exponent tuple
-    heights = ((0, 1), (2, -1), (np.array([-1, 0, 2]), np.array([0, 1])))
+    # three pairs of heights with two differences y2 - y1: the third
+    # pair's queries find every chi integral the first pair's stored
+    heights = ((0, 1), (2, -1), (3, 4))
     for m in ROUTE_MODELS:
         ev = tiling.DKEvaluator(m, 128)
         queries = [q for y1, y2 in heights for q in chi_queries(m, y1, y2)]
+        batched = KernelQuery(m.L, np.array([-1, 0, 2]), 0, np.array([0, 1]))
         for form in ROUTES:
             route = ev.route(form)
             calls.clear()
@@ -577,10 +582,16 @@ def test_chi_integrals_evaluated_once_per_key(monkeypatch):
                 tiling._contour_block(route, q)
             assert calls["chi"] == len(route.chis) < len(queries), form
             assert len(route.chis) <= \
-                (m.q ** 2 + 1) ** 2 * (m.L // m.q + 1) * len(heights)
+                (m.q ** 2 + 1) ** 2 * (m.L // m.q + 1) * 2
             for q in queries:
                 tiling._contour_block(route, q)
             assert calls["chi"] == len(route.chis), form
+            # a batched grid's chi integral is evaluated each time, not kept
+            kept = dict(route.chis)
+            for _ in range(2):
+                tiling._contour_block(route, batched)
+            assert calls["chi"] == len(kept) + 2, form
+            assert route.chis.keys() == kept.keys(), form
 
 
 def test_route_memos_are_read_only():
