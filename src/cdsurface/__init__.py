@@ -12,9 +12,7 @@ from .mops import (MatrixPolynomial, MOPSystem, assemble_Y, assemble_Yinv,
                    cd_kernel, cd_kernel_formula, cd_kernel_sum,
                    compute_moments, kernel_coefficients, kernel_from_Y,
                    kernel_integral, mop_system, pairing, solve_mops)
-from .sops import (ScalarOPSystem, scalar_cd_kernel, scalar_cd_kernel_formula,
-                   scalar_cd_kernel_sum, scalar_kernel_from_Y,
-                   solve_scalar_ops)
+from .sops import solve_scalar_ops
 from .surface import (Genus0Chart, build_chart, check_reproducing_plane,
                       check_reproducing_surface,
                       check_reproducing_surface_dual, frak_R,

@@ -331,7 +331,7 @@ def _suite_surface(args) -> list:
     chart = surface.build_chart(family, N)
     rng = np.random.default_rng(args.seed)
     checks = []
-    kern = partial(surface.frak_R_w_nodes, chart, system)
+    kern = partial(surface.frak_R, chart, system)
     zetas = [complex(chart.phi_inv(0, 0.9 * np.exp(2j * np.pi * t)))
              for t in rng.random(5)]
     res = 0.0

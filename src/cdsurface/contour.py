@@ -14,14 +14,13 @@ an annulus around the circle and *exact* for Laurent monomials z^k with
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 DEFAULT_N = 256
-MIN_NODES_PER_COMPONENT = 8
 
 
 def default_n() -> int:
@@ -29,7 +28,11 @@ def default_n() -> int:
     env = os.environ.get("CDSURFACE_QUAD_N")
     if env is None:
         return DEFAULT_N
-    n = int(env)
+    try:
+        n = int(env)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"CDSURFACE_QUAD_N must be an integer, got {env!r}") from None
     if n < 1:
         raise InvalidArgumentError(f"CDSURFACE_QUAD_N must be >= 1, got {n}")
     return n
@@ -37,19 +40,15 @@ def default_n() -> int:
 
 @dataclass(frozen=True)
 class ContourQuadrature:
-    """Quadrature rule for a finite union of oriented curves."""
+    """Quadrature rule for a finite union of oriented curves; the
+    orientation is carried by the sign of the weights."""
 
-    nodes: np.ndarray          # complex nodes, shape (n,)
-    weights: np.ndarray        # complex weights absorbing dz, shape (n,)
-    component_ids: np.ndarray  # int id of the curve piece each node sits on
-    orientation: np.ndarray    # +1 / -1 per component
-    n_per_component: np.ndarray
+    nodes: np.ndarray    # complex nodes, shape (n,)
+    weights: np.ndarray  # complex weights absorbing dz, shape (n,)
 
     def __post_init__(self):
-        for name in ("nodes", "weights", "component_ids", "orientation",
-                     "n_per_component"):
-            arr = getattr(self, name)
-            object.__setattr__(self, name, np.asarray(arr))
+        for name in ("nodes", "weights"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if self.nodes.shape != self.weights.shape:
             raise InvalidArgumentError("nodes/weights shape mismatch")
 
@@ -59,9 +58,7 @@ class ContourQuadrature:
 
     def reversed(self) -> "ContourQuadrature":
         """Same curve with opposite orientation (negated weights)."""
-        return ContourQuadrature(self.nodes, -self.weights,
-                                 self.component_ids, -self.orientation,
-                                 self.n_per_component)
+        return ContourQuadrature(self.nodes, -self.weights)
 
     def integrate(self, f) -> complex | np.ndarray:
         """Integrate a callable (vectorized over nodes if possible)."""
@@ -75,25 +72,21 @@ class ContourQuadrature:
         return np.tensordot(self.weights, vals, axes=(0, 0))
 
 
-def circle_quadrature(center: complex, radius: float, n: int | None = None,
-                      orientation: int = +1) -> ContourQuadrature:
-    """Trapezoid rule on a circle; weights are (2*pi*i/n)*(z_j - center)."""
+def circle_quadrature(center: complex, radius: float,
+                      n: int | None = None) -> ContourQuadrature:
+    """Trapezoid rule on a positively oriented circle; weights are
+    (2*pi*i/n)*(z_j - center).  `reversed()` gives the other orientation."""
     if n is None:
         n = default_n()
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1 nodes, got {n}")
     if radius <= 0:
         raise InvalidArgumentError(f"radius must be positive, got {radius}")
-    if orientation not in (+1, -1):
-        raise InvalidArgumentError("orientation must be +1 or -1")
     j = np.arange(n)
     unit = np.exp(2j * np.pi * j / n)
     nodes = center + radius * unit
-    weights = orientation * (2j * np.pi / n) * (nodes - center)
-    return ContourQuadrature(nodes, weights,
-                             np.zeros(n, dtype=int),
-                             np.array([orientation]),
-                             np.array([n]))
+    weights = (2j * np.pi / n) * (nodes - center)
+    return ContourQuadrature(nodes, weights)
 
 
 def unit_circle_quadrature(n: int | None = None) -> ContourQuadrature:
@@ -102,18 +95,9 @@ def unit_circle_quadrature(n: int | None = None) -> ContourQuadrature:
 
 
 def union_quadrature(parts: list[ContourQuadrature]) -> ContourQuadrature:
-    """Concatenate quadratures with distinct component ids."""
+    """The union of the parts' curves: their nodes and weights
+    concatenated."""
     if not parts:
         raise InvalidArgumentError("union of zero contours")
-    nodes, weights, comp_ids, orient, npc = [], [], [], [], []
-    offset = 0
-    for part in parts:
-        nodes.append(part.nodes)
-        weights.append(part.weights)
-        comp_ids.append(part.component_ids + offset)
-        orient.append(part.orientation)
-        npc.append(part.n_per_component)
-        offset += len(part.n_per_component)
-    return ContourQuadrature(np.concatenate(nodes), np.concatenate(weights),
-                             np.concatenate(comp_ids), np.concatenate(orient),
-                             np.concatenate(npc))
+    return ContourQuadrature(np.concatenate([p.nodes for p in parts]),
+                             np.concatenate([p.weights for p in parts]))

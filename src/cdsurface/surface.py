@@ -300,26 +300,14 @@ def frak_R(chart: Genus0Chart, system: mops.MOPSystem, omega, zeta):
     """S(omega, zeta) = hhat(omega) einv_phi(omega) R_N(phi(omega),
     phi(zeta)) e_phi(zeta) h(zeta).
 
-    Scalars give a scalar; 1-D arrays give the full product table."""
-    om = np.atleast_1d(np.asarray(omega, dtype=complex))
-    ze = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    R = mops.cd_kernel(system, chart.phi(om)[:, None], chart.phi(ze)[None, :])
-    left = chart.hhat(om)[:, None] * chart.einv_phi(om)   # (nw, r)
-    right = chart.e_phi(ze) * chart.h(ze)[:, None]        # (nz, r)
-    out = np.einsum("ka,kjab,jb->kj", left, R, right)
-    if np.ndim(omega) == 0 and np.ndim(zeta) == 0:
-        return out[0, 0]
-    return out
-
-
-def frak_R_w_nodes(chart: Genus0Chart, system: mops.MOPSystem,
-                   omega_nodes: np.ndarray, zeta: complex) -> np.ndarray:
-    """S(omega_j, zeta) over an array of omega nodes (sum-form kernel)."""
-    Rw = mops.cd_kernel(system, chart.phi(omega_nodes),
-                        complex(chart.phi(zeta)))
-    left = chart.hhat(omega_nodes)[..., None] * chart.einv_phi(omega_nodes)
-    right = chart.e_phi(zeta) * complex(chart.h(zeta))
-    return np.einsum("na,nab,b->n", left, Rw, right)
+    omega and zeta, numbers or arrays, broadcast as in `mops.cd_kernel`:
+    pass omega[:, None] and zeta[None, :] for the table on a product grid."""
+    # The chart functions get omega and zeta as given: a Python number
+    # made an array would take numpy's powers, not Python's, in phi.
+    R = mops.cd_kernel(system, chart.phi(omega), chart.phi(zeta))
+    left = np.asarray(chart.hhat(omega))[..., None] * chart.einv_phi(omega)
+    right = chart.e_phi(zeta) * np.asarray(chart.h(zeta))[..., None]
+    return np.einsum("...a,...ab,...b->...", left, R, right)[()]
 
 
 # --- reproducing-property verifiers -------------------------------------

@@ -127,15 +127,6 @@ class HexagonModel:
             A = A @ self.transition(ell, z)
         return A
 
-    def weight(self, z):
-        """W(z) = z^{-(M+N)/r} A(z)^{L/q}."""
-        arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        W = np.linalg.matrix_power(self.period_matrix(arr), self.L // self.q)
-        W = W * (arr ** (-(self.M + self.N) // self.r))[..., None, None]
-        return W[0] if scalar else W
-
     def family(self) -> WeightFamily:
         """Matching closed-form weight family, when one exists."""
         if self.r == 2 and self.q == 1:
@@ -423,7 +414,7 @@ class DKEvaluator:
         def power(p):
             return np.linalg.matrix_power(A, p)
 
-        # W = z^(-h) A^(L/q), the arithmetic of HexagonModel.weight
+        # the weight W = z^(-h) A^(L/q), h = (M + N) / r, at the nodes
         top = power(model.L // model.q)
         W = top * (z ** (-(model.M + model.N) // model.r))[:, None, None]
         self.kernel_coeffs, cond = mops.kernel_coefficients(

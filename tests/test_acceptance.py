@@ -228,7 +228,7 @@ def test_criterion_06_genus0_equivalence_nearest_valid(capsys):
             for zt in 0.7 * np.exp(2j * np.pi * np.arange(10) / 10):
                 worst = max(worst, abs(
                     surface.frak_R(chart, system, om, zt)
-                    - sops.scalar_cd_kernel(scal, om, zt)))
+                    - mops.cd_kernel(scal, om, zt)[0, 0]))
     dt = time.perf_counter() - t0
     ok = worst < 1e-7 and dt < 60.0
     report(capsys, 6, ok,
@@ -244,7 +244,7 @@ def test_criterion_07_non_cd_witness(capsys):
     system = mops.mop_system(fam, quad, 2)
 
     def kern(wn, zt):
-        return surface.frak_R_w_nodes(chart, system, wn, zt)
+        return surface.frak_R(chart, system, wn, zt)
 
     zt = 0.8 + 0.4j
     worst_good = 0.0
@@ -265,7 +265,7 @@ def test_criterion_07_non_cd_witness(capsys):
         scal = sops.solve_scalar_ops(chart.scalar_weight,
                                      chart.gamma_C(QN), 4)
         diff = max(abs(surface.frak_R(chart, system, om, z)
-                       - sops.scalar_cd_kernel(scal, om, z))
+                       - mops.cd_kernel(scal, om, z)[0, 0])
                    for om in (1.2, 1.1 + 0.3j) for z in (0.7, 0.5 - 0.4j))
         clause3 = diff > 1e-3
         clause3_note = f"kernel difference {diff:.2e} > 1e-3"

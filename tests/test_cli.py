@@ -83,6 +83,15 @@ def test_kernel_quad_env_override():
     assert np.allclose(ka, kb, atol=1e-8)
 
 
+def test_quad_env_not_an_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CDSURFACE_QUAD_N", "abc")
+    assert main(["kernel", "--family", "cyclic", "--r", "2", "--L", "2",
+                 "--R", "2", "--N", "2", "--grid", "2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "CDSURFACE_QUAD_N" in err and "'abc'" in err
+
+
 def test_kernel_tiling_kind():
     res = run_cli("kernel", "--kind", "tiling", "--hexagon", "2,1,1",
                   "--at", "1,0", "1,0", "--format", "json")

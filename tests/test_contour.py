@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdsurface import (InvalidArgumentError, circle_quadrature,
+from cdsurface import (InvalidArgumentError, circle_quadrature, default_n,
                        union_quadrature, unit_circle_quadrature)
 
 TWO_PI_I = 2j * np.pi
@@ -88,6 +88,15 @@ def test_invalid_arguments():
         circle_quadrature(0, -1.0, 16)
     with pytest.raises(InvalidArgumentError):
         union_quadrature([])
+
+
+def test_default_n_names_a_bad_environment_value(monkeypatch):
+    monkeypatch.setenv("CDSURFACE_QUAD_N", "abc")
+    with pytest.raises(InvalidArgumentError,
+                       match="CDSURFACE_QUAD_N.*'abc'"):
+        default_n()
+    monkeypatch.setenv("CDSURFACE_QUAD_N", "64")
+    assert default_n() == 64
 
 
 @settings(deadline=None, max_examples=50)

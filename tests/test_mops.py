@@ -448,9 +448,10 @@ def test_kernel_integral_scalar_r1(quad256, rng):
     w = 0.9 * np.exp(2j * np.pi * rng.random(6))
     z = 1.1 * np.exp(2j * np.pi * rng.random(4))
     left, right = cnormal(rng, 6), cnormal(rng, 4, 2)
-    brute = sum(left[k] * sops.scalar_cd_kernel(system, w[k], z[j])
+    brute = sum(left[k] * mops.cd_kernel(system, w[k], z[j])[0, 0]
                 * right[j] for k in range(6) for j in range(4))
-    val = mops.kernel_integral(system.kernel_coeffs, w, left, z, right)
+    val = mops.kernel_integral(system.kernel_coeffs[:, :, 0, 0], w, left, z,
+                               right)
     assert val.shape == (2,)
     np.testing.assert_allclose(val, brute, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(brute)))
@@ -470,8 +471,8 @@ def test_kernel_integral_nodes_off_circle(families, quad256, rng):
     np.testing.assert_allclose(val, brute, rtol=1e-12)
 
     scalar = sops.solve_scalar_ops(lambda s: s ** -3 * (2 + s), quad256, 3)
-    Rs = sops.scalar_cd_kernel(scalar, w[:, None], z[None, :])
+    Rs = mops.cd_kernel(scalar, w[:, None], z[None, :])[..., 0, 0]
     u, v = cnormal(rng, 9), cnormal(rng, 8)
     np.testing.assert_allclose(
-        mops.kernel_integral(scalar.kernel_coeffs, w, u, z, v), u @ Rs @ v,
-        rtol=1e-12)
+        mops.kernel_integral(scalar.kernel_coeffs[:, :, 0, 0], w, u, z, v),
+        u @ Rs @ v, rtol=1e-12)

@@ -108,7 +108,7 @@ def test_frak_R_equals_scalar_cd_for_cyclic(quad256, rng):
         om = 1.2 * np.exp(2j * np.pi * rng.random())
         zt = 0.7 * np.exp(2j * np.pi * rng.random())
         assert abs(surface.frak_R(chart, system, om, zt)
-                   - sops.scalar_cd_kernel(scal, om, zt)) < 1e-7
+                   - mops.cd_kernel(scal, om, zt)[0, 0]) < 1e-7
 
 
 def test_frak_R_root_k1_equals_scalar_cd(quad256, rng):
@@ -121,7 +121,7 @@ def test_frak_R_root_k1_equals_scalar_cd(quad256, rng):
         om = 1.2 * np.exp(2j * np.pi * rng.random())
         zt = 0.7 * np.exp(2j * np.pi * rng.random())
         assert abs(surface.frak_R(chart, system, om, zt)
-                   - sops.scalar_cd_kernel(scal, om, zt)) < 1e-7
+                   - mops.cd_kernel(scal, om, zt)[0, 0]) < 1e-7
 
 
 def test_frak_R_is_polynomial_in_zeta(quad256):
@@ -137,6 +137,29 @@ def test_frak_R_is_polynomial_in_zeta(quad256):
     extra = 1.6 - 0.4j
     assert abs(npoly.polyval(extra, coef)
                - surface.frak_R(chart, system, om, extra)) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["cyclic-r2", "root-k3", "periodic-2x2-b"])
+def test_frak_R_broadcasts(families, quad256, name):
+    # omega and zeta broadcast as in mops.cd_kernel: a product grid, an
+    # array against a scalar either way round, and scalars
+    fam = families[name]
+    chart = build_chart(fam, 2)
+    system = mops.mop_system(fam, quad256, 2)
+    om = 1.2 * np.exp(2j * np.pi * np.arange(3) / 3 + 0.1j)
+    ze = 0.7 * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j)
+    each = np.array([[surface.frak_R(chart, system, a, b) for b in ze]
+                     for a in om])
+    assert np.shape(each[0, 0]) == ()
+    grid = surface.frak_R(chart, system, om[:, None], ze[None, :])
+    assert grid.shape == (3, 4)
+    np.testing.assert_allclose(grid, each, rtol=1e-13)
+    by_zeta = surface.frak_R(chart, system, om[0], ze)
+    assert by_zeta.shape == (4,)
+    np.testing.assert_allclose(by_zeta, each[0], rtol=1e-13)
+    by_omega = surface.frak_R(chart, system, om, ze[0])
+    assert by_omega.shape == (3,)
+    np.testing.assert_allclose(by_omega, each[:, 0], rtol=1e-13)
 
 
 # --- reproducing properties ---------------------------------------------
@@ -161,7 +184,7 @@ def test_plane_reproducing_cyclic_monomials(quad256):
     system = mops.mop_system(fam, quad256, 2)
 
     def kern(wn, zt):
-        return surface.frak_R_w_nodes(chart, system, wn, zt)
+        return surface.frak_R(chart, system, wn, zt)
 
     for m in range(4):  # all monomials below degree rN
         def p(zeta, m=m):
@@ -179,7 +202,7 @@ def test_root_k3_failure_witness(quad256, rng):
     system = mops.mop_system(fam, quad256, 2)
 
     def kern(wn, zt):
-        return surface.frak_R_w_nodes(chart, system, wn, zt)
+        return surface.frak_R(chart, system, wn, zt)
 
     zt = 0.8 + 0.4j
     for _ in range(10):

@@ -37,6 +37,17 @@ def random_r2_model(rng, q, m, el):
     return HexagonModel(r=2, q=q, L=el, M=m, N=m, a=a, b=b)
 
 
+def model_system(m, n):
+    """`mops.mop_system` of the model's weight W(z) = z^(-(M+N)/r) A(z)^(L/q)
+    on the unit circle, with W formed here from the period matrix A."""
+    quad = unit_circle_quadrature(n)
+    z = quad.nodes
+    W = np.linalg.matrix_power(m.period_matrix(z), m.L // m.q)
+    W = W * (z ** (-(m.M + m.N) // m.r))[:, None, None]
+    N = m.N // m.r
+    return mops.solve_mops(mops.compute_moments(m, quad, N, W), N)
+
+
 # --- model validation and geometry --------------------------------------
 
 def test_model_validation():
@@ -636,8 +647,7 @@ def test_evaluator_kernel_coeffs_match_mop_system():
     for m in models:
         for n in (128, QN):
             ev = tiling.DKEvaluator(m, n)
-            system = mops.mop_system(m, unit_circle_quadrature(n),
-                                     m.N // m.r)
+            system = model_system(m, n)
             assert np.array_equal(ev.kernel_coeffs, system.kernel_coeffs)
             assert ev.conditions == {"kernel": system.conditions["kernel"]}
 
@@ -647,7 +657,7 @@ def test_singular_model_evaluator_build_raises():
     # numerically singular, so the DK kernel does not exist
     m = model_2x1(L=40, M=20, N=20)
     with pytest.raises(SingularSystemError):
-        mops.mop_system(m, unit_circle_quadrature(QN), m.N // m.r)
+        model_system(m, QN)
     for _ in range(2):
         with pytest.raises(SingularSystemError):
             tiling.dk_kernel(m, KernelQuery(0, 0, 0, 0), QN)
