@@ -198,8 +198,7 @@ def cmd_kernel(args) -> tuple:
             raise InvalidArgumentError("--kind tiling requires --at "
                                        "x1,y1 x2,y2 pairs")
         pairs = _at_pairs(args.at, lambda tok: _parse_ints(tok, "x,y"))
-        for (x1, _), (x2, _) in pairs:
-            tiling.KernelQuery(x1, 0, x2, 0).indices(model)
+        tiling.check_columns(model, *(x for pt in pairs for x, _ in pt))
         ev = tiling.dk_evaluator(model, args.n)
         return [{"x1": x1, "y1": y1, "x2": x2, "y2": y2,
                  "K": _re_im(ev.scalar(x1, y1, x2, y2))}

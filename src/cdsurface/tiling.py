@@ -8,7 +8,7 @@ product of the r x r column-transfer matrices of one period.
 
 This module provides:
 
-  * HexagonModel       -- geometry, edge weights, transfer matrices;
+  * HexagonModel, transfer -- geometry, edge weights, transfer matrices;
   * DKEvaluator / dk_kernel -- the matrix double-contour kernel;
   * simplified_kernel_general -- the scalarized forms (sheet sum on the
     spectral curve, and the genus-0 plane form through a chart);
@@ -19,22 +19,22 @@ This module provides:
   * enumerate_path_systems, point_probability, lgv_partition_function,
     macmahon_count -- brute-force and closed-form oracles.
 
-The DK, sheet, plane and explicit routes evaluate one double-contour
-block (`_contour_block`) and contract it through CD kernel coefficients
-(`mops.contract`); they differ only in their nodes, their kernel
-coefficients and how they write powers of the period matrix.  A block
-serves one column pair and any batch of heights.  Each route's node data
-is built once per (model, n) on the cached `DKEvaluator`: the powers of
-its kernel points and its flattened kernel coefficients are laid out at
-build, and its period-matrix powers, transfer products, side factors
-(product times power), node powers x^e and chi integrals are memoized, so
-a warm block does only the work that depends on its heights (sizes: see
-DKEvaluator); a single cell's chi integral is reused by later queries
-of the same geometry at other columns and heights (`_chi`).
-The evaluator also keeps each column's one-point density K(x, y, x, y),
-so `column_probabilities` asks one block per column and (model, n);
-`point_probability` asks none, but one contraction of its k points'
-stacked side factors (`DKEvaluator.point_matrix`).
+Every kernel entry is one double-contour block (`_contour_block`) on one
+of the DK, sheet, plane and explicit routes, contracted through CD
+kernel coefficients (`mops.contract`); the routes differ only in their
+nodes, their kernel coefficients and how they write powers of the period
+matrix.  Each factor of the integrand derives its own geometry: the left
+from (x2, y2), the right from (x1, y1), the chi term from both columns.
+So a block takes groups of (column, heights) per side and stacks their
+factors into one contraction: a `KernelQuery` is one group per side,
+`DKEvaluator.point_matrix` one single-height group per point.  Each
+route's node data is built once per (model, n) on the cached
+`DKEvaluator`: the powers of its kernel points and its flattened kernel
+coefficients are laid out at build, and its period-matrix powers,
+transfer products, side factors (product times power), node powers x^e
+and single-cell chi integrals are memoized, so a warm block does only
+the work that depends on its heights (sizes: see DKEvaluator).  The
+evaluator also keeps each column's one-point density K(x, y, x, y).
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import product
-from math import comb
-from typing import NamedTuple
+from math import comb, prod
 
 import numpy as np
 
@@ -171,27 +170,22 @@ def edge_weight(model: HexagonModel, edge) -> float:
     return table[x1 % model.q][y1 % model.r]
 
 
+def transfer(model: HexagonModel, x: int) -> np.ndarray:
+    """t_x: the S_x x S_{x+1} matrix of edge weights from the heights of
+    `column_range(x)` to those of `column_range(x + 1)` (0 off the
+    edges)."""
+    src, dst = model.column_range(x), model.column_range(x + 1)
+    t = np.zeros((len(src), len(dst)))
+    for i, y in enumerate(src):
+        for j, ny in enumerate(dst):
+            if ny - y in (0, 1):
+                t[i, j] = edge_weight(model, ((x, y), (x + 1, ny)))
+    return t
+
+
 # ---------------------------------------------------------------------------
 # kernel queries
 # ---------------------------------------------------------------------------
-
-class QueryGeometry(NamedTuple):
-    """Exponents and transfer products of one block query.
-
-    The double integral carries B2(w) A(w)^L2 ... A(z)^L1 B1(z) with
-    B1 = prod1 and B2 = prod2; when chi, the single integral carries
-    B4(z) A(z)^L3 B3(z).  Each B is A_lo(z) ... A_{hi-1}(z) over a column
-    range (lo, hi), the identity when lo >= hi."""
-
-    L1: int
-    L2: int
-    L3: int
-    chi: bool
-    prod1: tuple
-    prod2: tuple
-    B4: tuple
-    B3: tuple
-
 
 @dataclass(frozen=True)
 class KernelQuery:
@@ -205,24 +199,12 @@ class KernelQuery:
     x2: int
     y2: int | np.ndarray
 
-    def indices(self, model: HexagonModel) -> QueryGeometry:
-        """Exponent data and transfer-product ranges of the
-        double-contour formula."""
-        if not (0 <= self.x1 <= model.L and 0 <= self.x2 <= model.L):
-            raise InvalidArgumentError(
-                f"query columns outside [0, L]: {self.x1}, {self.x2}")
-        q = model.q
-        L1 = self.x1 // q
-        ceil2 = -(-self.x2 // q)
-        L2 = model.L // q - ceil2
-        prod1 = (q * L1, self.x1)
-        prod2 = (self.x2, q * ceil2)
-        if L1 >= ceil2:
-            B4, B3 = prod2, prod1
-        else:
-            B4, B3 = (self.x2, self.x1 + 1), (0, 0)
-        return QueryGeometry(L1, L2, max(L1 - ceil2, 0), self.x1 > self.x2,
-                             prod1, prod2, B4, B3)
+
+def check_columns(model: HexagonModel, *xs: int) -> None:
+    """Raise InvalidArgumentError unless every column x is in [0, L]."""
+    for x in xs:
+        if not 0 <= x <= model.L:
+            raise InvalidArgumentError(f"column {x} outside [0, L]")
 
 
 class _Memo(dict):
@@ -295,15 +277,22 @@ class _Route:
         return np.array([self.node_powers[e] for e in exps]).T
 
 
-def _heights(y) -> tuple:
-    """A query's heights as a list of ints, and the result axes they
-    give: () for an int height, (len(y),) for an array."""
-    if np.ndim(y) == 0:
-        return [int(y)], ()
-    return [int(v) for v in y], (len(y),)
+def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
+    """The query's block, one group of heights per side, of shape
+    shape(y2) + shape(y1) + (r, r): an array of heights gives an axis,
+    an int height none."""
+    sides, shape = [], ()
+    for x, y in ((query.x2, query.y2), (query.x1, query.y1)):
+        if np.ndim(y) == 0:
+            sides.append([(x, [int(y)])])
+        else:
+            sides.append([(x, [int(v) for v in y])])
+            shape += (len(y),)
+    out = _contour_block(route, *sides)
+    return out.reshape(shape + out.shape[2:])
 
 
-def _contour_block(route: _Route, query: KernelQuery) -> np.ndarray:
+def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
     """The block that every tiling route evaluates,
 
         int int w^(y2-h) B2(w) P_L2(w) R(w, z) P_L1(z) B1(z) z^(-y1-1)
@@ -316,58 +305,82 @@ def _contour_block(route: _Route, query: KernelQuery) -> np.ndarray:
     P_p = A^p: `power(k, p)` is the per-node factor k (0 left, 1 right,
     2 chi), where left (n, r, s) and right (n, s, r) meet R's s x s values.
 
-    The heights enter only through the scalar node factors, so the
-    transfer products and powers serve all heights of the query; the
-    result has shape shape(y2) + shape(y1) + (r, r)."""
-    g = query.indices(route.model)
-    y1s, shape1 = _heights(query.y1)
-    y2s, shape2 = _heights(query.y2)
+    `lefts` are (x2, heights y2) groups and `rights` (x1, heights y1)
+    groups.  The left factor depends on x2 and y2 only, the right factor
+    on x1 and y1 only, so all groups take one contraction; only chi =
+    [x1 > x2] sees both columns.  The result is indexed (y2, y1) over
+    the stacked heights: (sum len(y2s), sum len(y1s), r, r)."""
+    check_columns(route.model, *(x for x, _ in lefts + rights))
+    left = [_left(route, *g) for g in lefts]
+    right = [_right(route, *g) for g in rights]
+    left = left[0] if len(left) == 1 else np.concatenate(left, axis=1)
+    right = right[0] if len(right) == 1 else np.concatenate(right, axis=2)
     # the contraction gives (y2, r, y1, r); blocks are indexed (y2, y1)
-    out = mops.contract(route.rows, _left(route, g, y2s), route.rows,
-                        _right(route, g, y1s), route.flat)
+    out = mops.contract(route.rows, left, route.rows, right, route.flat)
     out = out.transpose(0, 2, 1, 3)
-    if g.chi:
-        out = out - _chi(route, g, y1s, y2s)
-    return out.reshape(shape2 + shape1 + out.shape[2:])
+    i = 0
+    for x2, y2s in lefts:
+        j = 0
+        for x1, y1s in rights:
+            if x1 > x2:
+                out[i:i + len(y2s), j:j + len(y1s)] -= \
+                    _chi(route, x1, x2, y1s, y2s)
+            j += len(y1s)
+        i += len(y2s)
+    return out
 
 
-def _left(route: _Route, g: QueryGeometry, y2s: list) -> np.ndarray:
-    """(n, len(y2s), r, s): the left factor, of x2 and y2 only."""
-    half = (route.model.M + route.model.N) // route.model.r
+def _left(route: _Route, x2: int, y2s: list) -> np.ndarray:
+    """(n, len(y2s), r, s): the left factor w^(y2-h) B2 A^L2, of x2 and
+    y2 only: B2 = A_x2 ... A_{q ceil(x2/q) - 1}, L2 = L/q - ceil(x2/q)."""
+    model = route.model
+    ceil2 = -(-x2 // model.q)
+    half = (model.M + model.N) // model.r
     cw = route.wts[:, None] * route.node_power([y - half for y in y2s])
-    return cw[:, :, None, None] * route.side(0, g.prod2, g.L2)[:, None]
+    side = route.side(0, (x2, model.q * ceil2), model.L // model.q - ceil2)
+    return cw[:, :, None, None] * side[:, None]
 
 
-def _right(route: _Route, g: QueryGeometry, y1s: list) -> np.ndarray:
-    """(n, s, len(y1s), r): the right factor, of x1 and y1 only."""
+def _right(route: _Route, x1: int, y1s: list) -> np.ndarray:
+    """(n, s, len(y1s), r): the right factor A^L1 B1 z^(-y1-1) / (2 pi i),
+    of x1 and y1 only: L1 = floor(x1/q), B1 = A_{q L1} ... A_{x1 - 1}."""
+    L1 = x1 // route.model.q
     cz = route.wts[:, None] * route.node_power([-y - 1 for y in y1s])
     cz = cz / TWO_PI_I
-    return cz[:, None, :, None] * route.side(1, g.prod1, g.L1)[:, :, None]
+    side = route.side(1, (route.model.q * L1, x1), L1)
+    return cz[:, None, :, None] * side[:, :, None]
 
 
-def _chi(route: _Route, g: QueryGeometry, y1s: list, y2s: list) -> np.ndarray:
-    """(len(y2s), len(y1s), r, r): the chi integral of the block.  A single
-    cell's is kept in `route.chis` per (B4, L3, B3, y2 - y1): all it
-    depends on, so later queries of the same geometry at other columns
-    and heights reuse it.  A batched grid's is computed each time: a memo
-    keyed by whole grids would grow with every new grid."""
+def _chi(route: _Route, x1: int, x2: int, y1s: list,
+         y2s: list) -> np.ndarray:
+    """(len(y2s), len(y1s), r, r): the chi integral of columns x1 > x2,
+    whose product A_x2 ... A_{x1-1} is written B4 A^L3 B3 with B4 and
+    B3 the partial periods at either end.  A single cell's is kept in
+    `route.chis` per (B4, L3, B3, y2 - y1): all it depends on, so later
+    queries of the same geometry at other columns and heights reuse it.
+    A batched grid's is computed each time: a memo keyed by whole grids
+    would grow with every new grid."""
+    q = route.model.q
+    L1, ceil2 = x1 // q, -(-x2 // q)
+    mid = min(x1, q * ceil2)    # x1 when x2 < x1 lie within one period
+    g = (x2, mid), max(L1 - ceil2, 0), (max(q * L1, mid), x1)
     if len(y1s) * len(y2s) > 1:
-        return _chi_integral(route, g, y1s, y2s)
-    key = (route._product_key(g.B4), g.L3, route._product_key(g.B3),
+        return _chi_integral(route, *g, y1s, y2s)
+    key = (route._product_key(g[0]), g[1], route._product_key(g[2]),
            y2s[0] - y1s[0])
     if key not in route.chis:
-        route.chis[key] = _chi_integral(route, g, y1s, y2s)
+        route.chis[key] = _chi_integral(route, *g, y1s, y2s)
     return route.chis[key]
 
 
-def _chi_integral(route: _Route, g: QueryGeometry, y1s: list,
+def _chi_integral(route: _Route, B4: tuple, L3: int, B3: tuple, y1s: list,
                   y2s: list) -> np.ndarray:
     """The chi integral of the block, evaluated at the nodes."""
     exps = [b - a - 1 for b in y2s for a in y1s]
     c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
     c = route.wts[:, None, None] * c / TWO_PI_I
-    mats = [m for m in (route.product(g.B4), route.power(2, g.L3),
-                        route.product(g.B3)) if m is not None]
+    mats = [m for m in (route.product(B4), route.power(2, L3),
+                        route.product(B3)) if m is not None]
     idx = "abcd"[:len(mats) + 1]
     chain = ",".join(f"n{i}{j}" for i, j in zip(idx, idx[1:]))
     return np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
@@ -393,14 +406,15 @@ class DKEvaluator:
     Holds the n-point unit-circle quadrature, the matrix CD kernel
     coefficients of W at degree N/r and the node data of the tiling
     routes (see `route`): "dk" built here, "sheets", "plane" and
-    "explicit" on first use, so a query does only its height-dependent
-    work.  A route holds its nodes, the powers of its kernel points (N/r
-    rows of n; N for the explicit route), its kernel coefficients
-    flattened to (N, N), and memos of O(n r^2) numbers per entry: at
-    most L/q + 1 powers per power factor, at most q^2 transfer products
-    and at most 2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per
-    node-power exponent queried, and r^2 numbers per chi integral: at
-    most (q^2 + 1)^2 (L/q + 1) per height difference y2 - y1 of the
+    "explicit" on first use.  `block`, `scalar`, `density` and
+    `point_matrix` each make one `_contour_block` on the dk route.  A
+    route holds its nodes, the powers of its kernel points (N/r rows of
+    n; N for the explicit route), its kernel coefficients flattened to
+    (N, N), and memos of O(n r^2) numbers per entry: at most L/q + 1
+    powers per power factor, at most q^2 transfer products and at most
+    2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per node-power
+    exponent queried, and r^2 numbers per chi integral: at most
+    (q^2 + 1)^2 (L/q + 1) per height difference y2 - y1 of the
     single-cell queries with x1 > x2.  The one-point densities of the
     columns queried (`densities`) are at most (L + 1)(N + M) floats."""
 
@@ -447,7 +461,7 @@ class DKEvaluator:
     def block(self, query: KernelQuery) -> np.ndarray:
         """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}; with height
         arrays, the stack of these blocks indexed by (y2, y1)."""
-        return _contour_block(self.route("dk"), query)
+        return _query_block(self.route("dk"), query)
 
     def density(self, x: int) -> dict:
         """{y: K(x, y, x, y)} over the heights of column x, kept: one
@@ -470,25 +484,14 @@ class DKEvaluator:
 
     def point_matrix(self, points: list) -> np.ndarray:
         """[K(x_i, Y_i, x_j, Y_j)]_{i,j}, the entries of `scalar`: one
-        contraction of the k points' stacked left (n, k, r, s) and right
-        (n, s, k, r) factors, minus the chi term where x_i > x_j."""
-        route, r = self.route("dk"), self.model.r
-        # a point's factors are those of its own diagonal entry
-        sides = [(KernelQuery(x, Y // r, x, Y // r).indices(self.model),
-                  [Y // r]) for x, Y in points]
-        left = np.concatenate([_left(route, *s) for s in sides], axis=1)
-        right = np.concatenate([_right(route, *s) for s in sides], axis=2)
-        out = mops.contract(route.rows, left, route.rows, right, route.flat)
-        # entry (i, j) is out[j, Y_j % r, i, Y_i % r]
+        `_contour_block` with one single-height group per point and
+        side."""
+        r = self.model.r
+        groups = [(x, [Y // r]) for x, Y in points]
+        out = _contour_block(self.route("dk"), groups, groups)
+        # entry (i, j) is out[j, i, Y_j % r, Y_i % r]
         k, rows = np.arange(len(points)), np.array([Y % r for _, Y in points])
-        mat = out[k, rows, k[:, None], rows[:, None]]
-        for i, (x1, Y1) in enumerate(points):
-            for j, (x2, Y2) in enumerate(points):
-                if x1 > x2:
-                    q = KernelQuery(x1, Y1 // r, x2, Y2 // r)
-                    chi = _chi(route, q.indices(self.model), [q.y1], [q.y2])
-                    mat[i, j] -= chi[0, 0, Y2 % r, Y1 % r]
-        return mat
+        return out[k, k[:, None], rows, rows[:, None]]
 
 
 def _sheet_route(ev: DKEvaluator) -> _Route:
@@ -566,7 +569,7 @@ def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
     on scalar functions of zeta."""
     if form not in ("sheets", "plane"):
         raise InvalidArgumentError(f"unknown form {form!r}")
-    return _contour_block(dk_evaluator(model, n).route(form), query)
+    return _query_block(dk_evaluator(model, n).route(form), query)
 
 
 def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
@@ -581,7 +584,7 @@ def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
     the closed-form Periodic2x1 chart."""
     if model.r != 2 or model.q != 1:
         raise UnsupportedFamilyError("explicit 2x1 kernel needs r=2, q=1")
-    return _contour_block(dk_evaluator(model, n).route("explicit"), query)
+    return _query_block(dk_evaluator(model, n).route("explicit"), query)
 
 
 def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
@@ -595,7 +598,7 @@ def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
     `sops.scalar_moments`), independent of the matrix moments."""
     if model.r != 2 or model.q != 2:
         raise UnsupportedFamilyError("explicit 2x2 kernel needs r=2, q=2")
-    return _contour_block(dk_evaluator(model, n).route("explicit"), query)
+    return _query_block(dk_evaluator(model, n).route("explicit"), query)
 
 
 # --- uniform measure, scalar route ------------------------------------------
@@ -649,12 +652,11 @@ def enumerate_path_systems(model: HexagonModel) -> list:
     ranges = [model.column_range(x) for x in range(L + 1)]
     out = []
 
+    ts = [transfer(model, x).tolist() for x in range(L)]
+
     def step_weight(x, ys, steps):
-        w = 1.0
-        for y, dlt in zip(ys, steps):
-            table = model.a if dlt else model.b
-            w *= table[x % model.q][y % model.r]
-        return w
+        return prod(ts[x][y - ranges[x].start][y + dlt - ranges[x + 1].start]
+                    for y, dlt in zip(ys, steps))
 
     def rec(x, ys, weight, hist):
         if x == L:
@@ -684,30 +686,11 @@ def partition_function(model: HexagonModel) -> float:
 
 def lgv_partition_function(model: HexagonModel) -> float:
     """Partition function as the determinant of the single-path
-    weighted-count matrix (Lindstrom-Gessel-Viennot)."""
-    L, N = model.L, model.N
-
-    def path_counts(y0):
-        dp = {y0: 1.0}
-        for x in range(L):
-            rng = model.column_range(x + 1)
-            ndp = {}
-            for y, w in dp.items():
-                for dlt in (0, 1):
-                    ny = y + dlt
-                    if rng.start <= ny < rng.stop:
-                        table = model.a if dlt else model.b
-                        ndp[ny] = ndp.get(ny, 0.0) \
-                            + w * table[x % model.q][y % model.r]
-            dp = ndp
-        return dp
-
-    mat = np.zeros((N, N))
-    for i, y0 in enumerate(model.starts):
-        dp = path_counts(y0)
-        for j, y1 in enumerate(model.ends):
-            mat[i, j] = dp.get(y1, 0.0)
-    return float(np.linalg.det(mat))
+    weighted-count matrix (Lindstrom-Gessel-Viennot): the product
+    t_0 ... t_{L-1} of the transfer matrices, N x N because column 0's
+    heights are the starts and column L's the ends."""
+    return float(np.linalg.det(reduce(np.matmul, (
+        transfer(model, x) for x in range(model.L)))))
 
 
 def macmahon_count(L: int, M: int, N: int) -> int:
@@ -740,9 +723,7 @@ def point_probability(model: HexagonModel, points,
         raise InvalidArgumentError("points must be distinct")
     if not points:
         return 1.0
-    for x, y in points:
-        if not 0 <= x <= model.L:
-            raise InvalidArgumentError(f"point column {x} outside [0, L]")
+    check_columns(model, *(x for x, _ in points))
 
     if route == "enumeration":
         systems = enumerate_path_systems(model)
@@ -767,6 +748,5 @@ def column_probabilities(model: HexagonModel, x: int,
     P = K(x, y, x, y): one double-contour block over the block heights
     y // r on the first call per column and (model, n), kept by the
     cached evaluator; each call returns a fresh copy of the kept values."""
-    if not 0 <= x <= model.L:
-        raise InvalidArgumentError(f"column {x} outside [0, L]")
+    check_columns(model, x)
     return dict(dk_evaluator(model, n).density(x))

@@ -257,7 +257,7 @@ def test_prob_point_outside_column_reports_zero(tmp_path):
 
 def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     # the second call finds every column's density on the cached
-    # evaluator and makes no block: its k points take one contraction
+    # evaluator: its only block is the k points' one contraction
     from cdsurface import mops, tiling
     blocks, contractions = [], []
     contour_block, contract = tiling._contour_block, mops.contract
@@ -277,18 +277,19 @@ def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
             "--a", "[[1.0, 2.0], [1.0, 1.0]]",
             "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--n", "128",
             "--points", "1,1", "3,2"]
+    points = [(1, [0]), (3, [1])]    # one single-height group per point
     runs = []
     for name in ("first", "second"):
         out = tmp_path / f"{name}.json"
         blocks.clear()
         contractions.clear()
         assert main(argv + ["--output", str(out)]) == 0
-        runs.append((out.read_bytes(), len(blocks),
-                     len(contractions) - len(blocks)))
-    (first, cold, cold_points), (second, warm, warm_points) = runs
+        assert len(contractions) == len(blocks)
+        assert [b[1:] for b in blocks].count((points, points)) == 1
+        runs.append((out.read_bytes(), len(blocks)))
+    (first, cold), (second, warm) = runs
     assert first == second
-    assert (cold, warm) == (5, 0)
-    assert cold_points == warm_points == 1
+    assert (cold, warm) == (5 + 1, 1)
 
 
 def test_prob_repeated_call_reuses_chi_integrals(tmp_path, monkeypatch):

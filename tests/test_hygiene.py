@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports is referenced in that module."""
+package imports is referenced in that module, and every private
+module-level name is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,45 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def private_definitions(source: str) -> dict:
+    """Module-level `_private` functions, classes and constants, by line
+    (dunder names excluded)."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs.update((name, node.lineno) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+    return defs
+
+
+def references(source: str) -> set:
+    """Names read in the source, as bare names or attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_unreferenced_private_names_are_found():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\n"
+              "def _f():\n    return _A\nclass _C:\n    pass\n")
+    defs = private_definitions(source)
+    assert defs == {"_A": 1, "_B": 2, "_f": 4, "_C": 6}
+    assert sorted(set(defs) - references(source)) == ["_B", "_C", "_f"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_private_names_are_referenced(module):
+    used = set().union(*(references(p.read_text())
+                         for p in SRC.glob("*.py")))
+    defs = private_definitions((SRC / module).read_text())
+    assert sorted((line, name) for name, line in defs.items()
+                  if name not in used) == []

@@ -1,5 +1,7 @@
 from collections import Counter
-from functools import partial
+from fractions import Fraction
+from functools import partial, reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -129,6 +131,39 @@ def test_partition_function_vs_lgv():
         assert abs(lgv_partition_function(m) - Z) < 1e-10 * abs(Z)
 
 
+def fraction_det(mat):
+    """Exact determinant of a matrix of Fractions, by elimination."""
+    mat, det = [row[:] for row in mat], Fraction(1)
+    for c in range(len(mat)):
+        p = next(i for i in range(c, len(mat)) if mat[i][c] != 0)
+        if p != c:
+            mat[c], mat[p], det = mat[p], mat[c], -det
+        det *= mat[c][c]
+        for row in mat[c + 1:]:
+            f = row[c] / mat[c][c]
+            row[:] = [x - f * y for x, y in zip(row, mat[c])]
+    return det
+
+
+def test_lgv_matches_exact_transfer_product():
+    # det(t_0 ... t_{L-1}) in floats against the same product and
+    # determinant in exact arithmetic on the floats' values
+    def product(a, b):
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                 for col in zip(*b)] for row in a]
+
+    for m in (model_2x1(), *ROUTE_MODELS,
+              model_2x2(((1.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.5, 0.7))),
+              random_r2_model(np.random.default_rng(1), 2, 4, 8),
+              random_r2_model(np.random.default_rng(505), 2, 6, 12)):
+        ts = [[[Fraction(v) for v in row]
+               for row in tiling.transfer(m, x).tolist()]
+              for x in range(m.L)]
+        exact = fraction_det(reduce(product, ts))
+        assert abs(Fraction(lgv_partition_function(m)) - exact) \
+            <= Fraction(1e-12) * abs(exact)
+
+
 def test_enumeration_guard():
     with pytest.raises(SizeGuardError):
         enumerate_path_systems(HexagonModel.uniform(40, 20, 10))
@@ -243,6 +278,21 @@ def test_point_probability_within_unit_interval_r2_q2_hexagon():
     m = random_r2_model(np.random.default_rng(505), 2, 6, 12)
     p = point_probability(m, [(0, 2), (12, 9)], n=128)
     assert 0 <= p <= 1 + 1e-9
+
+
+def test_pair_probabilities_q3_within_one_period():
+    # q = 3 has column pairs x2 < x1 inside one period (x2 = 3k + 1,
+    # x1 = 3k + 2), whose chi product is the single factor A_x2
+    rng = np.random.default_rng(3)
+    m = HexagonModel(r=1, q=3, L=6, M=2, N=2,
+                     a=tuple((v,) for v in rng.uniform(0.5, 2, 3)),
+                     b=tuple((v,) for v in rng.uniform(0.5, 2, 3)))
+    systems = enumerate_path_systems(m)
+    Z = sum(s.weight for s in systems)
+    for pts in combinations(lattice(m), 2):
+        exact = sum(s.weight for s in systems
+                    if all(s.passes_through(*pt) for pt in pts)) / Z
+        assert abs(point_probability(m, pts, n=128) - exact) < 1e-12, pts
 
 
 def test_point_probability_edge_cases():
@@ -502,14 +552,14 @@ def test_warm_blocks_match_fresh_evaluator(rng):
         fresh = []
         for q in queries:
             ev = tiling.DKEvaluator(m, n)
-            fresh.append({form: tiling._contour_block(ev.route(form), q)
+            fresh.append({form: tiling._query_block(ev.route(form), q)
                           for form in ROUTES})
         ev = tiling.DKEvaluator(m, n)
         order = list(range(len(queries)))
         for i in order + order[::-1]:
             for form, blk in fresh[i].items():
                 assert np.array_equal(
-                    tiling._contour_block(ev.route(form), queries[i]), blk
+                    tiling._query_block(ev.route(form), queries[i]), blk
                 ), (form, queries[i])
         for form in ROUTES:
             route = ev.route(form)
@@ -521,6 +571,46 @@ def test_warm_blocks_match_fresh_evaluator(rng):
                                      right),
                 mops.contract(route.rows, left, route.rows, right,
                               route.flat)), form
+
+
+def abs_terms(route, left, right):
+    """The contraction of one group pair with every factor replaced by
+    its modulus: the size of the terms its sums add, (y2, y1, r, r)."""
+    args = (route.rows, tiling._left(route, *left), route.rows,
+            tiling._right(route, *right), route.flat)
+    return mops.contract(*map(np.abs, args)).transpose(0, 2, 1, 3)
+
+
+def test_stacked_groups_match_one_group_blocks():
+    # several (column, heights) groups per side, single and batched
+    # heights, x1 <, =, > x2: each group pair's block of the stacked
+    # contraction is that pair's own one-group block to 1e-15 max(1, |K|),
+    # and a one-group block is the route's query block, bit for bit.
+    # Stacking regroups the contraction's sums; the explicit route's
+    # terms reach 1e5 where |K| <= 1 (its ill-conditioned chart moments,
+    # ROADMAP item 10), so its blocks move by up to eps times the terms
+    lefts = [(0, [1]), (2, [-1, 0, 2]), (3, [0]), (4, [2, 1])]
+    rights = [(1, [0, 1]), (3, [2]), (4, [-1, 1, 0]), (2, [1])]
+    for m in ROUTE_MODELS:
+        ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
+        for form, fn in ROUTES.items():
+            out = tiling._contour_block(ev.route(form), lefts, rights)
+            i = 0
+            for x2, y2s in lefts:
+                j = 0
+                for x1, y1s in rights:
+                    one = tiling._contour_block(fresh.route(form),
+                                                [(x2, y2s)], [(x1, y1s)])
+                    query = KernelQuery(x1, np.array(y1s), x2, np.array(y2s))
+                    assert np.array_equal(one, fn(m, query, 128))
+                    tol = 1e-15 * np.maximum(1, np.abs(one))
+                    if form == "explicit":
+                        tol = 4 * np.finfo(float).eps * abs_terms(
+                            ev.route(form), (x2, y2s), (x1, y1s))
+                    got = out[i:i + len(y2s), j:j + len(y1s)]
+                    assert np.all(np.abs(got - one) <= tol), (form, x1, x2)
+                    j += len(y1s)
+                i += len(y2s)
 
 
 # --- chi integrals kept on the route ------------------------------------
@@ -569,9 +659,9 @@ def test_chi_memo_key_is_complete(case):
     for form in ROUTES:
         route = ev.route(form)
         for q in others:
-            tiling._contour_block(route, q)
-        assert np.array_equal(tiling._contour_block(route, query),
-                              tiling._contour_block(fresh.route(form), query)
+            tiling._query_block(route, q)
+        assert np.array_equal(tiling._query_block(route, query),
+                              tiling._query_block(fresh.route(form), query)
                               ), form
 
 
@@ -590,17 +680,17 @@ def test_chi_integrals_evaluated_once_per_key(monkeypatch):
             route = ev.route(form)
             calls.clear()
             for q in queries:
-                tiling._contour_block(route, q)
+                tiling._query_block(route, q)
             assert calls["chi"] == len(route.chis) < len(queries), form
             assert len(route.chis) <= \
                 (m.q ** 2 + 1) ** 2 * (m.L // m.q + 1) * 2
             for q in queries:
-                tiling._contour_block(route, q)
+                tiling._query_block(route, q)
             assert calls["chi"] == len(route.chis), form
             # a batched grid's chi integral is evaluated each time, not kept
             kept = dict(route.chis)
             for _ in range(2):
-                tiling._contour_block(route, batched)
+                tiling._query_block(route, batched)
             assert calls["chi"] == len(kept) + 2, form
             assert route.chis.keys() == kept.keys(), form
 
@@ -613,7 +703,7 @@ def test_route_memos_are_read_only():
             route = ev.route(form)
             for q in chi_queries(m, 0, 1) + [KernelQuery(x, 1, x, 0)
                                              for x in range(m.L + 1)]:
-                tiling._contour_block(route, q)
+                tiling._query_block(route, q)
             # a q = 1 route has no nonempty transfer product
             memos = (route.memo, route.products, route.sides,
                      route.node_powers, route.chis)
@@ -685,7 +775,12 @@ def test_query_columns_outside_hexagon_raise():
                     fn(m, KernelQuery(x1, 0, x2, 0), 64)
 
 
-def test_chi_term_indices():
+def test_chi_term_evaluated_iff_x1_greater_than_x2(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(tiling, "_chi_integral",
+                        counting(calls, "chi", tiling._chi_integral))
     m = HexagonModel.uniform(4, 2, 2)
-    assert KernelQuery(1, 0, 3, 0).indices(m)[3] is False
-    assert KernelQuery(3, 0, 1, 0).indices(m)[3] is True
+    for x1, x2 in ((1, 3), (3, 1), (2, 2), (4, 0), (0, 4)):
+        calls.clear()
+        tiling.DKEvaluator(m, 64).block(KernelQuery(x1, 0, x2, 0))
+        assert calls["chi"] == (x1 > x2), (x1, x2)
