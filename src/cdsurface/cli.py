@@ -287,7 +287,7 @@ def _suite_mops(args) -> list:
     N = _kernel_degree(args, 2)
     quad = unit_circle_quadrature(args.n)
     W = family.weight(quad.nodes)
-    system = mops.solve_mops(mops.compute_moments(family, quad, N, W), N)
+    system = mops.solve_mops(mops.compute_moments(quad, N, W), N)
     rng = np.random.default_rng(args.seed)
     r = family.r
     checks = []

@@ -91,11 +91,11 @@ def _weight_at(family: WeightFamily, quad: ContourQuadrature,
     return family.weight(quad.nodes) if W is None else W
 
 
-def compute_moments(family: WeightFamily, quad: ContourQuadrature,
-                    N: int, W: np.ndarray | None = None) -> np.ndarray:
-    """M_k = int z^k W(z) dz for k = 0..2N, shape (2N+1, r, r); W, the
-    weight at the nodes, is `family.weight(quad.nodes)` unless given."""
-    z, W = quad.nodes, _weight_at(family, quad, W)
+def compute_moments(quad: ContourQuadrature, N: int,
+                    W: np.ndarray) -> np.ndarray:
+    """M_k = int z^k W(z) dz for k = 0..2N, shape (2N+1, r, r), from W
+    (n, r, r), the weight at the nodes of quad."""
+    z = quad.nodes
     powers = z[None, :] ** np.arange(2 * N + 1)[:, None]
     return np.einsum("kn,n,nab->kab", powers, quad.weights, W)
 
@@ -110,13 +110,13 @@ def _block(moments: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
-def _check_singular(A, scale, cond_max, what):
+def _check_singular(A, scale, what):
     """Singularity test that is robust to moment matrices which are tiny
     relative to the overall moment scale (pure condition numbers can look
     benign on a block of quadrature noise)."""
     s = np.linalg.svd(A, compute_uv=False)
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-    if not np.isfinite(cond) or s[-1] <= scale / cond_max:
+    if not np.isfinite(cond) or s[-1] <= scale / COND_MAX:
         raise SingularSystemError(
             f"{what}: moment system of size {A.shape[0]} is numerically "
             f"singular (smallest singular value {s[-1]:.2e} vs moment scale "
@@ -155,25 +155,22 @@ class MOPSystem:
     PR: _PolyRow
     QL: _PolyRow  # QL[j] degree <= j, j = 0..N-1
     QR: _PolyRow
-    kernel_coeffs: np.ndarray  # (N, N, r, r): R_N(w,z) = sum w^a C_ab z^b
+    kernel_coeffs: np.ndarray  # (N r, N r): see kernel_coefficients
     conditions: dict = field(default_factory=dict)
     missing: dict = field(default_factory=dict)
 
 
-def kernel_coefficients(moments: np.ndarray, N: int,
-                        cond_max: float = COND_MAX) -> tuple:
-    """(C, cond): the kernel coefficients (N, N, r, r) from the block
-    inverse, sum_a M_{c+a} C_ab = delta_cb I, and its condition number."""
-    r = moments.shape[1]
+def kernel_coefficients(moments: np.ndarray, N: int) -> tuple:
+    """(C, cond): C, the kernel coefficients, is the inverse of the block
+    moment matrix [M_{j+k}] as `np.linalg.inv` returns it, (N r, N r);
+    its r x r block C_ab gives R_N(w, z) = sum_ab w^a C_ab z^b."""
     scale = float(np.max(np.abs(moments))) or 1.0
     big = _block(moments, range(N), range(N))
-    cond = _check_singular(big, scale, cond_max, f"degree-{N} kernel")
-    Cflat = np.linalg.inv(big)
-    return Cflat.reshape(N, r, N, r).transpose(0, 2, 1, 3).copy(), cond
+    cond = _check_singular(big, scale, f"degree-{N} kernel")
+    return np.linalg.inv(big), cond
 
 
-def solve_mops(moments: np.ndarray, N: int,
-               cond_max: float = COND_MAX) -> MOPSystem:
+def solve_mops(moments: np.ndarray, N: int) -> MOPSystem:
     """Solve the moment systems for degrees up to N.
 
     Requires moments M_0..M_{2N-1} at least (compute_moments provides
@@ -187,7 +184,7 @@ def solve_mops(moments: np.ndarray, N: int,
     conds, missing = {}, {}
     P0 = MatrixPolynomial(eye[None])
     PL, PR, QL, QR = [P0], [P0], [], []
-    kernel_coeffs, conds["kernel"] = kernel_coefficients(moments, N, cond_max)
+    kernel_coeffs, conds["kernel"] = kernel_coefficients(moments, N)
 
     # The size-j system sum_m M_{k+m} C_m = RHS_k (k < j) gives P^R_j for
     # RHS_k = -M_{j+k} and Q^R_{j-1} for RHS_k = delta_{k,j-1} I; the left
@@ -196,7 +193,7 @@ def solve_mops(moments: np.ndarray, N: int,
         A = _block(moments, range(j), range(j))
         try:
             conds[("P", j)] = conds[("Q", j - 1)] = _check_singular(
-                A, scale, cond_max, f"P_{j}, Q_{j - 1}")
+                A, scale, f"P_{j}, Q_{j - 1}")
         except SingularSystemError as exc:
             missing[("P", j)] = missing[("Q", j - 1)] = str(exc)
             for fam in (PL, PR, QL, QR):
@@ -220,10 +217,10 @@ def solve_mops(moments: np.ndarray, N: int,
                      conditions=conds, missing=missing)
 
 
-def mop_system(family: WeightFamily, quad: ContourQuadrature, N: int,
-               cond_max: float = COND_MAX) -> MOPSystem:
+def mop_system(family: WeightFamily, quad: ContourQuadrature,
+               N: int) -> MOPSystem:
     """Convenience: moments by quadrature, then solve."""
-    return solve_mops(compute_moments(family, quad, N), N, cond_max)
+    return solve_mops(compute_moments(quad, N, family.weight(quad.nodes)), N)
 
 
 # --- CD kernel: three routes --------------------------------------------
@@ -238,11 +235,11 @@ def cd_kernel_sum(system: MOPSystem, w, z, alt: bool = False) -> np.ndarray:
     return sum(terms)
 
 
-def _by_distance(w, z, eps_switch, formula, fallback, tail=()):
+def _by_distance(w, z, formula, fallback, tail=()):
     """Per pair of the broadcast w, z: formula(w, z) if |z - w| >=
-    eps_switch, else fallback(w, z), each called on its pairs only."""
+    EPS_SWITCH, else fallback(w, z), each called on its pairs only."""
     w, z = np.broadcast_arrays(np.asarray(w, complex), np.asarray(z, complex))
-    near = np.abs(z - w) < eps_switch
+    near = np.abs(z - w) < EPS_SWITCH
     out = np.empty(near.shape + tail, dtype=complex)
     for part, fn in ((~near, formula), (near, fallback)):
         if part.any():
@@ -250,8 +247,7 @@ def _by_distance(w, z, eps_switch, formula, fallback, tail=()):
     return out
 
 
-def cd_kernel_formula(system: MOPSystem, w, z,
-                      eps_switch: float = EPS_SWITCH) -> np.ndarray:
+def cd_kernel_formula(system: MOPSystem, w, z) -> np.ndarray:
     """(z-w)^{-1} (Q^R_{N-1}(w) P^L_N(z) - P^R_N(w) Q^L_{N-1}(z)),
     falling back to the sum near the removable singularity.  w and z
     broadcast; the result has shape(broadcast) + (r, r)."""
@@ -260,7 +256,7 @@ def cd_kernel_formula(system: MOPSystem, w, z,
         num = (system.QR[N - 1](w) @ system.PL[N](z)
                - system.PR[N](w) @ system.QL[N - 1](z))
         return num / (z - w)[:, None, None]
-    return _by_distance(w, z, eps_switch, formula,
+    return _by_distance(w, z, formula,
                         lambda w, z: cd_kernel_sum(system, w, z),
                         (system.r, system.r))
 
@@ -277,9 +273,9 @@ def cd_kernel(system: MOPSystem, w, z) -> np.ndarray:
     matrix (it works even when intermediate-degree MOPs fail to exist)
     and has no removable singularity at w = z.  w and z broadcast: pass
     w[:, None] and z[None, :] for the table on a product grid."""
-    wp = _powers(w, system.N)
-    zp = _powers(z, system.N)
-    return np.einsum("...a,abcd,...b->...cd", wp, system.kernel_coeffs, zp)
+    N, r = system.N, system.r
+    C = system.kernel_coeffs.reshape(N, r, N, r).transpose(0, 2, 1, 3)
+    return np.einsum("...a,abcd,...b->...cd", _powers(w, N), C, _powers(z, N))
 
 
 def power_rows(x, N: int) -> np.ndarray:
@@ -287,20 +283,12 @@ def power_rows(x, N: int) -> np.ndarray:
     return np.ascontiguousarray(_powers(x, N).T)
 
 
-def flat_coefficients(coeffs: np.ndarray) -> np.ndarray:
-    """(N s, N s): the kernel coefficients (N, N, s, s) with row (a, i)
-    and column (b, j) holding (C_ab)_ij; (N, N) coefficients as they are."""
-    if coeffs.ndim == 2:
-        return coeffs
-    N, s = coeffs.shape[1:3]
-    return coeffs.transpose(0, 2, 1, 3).reshape(N * s, N * s)
-
-
 def contract(wrows: np.ndarray, left, zrows: np.ndarray, right,
              flat: np.ndarray) -> np.ndarray:
     """sum_ab U_a C_ab V_b with U_a = sum_k wrows[a, k] left[k] and
     V_b = sum_j zrows[b, j] right[j]: `kernel_integral` on the powers
-    (`power_rows`) and coefficients (`flat_coefficients`) laid out once.
+    (`power_rows`) laid out once.  flat, (N s, N s), is the coefficient
+    layout of `kernel_coefficients`: C_ab is its s x s block (a, b).
 
     left (nw, ..., s) and right (nz, s, ...) meet C_ab's s x s values;
     the result has shape left.shape[1:-1] + right.shape[2:]."""
@@ -320,17 +308,12 @@ def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
     U_a = sum_k w_k^a left[k] and V_b = sum_j z_j^b right[j] it equals
     sum_ab U_a C_ab V_b, so no table of R over the (w, z) grid is formed.
 
-    coeffs (N, N, r, r): left (nw, ..., r) and right (nz, r, ...) multiply
-    R's values as matrices; the result has shape
-    left.shape[1:-1] + right.shape[2:].
-    coeffs (N, N) (a scalar kernel): the result is the outer product of
-    the factors, of shape left.shape[1:] + right.shape[1:]."""
+    coeffs (N r, N r), as `kernel_coefficients` lays them out: left
+    (nw, ..., r) and right (nz, r, ...) multiply R's values as matrices,
+    also for r = 1; the result has shape left.shape[1:-1] + right.shape[2:]."""
     left, right = np.asarray(left), np.asarray(right)
-    if coeffs.ndim == 2:
-        left, right = left[..., None], right[:, None]
-    N = coeffs.shape[0]
-    return contract(power_rows(w, N), left, power_rows(z, N), right,
-                    flat_coefficients(coeffs))
+    N = len(coeffs) // left.shape[-1]
+    return contract(power_rows(w, N), left, power_rows(z, N), right, coeffs)
 
 
 # --- Riemann-Hilbert assembly -------------------------------------------
@@ -367,24 +350,22 @@ def node_values(system: MOPSystem, family: WeightFamily,
 
 def assemble_Y(system: MOPSystem, family: WeightFamily,
                quad: ContourQuadrature, z,
-               cauchy_quad: ContourQuadrature | None = None,
                values: tuple | None = None) -> np.ndarray:
     """The 2r x 2r matrix Y(z) built from P^L_N and Q^L_{N-1}.
 
-    cauchy_quad optionally replaces the contour used for the Cauchy
-    transforms (a deformation, valid while no poles of W are crossed) --
-    used to evaluate boundary values accurately from either side.
-    values, `node_values` at that contour's nodes, are read if given;
+    quad is the contour of the Cauchy transforms.  It need not be the one
+    the system was solved on: a deformation is valid while no poles of W
+    are crossed, and evaluates boundary values accurately from either
+    side.  values, `node_values` at the nodes of quad, are read if given;
     otherwise the two MOPs and W are evaluated there.
     """
-    cq = cauchy_quad if cauchy_quad is not None else quad
-    _warn_near(cq, z)
+    _warn_near(quad, z)
     N, r = system.N, system.r
     PN, Qm = system.PL[N], system.QL[N - 1]
-    PW = (node_product(np.concatenate([PN(cq.nodes), Qm(cq.nodes)], 1),
-                       family.weight(cq.nodes))
+    PW = (node_product(np.concatenate([PN(quad.nodes), Qm(quad.nodes)], 1),
+                       family.weight(quad.nodes))
           if values is None else values[1][:, -2 * r:])
-    C = _cauchy(cq, PW, z)
+    C = _cauchy(quad, PW, z)
     Y = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Y[..., :r, :r] = PN(z)
     Y[..., :r, r:] = C[..., :r, :] / TWO_PI_I
@@ -395,18 +376,16 @@ def assemble_Y(system: MOPSystem, family: WeightFamily,
 
 def assemble_Yinv(system: MOPSystem, family: WeightFamily,
                   quad: ContourQuadrature, z,
-                  cauchy_quad: ContourQuadrature | None = None,
                   values: tuple | None = None) -> np.ndarray:
     """Y(z)^{-1} built directly from the right MOPs P^R_N, Q^R_{N-1};
-    cauchy_quad and values as for `assemble_Y`."""
-    cq = cauchy_quad if cauchy_quad is not None else quad
-    _warn_near(cq, z)
+    quad and values as for `assemble_Y`."""
+    _warn_near(quad, z)
     N, r = system.N, system.r
     PN, Qm = system.PR[N], system.QR[N - 1]
-    W, Q = ((family.weight(cq.nodes),
-             np.concatenate([Qm(cq.nodes), PN(cq.nodes)], 2))
+    W, Q = ((family.weight(quad.nodes),
+             np.concatenate([Qm(quad.nodes), PN(quad.nodes)], 2))
             if values is None else (values[0], values[2][..., -2 * r:]))
-    C = _cauchy(cq, node_product(W, Q), z)
+    C = _cauchy(quad, node_product(W, Q), z)
     Yi = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Yi[..., :r, :r] = -C[..., :r]
     Yi[..., :r, r:] = -C[..., r:] / TWO_PI_I
@@ -473,14 +452,13 @@ def reproducing_residual(system: MOPSystem, family: WeightFamily,
 
 
 def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
-                              quad: ContourQuadrature, Q, w,
-                              W: np.ndarray | None = None) -> float:
+                              quad: ContourQuadrature, Q, w) -> float:
     """max_i || int R_N(w_i, z) W(z) Q_i(z) dz - Q_i(w_i) ||_max for
     deg Q_i <= N-1, the mirror image of `reproducing_residual`: the left
     factors are delta_ki I and the right ones wts_j W(z_j) Q_i(z_j)."""
     Q, w = _pairs(Q, w)
     nodes, m, r = quad.nodes, len(Q), system.r
-    W = _weight_at(family, quad, W)
+    W = family.weight(nodes)
     right = node_product(W, np.concatenate([q(nodes) for q in Q], axis=2))
     right = right.reshape(-1, r, m, r) * quad.weights[:, None, None, None]
     left = np.eye(m)[:, :, None, None] * np.eye(r)

@@ -32,10 +32,9 @@ def scalar_moments(weight: Callable, quad: ContourQuadrature,
 
 
 def solve_scalar_ops(weight: Callable, quad: ContourQuadrature,
-                     n: int, cond_max: float = mops.COND_MAX
-                     ) -> mops.MOPSystem:
+                     n: int) -> mops.MOPSystem:
     """The r = 1 `MOPSystem` of the scalar moment systems through degree
     n; raises SingularSystemError when the degree-n kernel does not
     exist, and records missing lower degrees in `missing`."""
     return mops.solve_mops(scalar_moments(weight, quad, n).reshape(-1, 1, 1),
-                           n, cond_max)
+                           n)

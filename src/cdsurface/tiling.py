@@ -29,10 +29,11 @@ So a block takes groups of (column, heights) per side and stacks their
 factors into one contraction: a `KernelQuery` is one group per side,
 `DKEvaluator.point_matrix` one single-height group per point.  Each
 route's node data is built once per (model, n) on the cached
-`DKEvaluator`: the powers of its kernel points and its flattened kernel
-coefficients are laid out at build, and its period-matrix powers,
-transfer products, side factors (product times power), node powers x^e
-and single-cell chi integrals are memoized, so a warm block does only
+`DKEvaluator`: the powers of its kernel points and its kernel
+coefficients (the block inverse, as `mops.kernel_coefficients` returns
+it) are laid out at build, and its period-matrix powers, transfer
+products, side factors (product times power), node powers x^e and
+single-cell chi integrals are memoized, so a warm block does only
 the work that depends on its heights (sizes: see DKEvaluator).  The
 evaluator also keeps each column's one-point density K(x, y, x, y).
 """
@@ -218,8 +219,10 @@ class _Memo(dict):
 class _Route:
     """Node data of one tiling route: the arguments of `_contour_block`.
 
-    Laid out once: the powers of the kernel points `at` (`rows`) and the
-    flattened kernel coefficients (`flat`), as `mops.contract` takes them.
+    Given by its builder: the nodes' base-plane points `x`, weights
+    `wts`, and what `mops.contract` reads: `rows`, the kernel's basis at
+    the nodes (the powers `mops.power_rows`), and `flat`, its coefficients
+    in that basis (the block inverse of `mops.kernel_coefficients`).
     Memoized: the power factors per (factor, exponent) in `memo`, the
     transfer products per (lo mod q, hi - lo) in `products`, the side
     factors B2 A^p and A^p B1 per (side, product, exponent) in `sides`,
@@ -228,11 +231,9 @@ class _Route:
     (see `_chi`).  Every memoized array is read-only, so no caller can
     change what a later query reads."""
 
-    def __init__(self, model: HexagonModel, x, wts, coeffs, at, powers):
+    def __init__(self, model: HexagonModel, x, wts, rows, flat, powers):
         self.model, self.x, self.wts = model, x, wts
-        self.coeffs, self.at, self._powers = coeffs, at, powers
-        self.rows = mops.power_rows(at, coeffs.shape[0])
-        self.flat = mops.flat_coefficients(coeffs)
+        self.rows, self.flat, self._powers = rows, flat, powers
         self.memo, self.products, self.sides, self.node_powers, self.chis = \
             (_Memo() for _ in range(5))
 
@@ -300,10 +301,10 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
 
     with dw dz / (2 pi i) over nodes whose base-plane points are `x` and
     whose weights `wts` include the Jacobian.  The routes differ in the
-    nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`coeffs`, taken
-    at the points `at`), and in how they write the period-matrix power
-    P_p = A^p: `power(k, p)` is the per-node factor k (0 left, 1 right,
-    2 chi), where left (n, r, s) and right (n, s, r) meet R's s x s values.
+    nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`rows`, `flat`)
+    and in how they write the period-matrix power P_p = A^p:
+    `power(k, p)` is the per-node factor k (0 left, 1 right, 2 chi),
+    where left (n, r, s) and right (n, s, r) meet R's s x s values.
 
     `lefts` are (x2, heights y2) groups and `rights` (x1, heights y1)
     groups.  The left factor depends on x2 and y2 only, the right factor
@@ -409,17 +410,17 @@ class DKEvaluator:
     "explicit" on first use.  `block`, `scalar`, `density` and
     `point_matrix` each make one `_contour_block` on the dk route.  A
     route holds its nodes, the powers of its kernel points (N/r rows of
-    n; N for the explicit route), its kernel coefficients flattened to
-    (N, N), and memos of O(n r^2) numbers per entry: at most L/q + 1
-    powers per power factor, at most q^2 transfer products and at most
-    2 (q^2 + 1) (L/q + 1) side factors; plus n numbers per node-power
-    exponent queried, and r^2 numbers per chi integral: at most
-    (q^2 + 1)^2 (L/q + 1) per height difference y2 - y1 of the
-    single-cell queries with x1 > x2.  The one-point densities of the
-    columns queried (`densities`) are at most (L + 1)(N + M) floats."""
+    n; N for the explicit route), its N x N kernel coefficients
+    (`kernel_coeffs` on dk, sheets and plane), and memos of O(n r^2)
+    numbers per entry: at most L/q + 1 powers per power factor, at most
+    q^2 transfer products and at most 2 (q^2 + 1) (L/q + 1) side
+    factors; plus n numbers per node-power exponent queried, and r^2
+    numbers per chi integral: at most (q^2 + 1)^2 (L/q + 1) per height
+    difference y2 - y1 of the single-cell queries with x1 > x2.  The
+    one-point densities of the columns queried (`densities`) are at most
+    (L + 1)(N + M) floats."""
 
-    def __init__(self, model: HexagonModel, n: int | None = None,
-                 cond_max: float = mops.COND_MAX):
+    def __init__(self, model: HexagonModel, n: int | None = None):
         self.model = model
         self.quad = unit_circle_quadrature(n)
         N = model.N // model.r
@@ -432,10 +433,10 @@ class DKEvaluator:
         top = power(model.L // model.q)
         W = top * (z ** (-(model.M + model.N) // model.r))[:, None, None]
         self.kernel_coeffs, cond = mops.kernel_coefficients(
-            mops.compute_moments(model, self.quad, N, W), N, cond_max)
+            mops.compute_moments(self.quad, N, W), N)
         self.conditions = {"kernel": cond}
-        dk = _Route(model, z, self.quad.weights, self.kernel_coeffs, z,
-                    (power,) * 3)
+        dk = _Route(model, z, self.quad.weights, mops.power_rows(z, N),
+                    self.kernel_coeffs, (power,) * 3)
         dk.memo[power, model.L // model.q] = top
         self._routes, self.densities = {"dk": dk}, {}
 
@@ -495,21 +496,21 @@ class DKEvaluator:
 
 
 def _sheet_route(ev: DKEvaluator) -> _Route:
+    """The dk route with A^p written through the spectral sheets."""
     spectral = ev.model.family().spectral()
-    z = ev.quad.nodes
+    dk, z = ev.route("dk"), ev.quad.nodes
     sheets = range(ev.model.r)
     power = _spectral_power([spectral.lambda_hat(k, z) for k in sheets],
                             [spectral.evec(k, z) for k in sheets],
                             [spectral.evec_inv(k, z) for k in sheets])
-    return _Route(ev.model, z, ev.quad.weights, ev.kernel_coeffs, z,
-                  (power,) * 3)
+    return _Route(ev.model, z, dk.wts, dk.rows, dk.flat, (power,) * 3)
 
 
 def _plane_route(ev: DKEvaluator) -> _Route:
     _, _, phi, wts, lamh, e, einv = ev.chart_nodes
     power = _spectral_power([lamh], [e], [einv])
-    return _Route(ev.model, phi, wts, ev.kernel_coeffs, phi,
-                  (power,) * 3)
+    rows = mops.power_rows(phi, ev.model.N // ev.model.r)
+    return _Route(ev.model, phi, wts, rows, ev.kernel_coeffs, (power,) * 3)
 
 
 def _explicit_route(ev: DKEvaluator) -> _Route:
@@ -527,7 +528,8 @@ def _explicit_route(ev: DKEvaluator) -> _Route:
     powers = (lambda p: (lamh ** p / hhat)[:, None, None] * e[:, :, None],
               lambda p: (lamh ** p / h)[:, None, None] * einv[:, None, :],
               _spectral_power([lamh], [e], [einv]))
-    return _Route(ev.model, phi, wts, coeffs, zeta, powers)
+    return _Route(ev.model, phi, wts, mops.power_rows(zeta, ev.model.N),
+                  coeffs, powers)
 
 
 _ROUTES = {"sheets": _sheet_route, "plane": _plane_route,
@@ -616,9 +618,9 @@ def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
     z = quad.nodes
     coeffs, _ = mops.kernel_coefficients(
         sops.scalar_moments(wtilde, quad, N).reshape(-1, 1, 1), N)
-    cu = quad.weights * (1 + z) ** (L - x2) * z ** (y2 - M - N)
-    cv = quad.weights * (1 + z) ** x1 * z ** (-y1 - 1) / TWO_PI_I
-    out = complex(mops.kernel_integral(coeffs[:, :, 0, 0], z, cu, z, cv))
+    cu = (quad.weights * (1 + z) ** (L - x2) * z ** (y2 - M - N))[:, None]
+    cv = (quad.weights * (1 + z) ** x1 * z ** (-y1 - 1) / TWO_PI_I)[:, None]
+    out = complex(mops.kernel_integral(coeffs, z, cu, z, cv))
     if x1 > x2:
         c = quad.weights * (1 + z) ** (x1 - x2) * z ** (y2 - y1 - 1)
         out -= np.sum(c) / TWO_PI_I

@@ -140,8 +140,8 @@ def test_criterion_05_Y_det_and_jump(capsys):
     outer = circle_quadrature(0, 1.25, QN)
     jump_res = 0.0
     for s in np.exp(1j * np.array([0.7, 2.1, 4.0])):
-        Yp = mops.assemble_Y(system, fam, quad, s, cauchy_quad=outer)
-        Ym = mops.assemble_Y(system, fam, quad, s, cauchy_quad=inner)
+        Yp = mops.assemble_Y(system, fam, outer, s)
+        Ym = mops.assemble_Y(system, fam, inner, s)
         J = np.eye(4, dtype=complex)
         J[:2, 2:] = fam.weight(s)
         jump_res = max(jump_res, float(np.max(np.abs(Yp - Ym @ J))))
@@ -184,7 +184,7 @@ def test_criterion_06_genus0_equivalence(capsys):
         fam = CyclicUniform(r_size=r, L=1, R=1)
         chart = build_chart(fam, N)
         gamma = chart.gamma_C(QN)
-        moments = mops.compute_moments(fam, quad, N)
+        moments = mops.compute_moments(quad, N, fam.weight(quad.nodes))
         # row m*r + a, column k*r + b: the flattening of solve_mops
         block = np.block([[moments[m + k] for k in range(N)]
                           for m in range(N)])

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports is referenced in that module, and every private
-module-level name is referenced somewhere in the package."""
+package imports is referenced in that module, every private module-level
+name is referenced somewhere in the package, and every parameter default
+of the package is overridden by some call."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,81 @@ def test_private_names_are_referenced(module):
     defs = private_definitions((SRC / module).read_text())
     assert sorted((line, name) for name, line in defs.items()
                   if name not in used) == []
+
+
+ROOT = SRC.parents[1]
+CALLERS = [p for d in ("src", "tests", "perfbench")
+           for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def defaulted_parameters(source: str) -> dict:
+    """{(function name, parameter, position): line} for every parameter
+    with a default; position is its index among the positional arguments
+    of a call (None if keyword-only).  A method's first parameter is not
+    counted, and a class's `__init__` goes by the class name."""
+    out = {}
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                params = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                offset = 1 if cls is not None and not static else 0
+                name = cls if child.name == "__init__" else child.name
+                defaulted = params[len(params) - len(a.defaults):] + [
+                    p for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+                for p in defaulted:
+                    pos = params.index(p) - offset if p in params else None
+                    out[name, p.arg, pos] = child.lineno
+                visit(child)
+    visit(ast.parse(source))
+    return out
+
+
+def set_parameters(source: str) -> set:
+    """{(function name, parameter or position)} that some call sets; a
+    call with *args or **kwargs sets every parameter ("*")."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            out.add((name, "*"))
+        out.update((name, i) for i in range(len(node.args)))
+        out.update((name, k.arg) for k in node.keywords)
+    return out
+
+
+def unset_options(defaults: dict, calls: set) -> list:
+    """(line, function name, parameter) of the defaults no call sets."""
+    return sorted((line, name, param)
+                  for (name, param, pos), line in defaults.items()
+                  if not {(name, param), (name, pos), (name, "*")} & calls)
+
+
+def test_unset_options_are_found():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+              "def g(p=0, q=1):\n    pass\n"
+              "class K:\n    def __init__(self, x=0, y=1):\n        pass\n"
+              "    def m(self, u=0):\n        pass\n"
+              "    @staticmethod\n    def s(v=0):\n        pass\n"
+              "f(0, 5, c=1)\nK(1)\nK.s(2)\ng(*args)\n")
+    assert unset_options(defaulted_parameters(source),
+                         set_parameters(source)) == [
+        (1, "f", "d"), (6, "K", "y"), (8, "m", "u")]
+
+
+def test_every_option_is_set_by_some_call():
+    calls = set().union(*(set_parameters(p.read_text()) for p in CALLERS))
+    unset = [(module,) + item for module in MODULES
+             for item in unset_options(
+                 defaulted_parameters((SRC / module).read_text()), calls)]
+    assert unset == []

@@ -82,7 +82,7 @@ def test_pairing_noncommutative(quad256):
 
 def test_moments_scalar_monomial(quad256):
     fam = ScalarMonomial(r_size=1, N=2)
-    m = mops.compute_moments(fam, quad256, 2)
+    m = mops.compute_moments(quad256, 2, fam.weight(quad256.nodes))
     expect = np.zeros((5, 1, 1), dtype=complex)
     expect[1, 0, 0] = TWO_PI_I
     np.testing.assert_allclose(m, expect, atol=1e-12)
@@ -90,7 +90,7 @@ def test_moments_scalar_monomial(quad256):
 
 def test_moments_cyclic_residues(quad256):
     fam = CyclicUniform(r_size=2, L=1, R=1)
-    m = mops.compute_moments(fam, quad256, 1)
+    m = mops.compute_moments(quad256, 1, fam.weight(quad256.nodes))
     # z^{k-1} [[1, 1], [z, 1]]: residues by inspection; every moment
     # with k >= 1 has a polynomial integrand and vanishes
     np.testing.assert_allclose(m[0], TWO_PI_I * np.array([[1, 1], [0, 1]]),
@@ -101,8 +101,8 @@ def test_moments_cyclic_residues(quad256):
 
 def test_moment_quadrature_convergence(families, quad128, quad256):
     for name, fam in families.items():
-        m1 = mops.compute_moments(fam, quad128, 2)
-        m2 = mops.compute_moments(fam, quad256, 2)
+        m1 = mops.compute_moments(quad128, 2, fam.weight(quad128.nodes))
+        m2 = mops.compute_moments(quad256, 2, fam.weight(quad256.nodes))
         assert np.max(np.abs(m1 - m2)) < 1e-12, name
 
 
@@ -166,7 +166,7 @@ def test_solve_mops_one_factorization_per_size(name, fam, N, quad256,
                                                monkeypatch):
     # sizes 1..N each serve P_j and Q_{j-1} on both sides, plus the
     # kernel's own check: N + 1 singularity checks per solve
-    moments = mops.compute_moments(fam, quad256, N)
+    moments = mops.compute_moments(quad256, N, fam.weight(quad256.nodes))
     calls = []
     check = mops._check_singular
 
@@ -240,7 +240,7 @@ def test_transpose_symmetry(quad256):
 
 def test_weight_scaling(quad256):
     fam = CyclicUniform(r_size=2, L=2, R=2)
-    moms = mops.compute_moments(fam, quad256, 2)
+    moms = mops.compute_moments(quad256, 2, fam.weight(quad256.nodes))
     s1 = mops.solve_mops(moms, 2)
     s3 = mops.solve_mops(3.0 * moms, 2)
     w, z = 1.3 + 0.1j, 0.4 - 0.2j
@@ -367,8 +367,8 @@ def test_Y_jump_condition(quad256):
     inner = circle_quadrature(0, 0.8, 256)
     outer = circle_quadrature(0, 1.25, 256)
     s = np.exp(0.7j)
-    Yp = mops.assemble_Y(system, fam, quad256, s, cauchy_quad=outer)
-    Ym = mops.assemble_Y(system, fam, quad256, s, cauchy_quad=inner)
+    Yp = mops.assemble_Y(system, fam, outer, s)
+    Ym = mops.assemble_Y(system, fam, inner, s)
     J = np.eye(4, dtype=complex)
     J[:2, 2:] = fam.weight(s)
     assert np.max(np.abs(Yp - Ym @ J)) < 1e-6
@@ -441,8 +441,8 @@ def test_kernel_integral_matrix_r2(families, quad256, rng):
 
 
 def test_kernel_integral_scalar_r1(quad256, rng):
-    # scalar coefficients: the result is the outer product of the factors'
-    # trailing shapes
+    # a scalar kernel is the r = 1 case: factors (n, 1) and (n, 1, ...),
+    # the result has the right factor's trailing shape
     system = sops.solve_scalar_ops(lambda z: (1 + z) ** 4 * z ** -4,
                                    quad256, 4)
     w = 0.9 * np.exp(2j * np.pi * rng.random(6))
@@ -450,8 +450,8 @@ def test_kernel_integral_scalar_r1(quad256, rng):
     left, right = cnormal(rng, 6), cnormal(rng, 4, 2)
     brute = sum(left[k] * mops.cd_kernel(system, w[k], z[j])[0, 0]
                 * right[j] for k in range(6) for j in range(4))
-    val = mops.kernel_integral(system.kernel_coeffs[:, :, 0, 0], w, left, z,
-                               right)
+    val = mops.kernel_integral(system.kernel_coeffs, w, left[:, None], z,
+                               right[:, None])
     assert val.shape == (2,)
     np.testing.assert_allclose(val, brute, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(brute)))
@@ -474,5 +474,6 @@ def test_kernel_integral_nodes_off_circle(families, quad256, rng):
     Rs = mops.cd_kernel(scalar, w[:, None], z[None, :])[..., 0, 0]
     u, v = cnormal(rng, 9), cnormal(rng, 8)
     np.testing.assert_allclose(
-        mops.kernel_integral(scalar.kernel_coeffs[:, :, 0, 0], w, u, z, v),
+        mops.kernel_integral(scalar.kernel_coeffs, w, u[:, None], z,
+                             v[:, None]),
         u @ Rs @ v, rtol=1e-12)

@@ -47,7 +47,7 @@ def model_system(m, n):
     W = np.linalg.matrix_power(m.period_matrix(z), m.L // m.q)
     W = W * (z ** (-(m.M + m.N) // m.r))[:, None, None]
     N = m.N // m.r
-    return mops.solve_mops(mops.compute_moments(m, quad, N, W), N)
+    return mops.solve_mops(mops.compute_moments(quad, N, W), N)
 
 
 # --- model validation and geometry --------------------------------------
@@ -561,16 +561,22 @@ def test_warm_blocks_match_fresh_evaluator(rng):
                 assert np.array_equal(
                     tiling._query_block(ev.route(form), queries[i]), blk
                 ), (form, queries[i])
+        # the kernel points: the nodes, phi on gamma_C, and zeta itself
+        _, quad, phi = ev.chart_nodes[:3]
+        at = {"dk": ev.quad.nodes, "sheets": ev.quad.nodes, "plane": phi,
+              "explicit": quad.nodes}
         for form in ROUTES:
             route = ev.route(form)
             s = len(route.flat) // len(route.rows)
             left, right = (rng.standard_normal(shape + (2,)) @ [1, 1j]
                            for shape in ((n, 3, m.r, s), (n, s, 2, m.r)))
             assert np.array_equal(
-                mops.kernel_integral(route.coeffs, route.at, left, route.at,
+                mops.kernel_integral(route.flat, at[form], left, at[form],
                                      right),
                 mops.contract(route.rows, left, route.rows, right,
                               route.flat)), form
+        dk, sheets = ev.route("dk"), ev.route("sheets")
+        assert sheets.rows is dk.rows and sheets.flat is dk.flat
 
 
 def abs_terms(route, left, right):
@@ -739,6 +745,10 @@ def test_evaluator_kernel_coeffs_match_mop_system():
             ev = tiling.DKEvaluator(m, n)
             system = model_system(m, n)
             assert np.array_equal(ev.kernel_coeffs, system.kernel_coeffs)
+            # the coefficients are the block inverse as numpy returns it
+            N = m.N // m.r
+            assert np.array_equal(ev.kernel_coeffs, np.linalg.inv(
+                mops._block(system.moments, range(N), range(N))))
             assert ev.conditions == {"kernel": system.conditions["kernel"]}
 
 
