@@ -19,13 +19,12 @@ from .surface import (Genus0Chart, build_chart, check_reproducing_plane,
                       r_lambda_matrix)
 from .tiling import (HexagonModel, KernelQuery, PathSystem, dk_evaluator,
                      dk_kernel, edge_weight, enumerate_path_systems,
-                     lgv_partition_function, macmahon_count,
-                     partition_function, point_probability,
+                     lgv_partition_function, macmahon_count, point_probability,
                      simplified_kernel_2x1, simplified_kernel_2x2,
                      simplified_kernel_general, uniform_scalar_kernel)
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,
-                      SpectralData, TwoByTwoRootK, WeightFamily,
-                      check_spectral, family_from_json, transfer_matrix)
+                      TwoByTwoRootK, WeightFamily, check_spectral,
+                      family_from_json, transfer_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -76,11 +76,14 @@ def _csv(records: list) -> str:
 # --- config parsing ------------------------------------------------------
 
 def _parse_complex(token: str) -> complex:
-    """'re,im' or a plain real number."""
+    """'re,im' or a plain real number, finite."""
     parts = token.split(",")
     if len(parts) > 2:
         raise InvalidArgumentError(f"cannot parse complex value {token!r}")
-    return complex(*map(float, parts))
+    value = complex(*map(float, parts))
+    if not np.isfinite(value):
+        raise InvalidArgumentError(f"complex value {token!r} is not finite")
+    return value
 
 
 def _parse_ints(token: str, form: str) -> tuple:
@@ -272,12 +275,11 @@ def _suite_spectral(args) -> list:
         fams = [(name, make()) for name, make in _DEFAULT_FAMILIES]
     checks = []
     for name, fam in fams:
-        sd = fam.spectral()
         res = 0.0
         for _ in range(100):
             z = ((0.5 + 1.5 * rng.random())
                  * np.exp(2j * np.pi * rng.random()))
-            res = max(res, weights.check_spectral(sd, fam, z))
+            res = max(res, weights.check_spectral(fam, z))
         checks.append(_check(f"spectral-{name}", res, 1e-12))
     return checks
 
@@ -335,8 +337,8 @@ def _suite_surface(args) -> list:
              for t in rng.random(5)]
     res = 0.0
     for _ in range(10):
-        coeffs = (rng.standard_normal((N, chart.r))
-                  + 1j * rng.standard_normal((N, chart.r)))
+        coeffs = (rng.standard_normal((N, family.r))
+                  + 1j * rng.standard_normal((N, family.r)))
         p = chart.v_element(coeffs)
         for zt in zetas:
             res = max(res, surface.check_reproducing_plane(
@@ -350,7 +352,7 @@ def _suite_surface(args) -> list:
         checks.append(_check("non-cd-witness", res_bad, 1e-2, invert=True))
         try:
             sops.solve_scalar_ops(chart.scalar_weight, chart.gamma_C(n),
-                                  chart.r * N)
+                                  family.r * N)
             res = 0.0
         except SingularSystemError:
             res = float("inf")

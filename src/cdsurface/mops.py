@@ -51,10 +51,6 @@ class MatrixPolynomial:
     def r(self) -> int:
         return self.coeffs.shape[1]
 
-    @property
-    def leading(self) -> np.ndarray:
-        return self.coeffs[-1]
-
     def __call__(self, z):
         """Horner evaluation; z scalar or ndarray -> z.shape + (r, r)."""
         z = np.asarray(z, dtype=complex)[..., None, None]

@@ -8,23 +8,24 @@ A chart supplies only the uniformization:
   phi, dphi      projection to the base plane and its derivative,
   eta            the curve coordinate over phi(zeta),
   h, hhat        rational correction factors clearing the poles of
-                 e_phi / einv_phi at the points above infinity,
+                 e / einv at the points above infinity,
   scalar_weight  the induced scalar weight
                  W_s(zeta) = lam(phi(zeta)) dphi(zeta) / (h(zeta) hhat(zeta)),
                  in a hand-simplified form,
   gamma_C        the pulled-back contour phi^{-1}(gamma),
   phi_inv        the inverse (sheet, z) -> zeta.
 
-The eigen-data pulled back through the chart, e_phi, einv_phi and
-lamhat_phi, are the family's curve functions evaluated at
-(phi(zeta), eta(zeta)), and `sheet_of` is the sheet whose branch
-eta(k, phi(zeta)) lies nearest eta(zeta).
+`point(zeta)` is the curve point (phi(zeta), eta(zeta)); the eigen-data
+pulled back through the chart are the family's curve functions there,
+e(zeta) = family.evec(*point(zeta)), einv and lamhat likewise, and
+`sheet_of` is the sheet whose branch eta(k, phi(zeta)) lies nearest
+eta(zeta).
 
 The surface kernel R^lam(w^(j), z^(k)) = einv_j(w) R_N(w, z) e_k(z) is
 scalar-valued; its genus-0 scalarization
 S(omega, zeta) = hhat(omega) R^lam(phi(omega), phi(zeta)) h(zeta)
 is a bivariate polynomial reproducing the rN-dimensional space V of
-polynomials p(zeta) = sum_a P_a(phi(zeta)) e_phi(zeta)_a h(zeta).
+polynomials p(zeta) = sum_a P_a(phi(zeta)) e(zeta)_a h(zeta).
 V equals all of P_{rN-1} exactly when the pole orders balance; otherwise
 S is a reproducing kernel that is *not* a CD kernel.
 """
@@ -43,7 +44,7 @@ from .contour import ContourQuadrature, circle_quadrature, default_n, \
     unit_circle_quadrature
 from .errors import InconsistentParametersError, UnsupportedFamilyError
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,
-                      SpectralData, TwoByTwoRootK, WeightFamily)
+                      TwoByTwoRootK, WeightFamily)
 
 
 def _row_poly(coeffs: np.ndarray, z) -> np.ndarray:
@@ -60,7 +61,6 @@ def _identity(zeta):
 @dataclass(frozen=True)
 class Genus0Chart:
     family: WeightFamily
-    r: int
     n: int                       # MOP degree the chart is built for
     phi: Callable
     dphi: Callable
@@ -72,57 +72,49 @@ class Genus0Chart:
     phi_inv: Callable            # (sheet, z) -> zeta
     V_is_full: bool
 
-    def _curve_point(self, zeta):
+    def point(self, zeta):
+        """The curve point (phi(zeta), eta(zeta)) over zeta."""
         zeta = np.asarray(zeta, dtype=complex)
         return self.phi(zeta), self.eta(zeta)
-
-    def e_phi(self, zeta):
-        """Eigenvector column at the curve point over zeta, (..., r)."""
-        return self.family.evec(*self._curve_point(zeta))
-
-    def einv_phi(self, zeta):
-        """Inverse-eigenvector row at the curve point over zeta, (..., r)."""
-        return self.family.evec_inv(*self._curve_point(zeta))
-
-    def lamhat_phi(self, zeta):
-        """Eigenvalue of the base matrix at the curve point over zeta."""
-        return self.family.lamhat(*self._curve_point(zeta))
 
     def sheet_of(self, zeta):
         """Sheet index of the curve point over zeta: the k whose branch
         eta(k, phi(zeta)) lies nearest eta(zeta)."""
-        z, e = self._curve_point(zeta)
+        z, e = self.point(zeta)
         return np.argmin([np.abs(self.family.eta(k, z) - e)
-                          for k in range(self.r)], axis=0)[()]
+                          for k in range(self.family.r)], axis=0)[()]
 
     def v_element(self, coeffs: np.ndarray) -> Callable:
         """Member of V from P in P_{n-1}^{1 x r}: coeffs shape (n, r),
-        p(zeta) = sum_a P_a(phi(zeta)) e_phi(zeta)[..., a] h(zeta)."""
+        p(zeta) = sum_a P_a(phi(zeta)) e(zeta)[..., a] h(zeta)."""
         coeffs = np.asarray(coeffs, dtype=complex)
 
         def p(zeta):
             zeta = np.asarray(zeta, dtype=complex)
             Pvals = _row_poly(coeffs, self.phi(zeta))
-            return np.sum(Pvals * self.e_phi(zeta), axis=-1) * self.h(zeta)
+            e = self.family.evec(*self.point(zeta))
+            return np.sum(Pvals * e, axis=-1) * self.h(zeta)
 
         return p
 
     def vstar_element(self, coeffs: np.ndarray) -> Callable:
-        """Member of V*: p*(zeta) = hhat(zeta) einv_phi(zeta) . P(phi)."""
+        """Member of V*: p*(zeta) = hhat(zeta) einv(zeta) . P(phi)."""
         coeffs = np.asarray(coeffs, dtype=complex)
 
         def p(zeta):
             zeta = np.asarray(zeta, dtype=complex)
             Pvals = _row_poly(coeffs, self.phi(zeta))
-            return np.sum(Pvals * self.einv_phi(zeta), axis=-1) * self.hhat(zeta)
+            einv = self.family.evec_inv(*self.point(zeta))
+            return np.sum(Pvals * einv, axis=-1) * self.hhat(zeta)
 
         return p
 
     def v_basis(self) -> list:
         basis = []
+        r = self.family.r
         for m in range(self.n):
-            for a in range(self.r):
-                coeffs = np.zeros((self.n, self.r))
+            for a in range(r):
+                coeffs = np.zeros((self.n, r))
                 coeffs[m, a] = 1.0
                 basis.append(self.v_element(coeffs))
         return basis
@@ -150,7 +142,7 @@ def build_chart(family: WeightFamily, n: int) -> Genus0Chart:
 def _chart_cyclic(family: CyclicUniform, n: int) -> Genus0Chart:
     r, L, R = family.r, family.L, family.R
     return Genus0Chart(
-        family=family, r=r, n=n,
+        family=family, n=n,
         phi=lambda z: z ** r, dphi=lambda z: r * z ** (r - 1),
         eta=_identity, h=np.ones_like, hhat=lambda z: z ** (r - 1),
         scalar_weight=lambda z: r * z ** (-r * R)
@@ -167,7 +159,7 @@ def _chart_root_k(family: TwoByTwoRootK, n: int) -> Genus0Chart:
         return s if k == 0 else -s
 
     return Genus0Chart(
-        family=family, r=2, n=n,
+        family=family, n=n,
         phi=lambda z: z ** 2, dphi=lambda z: 2 * z,
         eta=lambda z: z ** k_exp, h=np.ones_like,
         hhat=lambda z: z ** k_exp,
@@ -189,7 +181,7 @@ def _chart_periodic_2x1(family: Periodic2x1, n: int) -> Genus0Chart:
                 * (4 * a0 * a1 / (zeta ** 2 - (b0 - b1) ** 2)) ** half)
 
     return Genus0Chart(
-        family=family, r=2, n=n,
+        family=family, n=n,
         phi=phi, dphi=lambda z: z / (2 * a0 * a1),
         eta=_identity, h=np.ones_like, hhat=_identity,
         scalar_weight=scalar_weight,
@@ -210,7 +202,7 @@ def _chart_periodic_2x2_case_a(family: Periodic2x2, n: int) -> Genus0Chart:
                 * phi(zeta) ** (-half) / c01)
 
     return Genus0Chart(
-        family=family, r=2, n=n,
+        family=family, n=n,
         phi=phi, dphi=lambda z: z / c01,
         eta=_identity, h=np.ones_like, hhat=_identity,
         scalar_weight=scalar_weight,
@@ -261,7 +253,7 @@ def _chart_periodic_2x2_case_b(family: Periodic2x2, n: int) -> Genus0Chart:
             "periodic-2x2(b): no circle separates {c, 1/c} from 0")
 
     return Genus0Chart(
-        family=family, r=2, n=n,
+        family=family, n=n,
         phi=phi, dphi=lambda z: kappa * (1 - z ** (-2)), eta=eta,
         h=lambda z: z ** n, hhat=lambda z: z ** (n - 2) * (z ** 2 - 1),
         scalar_weight=scalar_weight,
@@ -276,7 +268,7 @@ def _chart_scalar_monomial(family: ScalarMonomial, n: int) -> Genus0Chart:
             "no genus-0 chart")
     Nw = family.N
     return Genus0Chart(
-        family=family, r=1, n=n,
+        family=family, n=n,
         phi=_identity, dphi=np.ones_like,
         eta=lambda z: family.eta(0, z), h=np.ones_like, hhat=np.ones_like,
         scalar_weight=lambda z: z ** (-Nw),
@@ -286,84 +278,87 @@ def _chart_scalar_monomial(family: ScalarMonomial, n: int) -> Genus0Chart:
 
 # --- surface kernels ----------------------------------------------------
 
-def r_lambda_matrix(spectral: SpectralData, system: mops.MOPSystem,
+def r_lambda_matrix(family: WeightFamily, system: mops.MOPSystem,
                     w, z) -> np.ndarray:
     """[R^lam(w^(j), z^(k))]_{jk} = E(w)^{-1} R_N(w, z) E(z)."""
-    r = spectral.r
+    sheets = range(family.r)
     R = mops.cd_kernel_formula(system, w, z)
-    Einv = np.stack([spectral.evec_inv(j, w) for j in range(r)])
-    E = np.stack([spectral.evec(k, z) for k in range(r)], axis=-1)
+    Einv = np.stack([family.evec_inv(*family.point(j, w)) for j in sheets])
+    E = np.stack([family.evec(*family.point(k, z)) for k in sheets], axis=-1)
     return Einv @ R @ E
 
 
 def frak_R(chart: Genus0Chart, system: mops.MOPSystem, omega, zeta):
-    """S(omega, zeta) = hhat(omega) einv_phi(omega) R_N(phi(omega),
-    phi(zeta)) e_phi(zeta) h(zeta).
+    """S(omega, zeta) = hhat(omega) einv(omega) R_N(phi(omega),
+    phi(zeta)) e(zeta) h(zeta).
 
     omega and zeta, numbers or arrays, broadcast as in `mops.cd_kernel`:
     pass omega[:, None] and zeta[None, :] for the table on a product grid."""
     # The chart functions get omega and zeta as given: a Python number
     # made an array would take numpy's powers, not Python's, in phi.
+    family = chart.family
     R = mops.cd_kernel(system, chart.phi(omega), chart.phi(zeta))
-    left = np.asarray(chart.hhat(omega))[..., None] * chart.einv_phi(omega)
-    right = chart.e_phi(zeta) * np.asarray(chart.h(zeta))[..., None]
+    left = (np.asarray(chart.hhat(omega))[..., None]
+            * family.evec_inv(*chart.point(omega)))
+    right = (family.evec(*chart.point(zeta))
+             * np.asarray(chart.h(zeta))[..., None])
     return np.einsum("...a,...ab,...b->...", left, R, right)[()]
 
 
 # --- reproducing-property verifiers -------------------------------------
 
-def check_reproducing_surface(chart: Genus0Chart, system: mops.MOPSystem,
-                              P_coeffs: np.ndarray, z_sheet: int, z: complex,
+def check_reproducing_surface(family: WeightFamily,
+                              system: mops.MOPSystem, P_coeffs: np.ndarray,
+                              z_sheet: int, z: complex,
                               quad: ContourQuadrature) -> float:
     """Residual of the surface reproducing property for
     f(w^(j)) = P(w) e_j(w), with the gamma_M integral realized as a sum
     of plane integrals over the sheets."""
-    sd = chart.family.spectral()
-    r = sd.r
     P_coeffs = np.asarray(P_coeffs, dtype=complex)  # shape (n, r)
     nodes = quad.nodes
 
     Pvals = _row_poly(P_coeffs, nodes)
 
     # v(w) = sum_j f(w^(j)) lam_j(w) einv_j(w): a row covector per node
-    v = np.zeros(nodes.shape + (r,), dtype=complex)
-    for j in range(r):
-        e_j = sd.evec(j, nodes)
-        f_j = np.sum(Pvals * e_j, axis=-1)
-        v += (f_j * sd.lam(j, nodes))[..., None] * sd.evec_inv(j, nodes)
+    v = np.zeros(nodes.shape + (family.r,), dtype=complex)
+    for j in range(family.r):
+        pt = family.point(j, nodes)
+        f_j = np.sum(Pvals * family.evec(*pt), axis=-1)
+        v += (f_j * family.lam(*pt))[..., None] * family.evec_inv(*pt)
 
     Rw = mops.cd_kernel(system, nodes, z)
     integ = np.einsum("n,na,nab->b", quad.weights, v, Rw)
-    val = integ @ sd.evec(z_sheet, z)
+    e_z = family.evec(*family.point(z_sheet, z))
+    val = integ @ e_z
 
-    target = _row_poly(P_coeffs, z) @ sd.evec(z_sheet, z)
+    target = _row_poly(P_coeffs, z) @ e_z
     return float(abs(val - target))
 
 
-def check_reproducing_surface_dual(chart: Genus0Chart,
+def check_reproducing_surface_dual(family: WeightFamily,
                                    system: mops.MOPSystem,
                                    P_coeffs: np.ndarray, w_sheet: int,
                                    w: complex,
                                    quad: ContourQuadrature) -> float:
     """Dual version for f*(z^(j)) = einv_j(z) P(z), integrating in z."""
-    sd = chart.family.spectral()
-    r = sd.r
     P_coeffs = np.asarray(P_coeffs, dtype=complex)  # shape (n, r)
     nodes = quad.nodes
 
     Pvals = _row_poly(P_coeffs, nodes)
 
     # u(z) = sum_j e_j(z) lam_j(z) f*(z^(j)): a column vector per node
-    u = np.zeros(nodes.shape + (r,), dtype=complex)
-    for j in range(r):
-        fst_j = np.sum(sd.evec_inv(j, nodes) * Pvals, axis=-1)
-        u += (fst_j * sd.lam(j, nodes))[..., None] * sd.evec(j, nodes)
+    u = np.zeros(nodes.shape + (family.r,), dtype=complex)
+    for j in range(family.r):
+        pt = family.point(j, nodes)
+        fst_j = np.sum(family.evec_inv(*pt) * Pvals, axis=-1)
+        u += (fst_j * family.lam(*pt))[..., None] * family.evec(*pt)
 
     Rz = mops.cd_kernel(system, w, nodes)
     integ = np.einsum("n,nab,nb->a", quad.weights, Rz, u)
-    val = sd.evec_inv(w_sheet, w) @ integ
+    einv_w = family.evec_inv(*family.point(w_sheet, w))
+    val = einv_w @ integ
 
-    target = sd.evec_inv(w_sheet, w) @ _row_poly(P_coeffs, w)
+    target = einv_w @ _row_poly(P_coeffs, w)
     return float(abs(val - target))
 
 

@@ -95,6 +95,8 @@ class HexagonModel:
                 "hexagon: weight tables must have shape (q, r)")
         if any(x <= 0 for row in a + b for x in row):
             raise InvalidArgumentError("hexagon: edge weights must be > 0")
+        if not np.all(np.isfinite(a + b)):
+            raise InvalidArgumentError("hexagon: edge weights must be finite")
         if self.L < 1 or self.M < 1 or self.N < 1:
             raise InvalidArgumentError("hexagon: need L, M, N >= 1")
         if self.L % self.q != 0:
@@ -387,13 +389,19 @@ def _chi_integral(route: _Route, B4: tuple, L3: int, B3: tuple, y1s: list,
     return np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
 
 
-def _spectral_power(lams, cols, rows):
-    """p -> sum_k lams[k]^p cols[k] rows[k]^T per node: A^p written
-    through eigenvalues, eigenvector columns and inverse rows."""
+def _eigen(family: WeightFamily, point) -> tuple:
+    """(lamhat, e, einv): the family's eigen-data at a curve point."""
+    return family.lamhat(*point), family.evec(*point), family.evec_inv(*point)
+
+
+def _spectral_power(eigens):
+    """p -> sum_k lam_k^p col_k row_k^T per node over the (lam, col, row)
+    of `eigens`: A^p written through eigenvalues, eigenvector columns and
+    inverse rows."""
     def power(p):
         return sum((lam ** p)[:, None, None] * col[:, :, None]
                    * row[:, None, :]
-                   for lam, col, row in zip(lams, cols, rows))
+                   for lam, col, row in eigens)
     return power
 
 
@@ -451,13 +459,13 @@ class DKEvaluator:
     def chart_nodes(self) -> tuple:
         """Chart of the model's family at MOP degree N/r, its pulled-back
         contour gamma_C and the chart data at the contour's nodes zeta:
-        (chart, quad, phi, weights times dphi, lamhat, e, einv)."""
+        (chart, quad, phi, weights times dphi, (lamhat, e, einv)), the
+        eigen-data read at the curve points chart.point(zeta)."""
         chart = build_chart(self.model.family(), self.model.N // self.model.r)
         quad = chart.gamma_C(len(self.quad.nodes))
         zeta = quad.nodes
         return (chart, quad, chart.phi(zeta), quad.weights * chart.dphi(zeta),
-                chart.lamhat_phi(zeta), chart.e_phi(zeta),
-                chart.einv_phi(zeta))
+                _eigen(chart.family, chart.point(zeta)))
 
     def block(self, query: KernelQuery) -> np.ndarray:
         """[K(x1, r y1 + j, x2, r y2 + i)]_{i,j=0}^{r-1}; with height
@@ -497,18 +505,16 @@ class DKEvaluator:
 
 def _sheet_route(ev: DKEvaluator) -> _Route:
     """The dk route with A^p written through the spectral sheets."""
-    spectral = ev.model.family().spectral()
+    family = ev.model.family()
     dk, z = ev.route("dk"), ev.quad.nodes
-    sheets = range(ev.model.r)
-    power = _spectral_power([spectral.lambda_hat(k, z) for k in sheets],
-                            [spectral.evec(k, z) for k in sheets],
-                            [spectral.evec_inv(k, z) for k in sheets])
+    power = _spectral_power([_eigen(family, family.point(k, z))
+                             for k in range(ev.model.r)])
     return _Route(ev.model, z, dk.wts, dk.rows, dk.flat, (power,) * 3)
 
 
 def _plane_route(ev: DKEvaluator) -> _Route:
-    _, _, phi, wts, lamh, e, einv = ev.chart_nodes
-    power = _spectral_power([lamh], [e], [einv])
+    _, _, phi, wts, eigen = ev.chart_nodes
+    power = _spectral_power([eigen])
     rows = mops.power_rows(phi, ev.model.N // ev.model.r)
     return _Route(ev.model, phi, wts, rows, ev.kernel_coeffs, (power,) * 3)
 
@@ -520,14 +526,14 @@ def _explicit_route(ev: DKEvaluator) -> _Route:
     h(zeta), so the kernel's e, einv factors move into the scalar
     factors as e / hhat and einv / h.  The chart degree is the matrix MOP
     degree N/r; the scalar CD kernel then has degree r (N/r) = N."""
-    chart, quad, phi, wts, lamh, e, einv = ev.chart_nodes
+    chart, quad, phi, wts, (lamh, e, einv) = ev.chart_nodes
     zeta = quad.nodes
     coeffs, _ = mops.kernel_coefficients(sops.scalar_moments(
         chart.scalar_weight, quad, ev.model.N).reshape(-1, 1, 1), ev.model.N)
     h, hhat = chart.h(zeta), chart.hhat(zeta)
     powers = (lambda p: (lamh ** p / hhat)[:, None, None] * e[:, :, None],
               lambda p: (lamh ** p / h)[:, None, None] * einv[:, None, :],
-              _spectral_power([lamh], [e], [einv]))
+              _spectral_power([(lamh, e, einv)]))
     return _Route(ev.model, phi, wts, mops.power_rows(zeta, ev.model.N),
                   coeffs, powers)
 
@@ -566,8 +572,8 @@ def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
     the eigenvalue powers.
 
     form="plane": genus-0 plane form over the pulled-back contour
-    gamma_C, where A^p on the sheet of phi(zeta) is
-    lamhat(zeta)^p e_phi(zeta) einv_phi(zeta), with all large exponents
+    gamma_C, where A^p on the sheet of phi(zeta) is lamhat^p e einv, the
+    family's eigen-data at chart.point(zeta), with all large exponents
     on scalar functions of zeta."""
     if form not in ("sheets", "plane"):
         raise InvalidArgumentError(f"unknown form {form!r}")
@@ -680,10 +686,6 @@ def enumerate_path_systems(model: HexagonModel) -> list:
     start = model.starts
     rec(0, start, 1.0, (start,))
     return out
-
-
-def partition_function(model: HexagonModel) -> float:
-    return sum(s.weight for s in enumerate_path_systems(model))
 
 
 def lgv_partition_function(model: HexagonModel) -> float:

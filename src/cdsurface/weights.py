@@ -11,9 +11,9 @@ is the eigenvalue of W.  The sheets of the curve over z are the branches
 `eta(k, z)`, k = 0..r-1, with a fixed branch convention, so the sheet
 labelling is coherent across evaluations -- a generic numerical
 eigendecomposition would scramble the sheets and randomize eigenvector
-phases.  `spectral()` evaluates the curve functions on the sheets; a
-genus-0 chart (`surface`) evaluates the same functions at
-(phi(zeta), eta(zeta)).
+phases.  Callers read a curve function f at a point: `f(*point(k, z))`
+on sheet k, or `f(*chart.point(zeta))` through a genus-0 chart
+(`surface`).
 
 Evaluators accept scalar or ndarray z.
 """
@@ -21,31 +21,11 @@ Evaluators accept scalar or ndarray z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import (InconsistentParametersError, InvalidArgumentError,
                      PoleError, UnsupportedFamilyError)
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Closed-form eigen-data of a weight family, per sheet.
-
-    lam(k, z): eigenvalue branch of W on sheet k.
-    evec(k, z): eigenvector column (shape z.shape + (r,)).
-    evec_inv(k, z): inverse-eigenvector row (same shape).
-    lambda_hat(k, z): eigenvalue branch of the base matrix B, which is
-        the period matrix of families with transition structure.
-    """
-
-    r: int
-    lam: Callable
-    evec: Callable
-    evec_inv: Callable
-    lambda_hat: Callable
-    cut_description: str
 
 
 def transfer_matrix(a_row, b_row, z):
@@ -81,6 +61,11 @@ class WeightFamily:
         """B(z) for a complex array z; shape z.shape + (r, r)."""
         return self.transition(0, z)
 
+    def point(self, k: int, z):
+        """The curve point (z, eta(k, z)) over z on sheet k."""
+        z = np.asarray(z, dtype=complex)
+        return z, self.eta(k, z)
+
     def lam(self, z, eta):
         """Eigenvalue of W at the curve point (z, eta)."""
         return z ** (-self.shift) * self.lamhat(z, eta) ** self.power
@@ -93,18 +78,6 @@ class WeightFamily:
         W = np.linalg.matrix_power(self.base(arr), self.power)
         W = W * (arr ** (-self.shift))[..., None, None]
         return W[()] if np.ndim(z) == 0 else W
-
-    def spectral(self) -> SpectralData:
-        """The curve functions on the sheets: f(k, z) = f(z, eta(k, z))."""
-        def on_sheets(f):
-            def on_sheet(k, z):
-                z = np.asarray(z, dtype=complex)
-                return f(z, self.eta(k, z))
-            return on_sheet
-
-        return SpectralData(self.r, *map(on_sheets, (
-            self.lam, self.evec, self.evec_inv, self.lamhat)),
-            self.cut_description)
 
     def transition(self, ell: int, z):
         raise UnsupportedFamilyError(
@@ -237,8 +210,11 @@ class Periodic2x1(_TwoSheeted):
     tag = "periodic-2x1"
 
     def __post_init__(self):
-        if min(self.a0, self.a1, self.b0, self.b1) <= 0:
+        weights = (self.a0, self.a1, self.b0, self.b1)
+        if min(weights) <= 0:
             raise InvalidArgumentError("periodic-2x1: weights must be > 0")
+        if not np.all(np.isfinite(weights)):
+            raise InvalidArgumentError("periodic-2x1: weights must be finite")
         if (self.M + self.N) % 2 != 0:
             raise InvalidArgumentError("periodic-2x1: M + N must be even")
         if self.L < 1:
@@ -304,6 +280,8 @@ class Periodic2x2(_TwoSheeted):
         object.__setattr__(self, "b", b)
         if any(x <= 0 for row in a + b for x in row):
             raise InvalidArgumentError("periodic-2x2: weights must be > 0")
+        if not np.all(np.isfinite(a + b)):
+            raise InvalidArgumentError("periodic-2x2: weights must be finite")
         if self.L % 2 != 0 or self.L < 2:
             raise InvalidArgumentError("periodic-2x2: L must be even >= 2")
         if (self.M + self.N) % 2 != 0:
@@ -474,15 +452,15 @@ def family_from_json(obj: dict) -> WeightFamily:
                                  f"known: {sorted(_FAMILIES)}")
 
 
-def check_spectral(spectral: SpectralData, family: WeightFamily,
-                   z: complex) -> float:
+def check_spectral(family: WeightFamily, z: complex) -> float:
     """Max residual over the eigen-relations at a point z off the cuts:
     W e_k = lam_k e_k, biorthogonality of rows/columns, completeness."""
-    r = spectral.r
+    r = family.r
     W = np.asarray(family.weight(z))
-    E = np.stack([spectral.evec(k, z) for k in range(r)], axis=-1)
-    Einv = np.stack([spectral.evec_inv(k, z) for k in range(r)], axis=-2)
-    lams = np.array([spectral.lam(k, z) for k in range(r)])
+    points = [family.point(k, z) for k in range(r)]
+    E = np.stack([family.evec(*pt) for pt in points], axis=-1)
+    Einv = np.stack([family.evec_inv(*pt) for pt in points], axis=-2)
+    lams = np.array([family.lam(*pt) for pt in points])
     res = 0.0
     for k in range(r):
         res = max(res, np.max(np.abs(W @ E[..., :, k] - lams[k] * E[..., :, k])))

@@ -56,11 +56,10 @@ def test_criterion_02_spectral_residuals(capsys):
     rng = np.random.default_rng(SEED)
     worst, worst_name = 0.0, ""
     for name, fam in make_families().items():
-        sd = fam.spectral()
         for _ in range(100):
             z = ((0.5 + 1.5 * rng.random())
                  * np.exp(2j * np.pi * rng.random()))
-            res = check_spectral(sd, fam, z)
+            res = check_spectral(fam, z)
             if res > worst:
                 worst, worst_name = res, name
     dt = time.perf_counter() - t0
@@ -282,7 +281,6 @@ def test_criterion_08_surface_reproducing(capsys):
     rng = np.random.default_rng(SEED)
     quad = unit_circle_quadrature(QN)
     fam = CyclicUniform(r_size=2, L=2, R=2)
-    chart = build_chart(fam, 2)
     system = mops.mop_system(fam, quad, 2)
     worst = 0.0
     for _ in range(20):
@@ -291,9 +289,9 @@ def test_criterion_08_surface_reproducing(capsys):
         z = 0.8 * np.exp(2j * np.pi * rng.random())
         worst = max(worst,
                     surface.check_reproducing_surface(
-                        chart, system, C, sheet, z, quad),
+                        fam, system, C, sheet, z, quad),
                     surface.check_reproducing_surface_dual(
-                        chart, system, C, sheet, z, quad))
+                        fam, system, C, sheet, z, quad))
     ok = worst < 1e-8
     report(capsys, 8, ok,
            f"surface sheet-sum reproducing + dual, 20 random elements: "

@@ -339,6 +339,11 @@ def test_prob_guard_notice():
 
 CYCLIC = ["--family", "cyclic", "--r", "2", "--L", "2", "--R", "2"]
 HEXAGON = ["--hexagon", "4,2,2"]
+PERIODIC_2X1 = ["--family", "periodic-2x1", "--a1", "1", "--b0", "1",
+                "--b1", "1", "--L", "2", "--M", "2", "--weight-N", "2"]
+NAN_2X2 = json.dumps({"family": "periodic-2x2", "params": {
+    "a": [[float("nan"), 1], [1, 1]], "b": [[1, 1], [1, 1]],
+    "L": 2, "M": 2, "N": 2}})
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,10 +368,18 @@ HEXAGON = ["--hexagon", "4,2,2"]
      "--r", "0", "--weight-N", "2"],
     ["verify", "--suite", "spectral", "--family", "scalar-monomial",
      "--weight-N", "0"],
+    ["kernel", *CYCLIC, "--N", "2", "--at", "nan", "1", "--format", "json"],
+    ["kernel", *CYCLIC, "--N", "2", "--at", "1", "0,inf"],
+    ["prob", *HEXAGON, "--a", "[[NaN]]", "--b", "[[1]]", "--points", "0,0"],
+    ["prob", *HEXAGON, "--a", "[[1]]", "--b", "[[Infinity]]"],
+    ["verify", "--suite", "spectral", *PERIODIC_2X1, "--a0", "nan"],
+    ["kernel", *PERIODIC_2X1, "--a0", "inf", "--N", "2", "--grid", "2"],
+    ["verify", "--suite", "mops", "--family-json", NAN_2X2],
 ], ids=" ".join)
 def test_zero_or_negative_option_exits_2(argv, capsys):
     # a value given on the command line is used as given, never replaced
-    # by the default, so a zero or negative one is rejected
+    # by the default, so a zero or negative one is rejected; so is NaN or
+    # infinity, before any numerical work
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""

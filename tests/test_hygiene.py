@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module of the
 package imports is referenced in that module, every private module-level
-name is referenced somewhere in the package, and every parameter default
-of the package is overridden by some call."""
+name is referenced somewhere in the package, every public function, class
+and method is read somewhere in the code or its tests, and every
+parameter default of the package is overridden by some call."""
 
 import ast
 from pathlib import Path
@@ -159,3 +160,51 @@ def test_every_option_is_set_by_some_call():
              for item in unset_options(
                  defaulted_parameters((SRC / module).read_text()), calls)]
     assert unset == []
+
+
+def public_definitions(source: str) -> dict:
+    """Public module-level functions and classes, and the public methods
+    of module-level classes, by line."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            defs.update((f.name, f.lineno) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+    return {name: line for name, line in defs.items()
+            if not name.startswith("_")}
+
+
+def reads(source: str) -> set:
+    """Names read in the source: bare names, attributes, imported names
+    and string constants (as in `getattr(obj, "name")`)."""
+    out = references(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_unread_public_names_are_found():
+    source = ("from m import f\nimport numpy as np\n"
+              "def g():\n    return f\nclass K:\n    def a(self):\n"
+              "        pass\n    def b(self):\n        pass\n"
+              "    def _c(self):\n        pass\n"
+              "def h():\n    pass\nsetattr(K, 'b', None)\n")
+    defs = public_definitions(source)
+    assert defs == {"g": 3, "K": 5, "a": 6, "b": 8, "h": 12}
+    assert sorted(set(defs) - reads(source)) == ["a", "g", "h"]
+    assert {"f", "numpy", "K", "b"} <= reads(source)
+
+
+def test_public_names_are_read():
+    # the package's own export list is not a read of what it exports
+    used = set().union(*(reads(p.read_text()) for p in CALLERS
+                         if p != SRC / "__init__.py"))
+    unread = [(module, line, name) for module in MODULES
+              for name, line in public_definitions(
+                  (SRC / module).read_text()).items() if name not in used]
+    assert unread == []

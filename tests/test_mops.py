@@ -214,9 +214,9 @@ def test_monic_leading_coefficients(quad256):
     fam = CyclicUniform(r_size=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     for j in range(3):
-        np.testing.assert_allclose(system.PL[j].leading, np.eye(2),
+        np.testing.assert_allclose(system.PL[j].coeffs[-1], np.eye(2),
                                    atol=1e-13)
-        np.testing.assert_allclose(system.PR[j].leading, np.eye(2),
+        np.testing.assert_allclose(system.PR[j].coeffs[-1], np.eye(2),
                                    atol=1e-13)
 
 

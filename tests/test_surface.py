@@ -64,7 +64,7 @@ def test_r_lambda_scalar_monomial_diagonal(quad256):
     system = mops.mop_system(fam, quad256, 2)
     w, z = 1.2 + 0.4j, 0.6 - 0.5j
     closed = (z ** 2 - w ** 2) / (TWO_PI_I * (z - w))
-    Rlam = surface.r_lambda_matrix(fam.spectral(), system, w, z)
+    Rlam = surface.r_lambda_matrix(fam, system, w, z)
     for j in range(2):
         for k in range(2):
             expect = closed if j == k else 0.0
@@ -73,13 +73,12 @@ def test_r_lambda_scalar_monomial_diagonal(quad256):
 
 def test_r_lambda_full_matrix_recovery(quad256):
     fam = CyclicUniform(r_size=2, L=2, R=2)
-    sd = fam.spectral()
     system = mops.mop_system(fam, quad256, 2)
     w, z = 1.3 + 0.2j, 0.7 + 0.6j
     r = 2
-    E_w = np.stack([sd.evec(k, w) for k in range(r)], axis=-1)
-    E_z = np.stack([sd.evec(k, z) for k in range(r)], axis=-1)
-    Rlam = surface.r_lambda_matrix(sd, system, w, z)
+    E_w = np.stack([fam.evec(*fam.point(k, w)) for k in range(r)], axis=-1)
+    E_z = np.stack([fam.evec(*fam.point(k, z)) for k in range(r)], axis=-1)
+    Rlam = surface.r_lambda_matrix(fam, system, w, z)
     np.testing.assert_allclose(E_w @ Rlam @ np.linalg.inv(E_z),
                                mops.cd_kernel_formula(system, w, z),
                                atol=1e-10)
@@ -87,11 +86,10 @@ def test_r_lambda_full_matrix_recovery(quad256):
 
 def test_r_lambda_quadrature_stability():
     fam = CyclicUniform(r_size=2, L=2, R=2)
-    sd = fam.spectral()
     vals = []
     for n in (128, 256):
         system = mops.mop_system(fam, unit_circle_quadrature(n), 2)
-        vals.append(surface.r_lambda_matrix(sd, system, 1.2 + 0.4j,
+        vals.append(surface.r_lambda_matrix(fam, system, 1.2 + 0.4j,
                                             0.7 - 0.3j)[0, 1])
     assert abs(vals[0] - vals[1]) < 1e-10
 
@@ -166,16 +164,15 @@ def test_frak_R_broadcasts(families, quad256, name):
 
 def test_surface_reproducing_and_dual(quad256, rng):
     fam = CyclicUniform(r_size=2, L=2, R=2)
-    chart = build_chart(fam, 2)
     system = mops.mop_system(fam, quad256, 2)
     for _ in range(20):
         C = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         sheet = int(rng.integers(2))
         z = 0.8 * np.exp(2j * np.pi * rng.random())
         assert surface.check_reproducing_surface(
-            chart, system, C, sheet, z, quad256) < 1e-8
+            fam, system, C, sheet, z, quad256) < 1e-8
         assert surface.check_reproducing_surface_dual(
-            chart, system, C, sheet, z, quad256) < 1e-8
+            fam, system, C, sheet, z, quad256) < 1e-8
 
 
 def test_plane_reproducing_cyclic_monomials(quad256):
@@ -238,24 +235,25 @@ def test_2x2_case_b_integrand_finite_at_pm1():
 
 
 def test_chart_data_are_the_family_curve_data(rng):
-    # the chart's eigen-data and scalar weight are the family's sheet
-    # data at phi(zeta), on the sheet that zeta lies over
+    # the chart's curve point is the sheet's point over phi(zeta), on the
+    # sheet that zeta lies over, so its eigen-data and scalar weight are
+    # the family's sheet data there
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
     for name, fam in make_families().items():
         if name == "scalar-monomial":
             continue
-        sd = fam.spectral()
         for n in (1, 2, 3):
             chart = build_chart(fam, n)
             rad = 0.55 + 1.45 * rng.random(30)
             for zeta in rad * np.exp(2j * np.pi * rng.random(30)):
-                k, z = chart.sheet_of(zeta), chart.phi(np.asarray(zeta))
-                assert close(chart.e_phi(zeta), sd.evec(k, z)), name
-                assert close(chart.einv_phi(zeta), sd.evec_inv(k, z)), name
-                assert close(chart.lamhat_phi(zeta),
-                             sd.lambda_hat(k, z)), name
-                expect = (sd.lam(k, z) * chart.dphi(zeta)
+                at_chart = chart.point(zeta)
+                k, z = chart.sheet_of(zeta), at_chart[0]
+                on_sheet = fam.point(k, z)
+                assert close(at_chart[1], on_sheet[1]), name
+                for f in (fam.evec, fam.evec_inv, fam.lamhat):
+                    assert close(f(*at_chart), f(*on_sheet)), name
+                expect = (fam.lam(*on_sheet) * chart.dphi(zeta)
                           / (chart.h(zeta) * chart.hhat(zeta)))
                 assert close(chart.scalar_weight(zeta), expect), name

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsurface import (HexagonModel, InvalidArgumentError, KernelQuery,
-                       Periodic2x1, Periodic2x2, SingularSystemError,
-                       SizeGuardError, edge_weight, enumerate_path_systems,
+                       SingularSystemError, SizeGuardError, WeightFamily,
+                       edge_weight, enumerate_path_systems,
                        lgv_partition_function, macmahon_count,
-                       partition_function, point_probability,
+                       point_probability,
                        simplified_kernel_2x1, simplified_kernel_2x2,
                        simplified_kernel_general, uniform_scalar_kernel,
                        unit_circle_quadrature)
@@ -60,6 +60,8 @@ def test_model_validation():
         HexagonModel.uniform(4, 1, 2, r=2)  # M % r != 0
     with pytest.raises(InvalidArgumentError):
         HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((0.0,),), b=((1.0,),))
+    with pytest.raises(InvalidArgumentError):
+        HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((np.nan,),), b=((1.0,),))
 
 
 def test_hexagon_geometry():
@@ -127,7 +129,7 @@ def test_path_system_invariants():
 def test_partition_function_vs_lgv():
     for m in (model_2x1(),
               model_2x2(((1.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.5, 0.7)))):
-        Z = partition_function(m)
+        Z = sum(s.weight for s in enumerate_path_systems(m))
         assert abs(lgv_partition_function(m) - Z) < 1e-10 * abs(Z)
 
 
@@ -503,8 +505,8 @@ def test_route_data_built_once_per_evaluator(monkeypatch):
                         counted("solve", tiling.sops.scalar_moments))
     monkeypatch.setattr(tiling, "build_chart",
                         counted("chart", tiling.build_chart))
-    for cls in (Periodic2x1, Periodic2x2):
-        monkeypatch.setattr(cls, "spectral", counted("spectral", cls.spectral))
+    monkeypatch.setattr(WeightFamily, "point",
+                        counted("point", WeightFamily.point))
     tiling._dk_evaluator.cache_clear()
     queries = [KernelQuery(x1, 0, x2, 1) for x1 in range(5) for x2 in (1, 3)]
     for n in (QN, 128):
@@ -512,8 +514,9 @@ def test_route_data_built_once_per_evaluator(monkeypatch):
             for fn in ROUTES.values():
                 for q in queries:
                     fn(m, q, n)
+    # the sheet route reads the family at one curve point per sheet
     pairs = 2 * len(ROUTE_MODELS)
-    assert calls == {"solve": pairs, "chart": pairs, "spectral": pairs}
+    assert calls == {"solve": pairs, "chart": pairs, "point": 2 * pairs}
 
 
 def test_route_memo_holds_no_identity():

@@ -35,6 +35,14 @@ def test_weight_pole_error():
             fam.weight(0.0)
 
 
+def test_periodic_weights_must_be_finite_and_positive():
+    with pytest.raises(InvalidArgumentError):
+        Periodic2x1(a0=np.nan, a1=1.0, b0=1.0, b1=1.0, L=1, M=2, N=2)
+    with pytest.raises(InvalidArgumentError):
+        Periodic2x2(a=((1.0, np.inf), (1.0, 1.0)), b=((1.0, 1.0), (1.0, 1.0)),
+                    L=2, M=2, N=2)
+
+
 # --- transition matrices ------------------------------------------------
 
 def test_transition_periodic_2x1():
@@ -67,37 +75,36 @@ def test_transition_unsupported():
 
 def test_spectral_root_k1_printed_forms():
     fam = TwoByTwoRootK(k=1, L=2, M=1)
-    sd = fam.spectral()
     z = 1.4 + 0.3j
+    pt = fam.point(0, z)
     eta = np.sqrt(z)
-    np.testing.assert_allclose(sd.evec(0, z), [1, eta], atol=1e-14)
-    np.testing.assert_allclose(sd.evec_inv(0, z), [0.5, 0.5 / eta],
+    np.testing.assert_allclose(fam.evec(*pt), [1, eta], atol=1e-14)
+    np.testing.assert_allclose(fam.evec_inv(*pt), [0.5, 0.5 / eta],
                                atol=1e-14)
-    assert abs(sd.lam(0, z) - z ** (-1) * (1 + eta) ** 2) < 1e-14
+    assert abs(fam.lam(*pt) - z ** (-1) * (1 + eta) ** 2) < 1e-14
 
 
 def test_spectral_cyclic_r3_printed_forms():
     fam = CyclicUniform(r_size=3, L=1, R=1)
-    sd = fam.spectral()
     z = 0.9 + 0.5j
+    pt = fam.point(0, z)
     eta = np.exp(np.log(z) / 3)
-    np.testing.assert_allclose(sd.evec(0, z), [1, eta, eta ** 2],
+    np.testing.assert_allclose(fam.evec(*pt), [1, eta, eta ** 2],
                                atol=1e-14)
-    np.testing.assert_allclose(sd.evec_inv(0, z),
+    np.testing.assert_allclose(fam.evec_inv(*pt),
                                np.array([1, 1 / eta, 1 / eta ** 2]) / 3,
                                atol=1e-14)
-    assert abs(sd.lam(0, z) - (1 + eta) / z) < 1e-14
+    assert abs(fam.lam(*pt) - (1 + eta) / z) < 1e-14
 
 
 def test_spectral_periodic_2x1_equal_b():
     # with b0 = b1 the branch point moves to 0 and
     # lambda-hat = b0 +/- sqrt(a0 a1 z)
     fam = Periodic2x1(a0=0.8, a1=1.3, b0=0.9, b1=0.9, L=2, M=2, N=2)
-    sd = fam.spectral()
     z = 1.1 + 0.6j
     s = np.sqrt(0.8 * 1.3) * np.sqrt(z)
-    assert abs(sd.lambda_hat(0, z) - (0.9 + s)) < 1e-14
-    assert abs(sd.lambda_hat(1, z) - (0.9 - s)) < 1e-14
+    assert abs(fam.lamhat(*fam.point(0, z)) - (0.9 + s)) < 1e-14
+    assert abs(fam.lamhat(*fam.point(1, z)) - (0.9 - s)) < 1e-14
 
 
 def test_spectral_periodic_2x2_derived_constants():
@@ -113,25 +120,23 @@ def test_spectral_periodic_2x2_derived_constants():
 
 def test_spectral_scalar_monomial_exact():
     fam = ScalarMonomial(r_size=2, N=2)
-    sd = fam.spectral()
-    assert check_spectral(sd, fam, 1.3 + 0.2j) == 0.0
+    assert check_spectral(fam, 1.3 + 0.2j) == 0.0
 
 
 def test_spectral_residuals_100_random_points(rng):
     for name, fam in make_families().items():
-        sd = fam.spectral()
         for z in random_offcut_points(rng, 100):
-            assert check_spectral(sd, fam, z) < 1e-12, name
+            assert check_spectral(fam, z) < 1e-12, name
 
 
 def test_weight_reconstruction_from_spectral(rng):
     for name, fam in make_families().items():
-        sd = fam.spectral()
         r = fam.r
         for z in random_offcut_points(rng, 5):
-            E = np.stack([sd.evec(k, z) for k in range(r)], axis=-1)
-            Ei = np.stack([sd.evec_inv(k, z) for k in range(r)], axis=-2)
-            lam = np.diag([sd.lam(k, z) for k in range(r)])
+            pts = [fam.point(k, z) for k in range(r)]
+            E = np.stack([fam.evec(*pt) for pt in pts], axis=-1)
+            Ei = np.stack([fam.evec_inv(*pt) for pt in pts], axis=-2)
+            lam = np.diag([fam.lam(*pt) for pt in pts])
             np.testing.assert_allclose(E @ lam @ Ei, fam.weight(z),
                                        atol=1e-10, err_msg=name)
 
@@ -141,8 +146,7 @@ def test_sheet_swap_continuity_across_cut():
     match after a sheet exchange."""
     checked = 0
     for name, fam in make_families().items():
-        sd = fam.spectral()
-        if sd.cut_description == "none":
+        if fam.cut_description == "none":
             continue
         # probe ten points along each family's cut ray
         if name.startswith("periodic-2x1"):
@@ -155,8 +159,10 @@ def test_sheet_swap_continuity_across_cut():
             base = -np.linspace(0.2, 2.0, 10)
         eps = 1e-9
         for x in base:
-            lam_up = [sd.lam(k, x + 1j * eps) for k in range(sd.r)]
-            lam_dn = [sd.lam(k, x - 1j * eps) for k in range(sd.r)]
+            lam_up = [fam.lam(*fam.point(k, x + 1j * eps))
+                      for k in range(fam.r)]
+            lam_dn = [fam.lam(*fam.point(k, x - 1j * eps))
+                      for k in range(fam.r)]
             # every upper-side branch continues into some lower-side one
             for lu in lam_up:
                 assert min(abs(lu - ld) for ld in lam_dn) < 1e-5 * (
@@ -171,7 +177,7 @@ def test_sheet_swap_continuity_across_cut():
 def test_spectral_residual_property(rad, ang, sign):
     z = rad * np.exp(1j * sign * ang)
     for fam in make_families().values():
-        assert check_spectral(fam.spectral(), fam, z) < 1e-11
+        assert check_spectral(fam, z) < 1e-11
 
 
 # --- JSON config --------------------------------------------------------
