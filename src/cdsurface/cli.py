@@ -109,8 +109,8 @@ def _family_from_args(args) -> weights.WeightFamily:
     if tag is None:
         raise InvalidArgumentError("--family or --family-json is required")
     if tag == "cyclic":
-        return weights.CyclicUniform(r_size=_req(args, "r"),
-                                     L=_req(args, "L"), R=_req(args, "R"))
+        return weights.CyclicUniform(r=_req(args, "r"), L=_req(args, "L"),
+                                     R=_req(args, "R"))
     if tag == "root-k":
         return weights.TwoByTwoRootK(k=_req(args, "k"),
                                      L=2 if args.L is None else args.L,
@@ -126,7 +126,7 @@ def _family_from_args(args) -> weights.WeightFamily:
             raise InvalidArgumentError(
                 f"--weight-N (or --N) is required for --family {tag}")
         return weights.ScalarMonomial(
-            r_size=1 if args.r is None else args.r, N=N)
+            r=1 if args.r is None else args.r, N=N)
     raise UnsupportedFamilyError(
         f"unknown family {tag!r} (use --family-json for periodic-2x2)")
 
@@ -159,9 +159,8 @@ def _hexagon_model(args) -> tiling.HexagonModel:
     if args.a or args.b:
         if not (args.a and args.b):
             raise InvalidArgumentError("--a and --b must be given together")
-        a = tuple(map(tuple, json.loads(args.a)))
-        b = tuple(map(tuple, json.loads(args.b)))
-        return tiling.HexagonModel(r=r, q=q, L=L, M=M, N=N, a=a, b=b)
+        return tiling.HexagonModel(r=r, q=q, L=L, M=M, N=N,
+                                   a=json.loads(args.a), b=json.loads(args.b))
     return tiling.HexagonModel.uniform(L, M, N, r=r, q=q)
 
 
@@ -255,15 +254,15 @@ def _suite_contour(args) -> list:
 
 
 _DEFAULT_FAMILIES = (
-    ("cyclic-r2", lambda: weights.CyclicUniform(r_size=2, L=2, R=2)),
-    ("cyclic-r3", lambda: weights.CyclicUniform(r_size=3, L=1, R=1)),
+    ("cyclic-r2", lambda: weights.CyclicUniform(r=2, L=2, R=2)),
+    ("cyclic-r3", lambda: weights.CyclicUniform(r=3, L=1, R=1)),
     ("root-k3", lambda: weights.TwoByTwoRootK(k=3, L=1, M=1)),
     ("periodic-2x1", lambda: weights.Periodic2x1(a0=1.0, a1=0.7, b0=1.2,
                                                  b1=0.5, L=4, M=2, N=2)),
     ("periodic-2x2", lambda: weights.Periodic2x2(
         a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
         L=4, M=2, N=2)),
-    ("scalar-monomial", lambda: weights.ScalarMonomial(r_size=1, N=2)),
+    ("scalar-monomial", lambda: weights.ScalarMonomial(r=1, N=2)),
 )
 
 
@@ -439,27 +438,35 @@ def cmd_prob(args) -> tuple:
 
 # --- argument parsing ----------------------------------------------------
 
-def _add_command(sub, command: str, summary: str, func):
-    """A subparser with the options every command shares."""
-    p = sub.add_parser(command, help=summary)
-    p.set_defaults(func=func)
+def _family_flags(p):
+    """Flags that name a weight family (beside --r)."""
     p.add_argument("--family", help="family tag (cyclic, root-k, "
                                     "periodic-2x1, scalar-monomial)")
     p.add_argument("--family-json",
                    help="inline JSON or @file with {family, params}")
-    p.add_argument("--r", type=int, help="matrix size / period")
-    p.add_argument("--q", type=int, help="column period (tiling)")
-    p.add_argument("--L", type=int)
-    p.add_argument("--R", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--k", type=int)
+    for name in ("L", "R", "M", "k"):
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--weight-N", dest="NW", type=int,
                    help="weight exponent N (periodic families)")
     for name in ("a0", "a1", "b0", "b1"):
         p.add_argument(f"--{name}", type=float)
+
+
+def _hexagon_flags(p):
+    """Flags that describe a hexagon tiling model (beside --r)."""
+    p.add_argument("--q", type=int, help="column period (tiling)")
     p.add_argument("--a", help="JSON nested list of a-weights (tiling)")
     p.add_argument("--b", help="JSON nested list of b-weights (tiling)")
     p.add_argument("--hexagon", help="L,N,M")
+
+
+def _add_command(sub, command: str, summary: str, func, *groups):
+    """A subparser with the shared options and the given flag groups."""
+    p = sub.add_parser(command, help=summary)
+    p.set_defaults(func=func)
+    p.add_argument("--r", type=int, help="matrix size / period")
+    for group in groups:
+        group(p)
     p.add_argument("--n", type=int, help="quadrature nodes")
     p.add_argument("--output")
     return p
@@ -474,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "correlation kernels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pk = _add_command(sub, "kernel", "evaluate a kernel table", cmd_kernel)
+    pk = _add_command(sub, "kernel", "evaluate a kernel table", cmd_kernel,
+                      _family_flags, _hexagon_flags)
     pk.add_argument("--N", type=int, help="kernel degree")
     pk.add_argument("--kind", choices=("matrix", "surface", "tiling"),
                     default="matrix")
@@ -483,7 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="explicit w z (or x1,y1 x2,y2) pairs")
     pk.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    pv = _add_command(sub, "verify", "run a verification suite", cmd_verify)
+    pv = _add_command(sub, "verify", "run a verification suite", cmd_verify,
+                      _family_flags, _hexagon_flags)
     pv.add_argument("--suite", required=True)
     pv.add_argument("--N", type=int)
     pv.add_argument("--seed", type=int, default=0)
@@ -491,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="assert the reproducing-failure witness instead "
                          "of full CD behaviour")
 
-    pp = _add_command(sub, "prob", "tiling point probabilities", cmd_prob)
+    pp = _add_command(sub, "prob", "tiling point probabilities", cmd_prob,
+                      _hexagon_flags)
     pp.add_argument("--points", nargs="*", help="x,y points")
     return parser
 

@@ -54,7 +54,7 @@ from .errors import InvalidArgumentError, SizeGuardError, \
     UnsupportedFamilyError
 from .surface import build_chart
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, WeightFamily,
-                      transfer_matrix)
+                      transfer_matrix, weight_table)
 
 TWO_PI_I = 2j * np.pi
 
@@ -83,20 +83,11 @@ class HexagonModel:
     b: tuple   # q rows of r flat-step weights
 
     def __post_init__(self):
-        a = tuple(tuple(float(x) for x in row) for row in self.a)
-        b = tuple(tuple(float(x) for x in row) for row in self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         if self.r < 1 or self.q < 1:
             raise InvalidArgumentError("hexagon: need r, q >= 1")
-        if len(a) != self.q or len(b) != self.q \
-                or any(len(row) != self.r for row in a + b):
-            raise InvalidArgumentError(
-                "hexagon: weight tables must have shape (q, r)")
-        if any(x <= 0 for row in a + b for x in row):
-            raise InvalidArgumentError("hexagon: edge weights must be > 0")
-        if not np.all(np.isfinite(a + b)):
-            raise InvalidArgumentError("hexagon: edge weights must be finite")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, weight_table(
+                f"hexagon {name}", getattr(self, name), (self.q, self.r)))
         if self.L < 1 or self.M < 1 or self.N < 1:
             raise InvalidArgumentError("hexagon: need L, M, N >= 1")
         if self.L % self.q != 0:
@@ -139,7 +130,7 @@ class HexagonModel:
             return Periodic2x2(a=self.a, b=self.b,
                                L=self.L, M=self.M, N=self.N)
         if self.q == 1 and self.r >= 2 and self.is_uniform:
-            return CyclicUniform(r_size=self.r, L=self.L,
+            return CyclicUniform(r=self.r, L=self.L,
                                  R=(self.M + self.N) // self.r)
         raise UnsupportedFamilyError(
             f"no closed-form weight family for r={self.r}, q={self.q}")

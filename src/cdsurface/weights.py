@@ -20,7 +20,9 @@ Evaluators accept scalar or ndarray z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -43,6 +45,23 @@ def transfer_matrix(a_row, b_row, z):
     return A
 
 
+def weight_table(tag: str, rows, shape: tuple) -> tuple:
+    """Edge weights `rows` as a tuple of float tuples; InvalidArgumentError
+    naming the table by `tag` unless they are real numbers in a table of
+    the given (rows, columns) shape, each finite and > 0."""
+    try:
+        table = tuple(tuple(row) for row in rows)
+    except TypeError:           # not a sequence of sequences
+        table = ()
+    if len(table) != shape[0] or any(len(row) != shape[1] for row in table) \
+            or not all(isinstance(x, Real) for row in table for x in row):
+        raise InvalidArgumentError(f"{tag}: expected a {shape} table of "
+                                   f"numbers, got {rows!r}")
+    if not all(0 < x <= float_info.max for row in table for x in row):
+        raise InvalidArgumentError(f"{tag}: weights must be finite and > 0")
+    return tuple(tuple(map(float, row)) for row in table)
+
+
 class WeightFamily:
     """W(z) = z^{-shift} base(z)^power and the eigen-data of base(z) as
     functions of a curve point (z, eta); `eta(k, z)` is sheet k.
@@ -52,10 +71,6 @@ class WeightFamily:
 
     tag = "abstract"
     cut_description = "none"
-
-    @property
-    def r(self) -> int:
-        raise NotImplementedError
 
     def base(self, z):
         """B(z) for a complex array z; shape z.shape + (r, r)."""
@@ -83,15 +98,16 @@ class WeightFamily:
         raise UnsupportedFamilyError(
             f"{self.tag} has no transition-matrix structure")
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
     def to_json(self) -> dict:
-        return {"family": self.tag, "params": self.params()}
+        """{"family": tag, "params": the dataclass fields by name}."""
+        return {"family": self.tag, "params": {
+            f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 class _TwoSheeted(WeightFamily):
     """r = 2 family whose sheets are eta = +-`_branch(z)`."""
+
+    r = 2
 
     def eta(self, k, z):
         e = self._branch(np.asarray(z, dtype=complex))
@@ -104,7 +120,7 @@ class CyclicUniform(WeightFamily):
     on the diagonal and superdiagonal and z in the bottom-left corner;
     eta = z^{1/r}, rotated by exp(2 pi i k / r) on sheet k."""
 
-    r_size: int
+    r: int
     L: int
     R: int
 
@@ -112,39 +128,29 @@ class CyclicUniform(WeightFamily):
     cut_description = "negative real axis (principal z^{1/r})"
 
     def __post_init__(self):
-        if self.r_size < 2:
+        if self.r < 2:
             raise InvalidArgumentError("cyclic: need r >= 2")
         if self.L < 1 or self.R < 1:
             raise InvalidArgumentError("cyclic: need L, R >= 1")
 
-    @property
-    def r(self) -> int:
-        return self.r_size
-
     shift = property(lambda self: self.R)
     power = property(lambda self: self.L)
 
-    def params(self) -> dict:
-        return {"r": self.r_size, "L": self.L, "R": self.R}
-
     def transition(self, ell: int, z):
-        ones = (1.0,) * self.r_size
-        return transfer_matrix(ones, ones, z)
+        return transfer_matrix((1.0,) * self.r, (1.0,) * self.r, z)
 
     def eta(self, k, z):
-        rho = np.exp(2j * np.pi / self.r_size)
-        return rho ** k * np.exp(np.log(np.asarray(z, dtype=complex))
-                                 / self.r_size)
+        rho = np.exp(2j * np.pi / self.r)
+        return rho ** k * np.exp(np.log(np.asarray(z, dtype=complex)) / self.r)
 
     def lamhat(self, z, eta):
         return 1 + eta
 
     def evec(self, z, eta):
-        return np.stack([eta ** j for j in range(self.r_size)], axis=-1)
+        return np.stack([eta ** j for j in range(self.r)], axis=-1)
 
     def evec_inv(self, z, eta):
-        return np.stack([eta ** (-j) / self.r_size
-                         for j in range(self.r_size)], axis=-1)
+        return np.stack([eta ** (-j) / self.r for j in range(self.r)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -165,15 +171,8 @@ class TwoByTwoRootK(_TwoSheeted):
         if self.L < 1 or self.M < 1:
             raise InvalidArgumentError("root-k: need L, M >= 1")
 
-    @property
-    def r(self) -> int:
-        return 2
-
     shift = property(lambda self: self.M)
     power = property(lambda self: self.L)
-
-    def params(self) -> dict:
-        return {"k": self.k, "L": self.L, "M": self.M}
 
     def base(self, z):
         B = np.ones(z.shape + (2, 2), dtype=complex)
@@ -210,26 +209,15 @@ class Periodic2x1(_TwoSheeted):
     tag = "periodic-2x1"
 
     def __post_init__(self):
-        weights = (self.a0, self.a1, self.b0, self.b1)
-        if min(weights) <= 0:
-            raise InvalidArgumentError("periodic-2x1: weights must be > 0")
-        if not np.all(np.isfinite(weights)):
-            raise InvalidArgumentError("periodic-2x1: weights must be finite")
+        weight_table("periodic-2x1 (a0, a1, b0, b1)",
+                     [(self.a0, self.a1, self.b0, self.b1)], (1, 4))
         if (self.M + self.N) % 2 != 0:
             raise InvalidArgumentError("periodic-2x1: M + N must be even")
         if self.L < 1:
             raise InvalidArgumentError("periodic-2x1: need L >= 1")
 
-    @property
-    def r(self) -> int:
-        return 2
-
     shift = property(lambda self: (self.M + self.N) // 2)
     power = property(lambda self: self.L)
-
-    def params(self) -> dict:
-        return {"a0": self.a0, "a1": self.a1, "b0": self.b0, "b1": self.b1,
-                "L": self.L, "M": self.M, "N": self.N}
 
     @property
     def z1(self) -> float:
@@ -274,30 +262,16 @@ class Periodic2x2(_TwoSheeted):
     tag = "periodic-2x2"
 
     def __post_init__(self):
-        a = tuple(tuple(float(x) for x in row) for row in self.a)
-        b = tuple(tuple(float(x) for x in row) for row in self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if any(x <= 0 for row in a + b for x in row):
-            raise InvalidArgumentError("periodic-2x2: weights must be > 0")
-        if not np.all(np.isfinite(a + b)):
-            raise InvalidArgumentError("periodic-2x2: weights must be finite")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, weight_table(
+                f"periodic-2x2 {name}", getattr(self, name), (2, 2)))
         if self.L % 2 != 0 or self.L < 2:
             raise InvalidArgumentError("periodic-2x2: L must be even >= 2")
         if (self.M + self.N) % 2 != 0:
             raise InvalidArgumentError("periodic-2x2: M + N must be even")
 
-    @property
-    def r(self) -> int:
-        return 2
-
     shift = property(lambda self: (self.M + self.N) // 2)
     power = property(lambda self: self.L // 2)
-
-    def params(self) -> dict:
-        return {"a": [list(row) for row in self.a],
-                "b": [list(row) for row in self.b],
-                "L": self.L, "M": self.M, "N": self.N}
 
     # --- derived spectral constants -------------------------------------
     @property
@@ -389,7 +363,7 @@ class ScalarMonomial(WeightFamily):
     data and closed-form orthogonal polynomials.  Its spectral curve is
     r disjoint copies of the plane; the sheet label is eta."""
 
-    r_size: int
+    r: int
     N: int
 
     tag = "scalar-monomial"
@@ -397,19 +371,12 @@ class ScalarMonomial(WeightFamily):
     power = 1
 
     def __post_init__(self):
-        if self.r_size < 1 or self.N < 1:
+        if self.r < 1 or self.N < 1:
             raise InvalidArgumentError("scalar-monomial: need r, N >= 1")
 
-    @property
-    def r(self) -> int:
-        return self.r_size
-
-    def params(self) -> dict:
-        return {"r": self.r_size, "N": self.N}
-
     def base(self, z):
-        return np.broadcast_to(np.eye(self.r_size, dtype=complex),
-                               z.shape + (self.r_size, self.r_size))
+        return np.broadcast_to(np.eye(self.r, dtype=complex),
+                               z.shape + (self.r, self.r))
 
     def eta(self, k, z):
         return np.full(np.shape(z), k)
@@ -419,7 +386,7 @@ class ScalarMonomial(WeightFamily):
 
     def evec(self, z, eta):
         return (np.asarray(eta)[..., None]
-                == np.arange(self.r_size)).astype(complex)
+                == np.arange(self.r)).astype(complex)
 
     evec_inv = evec
 
@@ -430,26 +397,28 @@ _FAMILIES = {cls.tag: cls for cls in
 
 
 def family_from_json(obj: dict) -> WeightFamily:
-    """Build a WeightFamily from {"family": tag, "params": {...}}."""
+    """Build a WeightFamily from {"family": tag, "params": {...}}, the
+    form `to_json` writes: the params are the family's dataclass fields,
+    each once by name (the matrix size is `r`).  A missing or unknown
+    parameter, or an int one given as anything but an integer (a bool,
+    float, NaN or infinity), raises InvalidArgumentError naming it."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise InvalidArgumentError("weight config must have a 'family' key")
     tag = obj["family"]
+    if tag not in _FAMILIES:
+        raise UnsupportedFamilyError(f"unknown family tag {tag!r}; "
+                                     f"known: {sorted(_FAMILIES)}")
     params = dict(obj.get("params", {}))
-    if tag == "cyclic":
-        return CyclicUniform(r_size=params["r"], L=params["L"],
-                             R=params["R"])
-    if tag == "root-k":
-        return TwoByTwoRootK(k=params["k"], L=params["L"], M=params["M"])
-    if tag == "periodic-2x1":
-        return Periodic2x1(**params)
-    if tag == "periodic-2x2":
-        return Periodic2x2(a=tuple(map(tuple, params["a"])),
-                           b=tuple(map(tuple, params["b"])),
-                           L=params["L"], M=params["M"], N=params["N"])
-    if tag == "scalar-monomial":
-        return ScalarMonomial(r_size=params["r"], N=params["N"])
-    raise UnsupportedFamilyError(f"unknown family tag {tag!r}; "
-                                 f"known: {sorted(_FAMILIES)}")
+    types = {f.name: f.type for f in fields(_FAMILIES[tag])}
+    for name in {**types, **params}:
+        if name not in types or name not in params:
+            raise InvalidArgumentError(
+                f"{tag}: {'unknown' if name in params else 'missing'} "
+                f"parameter {name!r}; the parameters are {list(types)}")
+        if types[name] == "int" and type(params[name]) is not int:
+            raise InvalidArgumentError(f"{tag}: parameter {name!r} must be "
+                                       f"an integer, got {params[name]!r}")
+    return _FAMILIES[tag](**params)
 
 
 def check_spectral(family: WeightFamily, z: complex) -> float:

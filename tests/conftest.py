@@ -35,8 +35,8 @@ def quad128():
 def make_families():
     """Representative instance of every supported family."""
     return {
-        "cyclic-r2": CyclicUniform(r_size=2, L=2, R=2),
-        "cyclic-r3": CyclicUniform(r_size=3, L=1, R=1),
+        "cyclic-r2": CyclicUniform(r=2, L=2, R=2),
+        "cyclic-r3": CyclicUniform(r=3, L=1, R=1),
         "root-k1": TwoByTwoRootK(k=1, L=1, M=1),
         "root-k3": TwoByTwoRootK(k=3, L=2, M=2),
         "periodic-2x1": Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5,
@@ -47,7 +47,7 @@ def make_families():
         "periodic-2x2-b": Periodic2x2(a=((1.0, 2.0), (1.0, 1.0)),
                                       b=((1.0, 2.0), (1.0, 1.0)),
                                       L=4, M=2, N=2),
-        "scalar-monomial": ScalarMonomial(r_size=2, N=2),
+        "scalar-monomial": ScalarMonomial(r=2, N=2),
     }
 
 

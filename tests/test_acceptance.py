@@ -74,7 +74,7 @@ def test_criterion_03_matrix_reproducing(capsys):
     rng = np.random.default_rng(SEED)
     quad = unit_circle_quadrature(QN)
     worst = 0.0
-    for fam in (CyclicUniform(r_size=2, L=2, R=2),
+    for fam in (CyclicUniform(r=2, L=2, R=2),
                 Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5,
                             L=4, M=2, N=2)):
         system = mops.mop_system(fam, quad, 2)
@@ -96,8 +96,8 @@ def test_criterion_04_three_route_equality(capsys):
     # root-k families are excluded: their low-degree polynomials do not
     # exist, so the biorthogonal-sum route is undefined for them
     fams = {
-        "cyclic-r2-L2R2": CyclicUniform(r_size=2, L=2, R=2),
-        "cyclic-r2-L4R3": CyclicUniform(r_size=2, L=4, R=3),
+        "cyclic-r2-L2R2": CyclicUniform(r=2, L=2, R=2),
+        "cyclic-r2-L4R3": CyclicUniform(r=2, L=4, R=3),
         "periodic-2x1": Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5,
                                     L=4, M=2, N=2),
         "periodic-2x2-a": Periodic2x2(a=((1.0, 1.0), (1.0, 1.0)),
@@ -130,7 +130,7 @@ def test_criterion_04_three_route_equality(capsys):
 
 
 def test_criterion_05_Y_det_and_jump(capsys):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     quad = unit_circle_quadrature(QN)
     system = mops.mop_system(fam, quad, 2)
     det_res = abs(np.linalg.det(
@@ -180,7 +180,7 @@ def test_criterion_06_genus0_equivalence(capsys):
     worst_gram = 0.0
     raised, ranks = {}, {}
     for r in (2, 3):
-        fam = CyclicUniform(r_size=r, L=1, R=1)
+        fam = CyclicUniform(r=r, L=1, R=1)
         chart = build_chart(fam, N)
         gamma = chart.gamma_C(QN)
         moments = mops.compute_moments(quad, N, fam.weight(quad.nodes))
@@ -218,7 +218,7 @@ def test_criterion_06_genus0_equivalence_nearest_valid(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for r, L, R in ((2, 2, 2), (3, 6, 2)):
-        fam = CyclicUniform(r_size=r, L=L, R=R)
+        fam = CyclicUniform(r=r, L=L, R=R)
         chart = build_chart(fam, 2)
         system = mops.mop_system(fam, unit_circle_quadrature(QN), 2)
         scal = sops.solve_scalar_ops(chart.scalar_weight,
@@ -280,7 +280,7 @@ def test_criterion_07_non_cd_witness(capsys):
 def test_criterion_08_surface_reproducing(capsys):
     rng = np.random.default_rng(SEED)
     quad = unit_circle_quadrature(QN)
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad, 2)
     worst = 0.0
     for _ in range(20):

@@ -346,6 +346,20 @@ NAN_2X2 = json.dumps({"family": "periodic-2x2", "params": {
     "L": 2, "M": 2, "N": 2}})
 
 
+def cyclic_json(**params):
+    """--family-json of the cyclic r=2, L=R=2 family with `params`
+    replaced; a value of None drops that parameter."""
+    params = {k: v for k, v in {"r": 2, "L": 2, "R": 2, **params}.items()
+              if v is not None}
+    return ["--family-json", json.dumps({"family": "cyclic",
+                                         "params": params})]
+
+
+def periodic_2x2_json(a):
+    return ["--family-json", json.dumps({"family": "periodic-2x2", "params": {
+        "a": a, "b": [[1, 1], [1, 1]], "L": 2, "M": 2, "N": 2}})]
+
+
 @pytest.mark.parametrize("argv", [
     ["prob", *HEXAGON, "--r", "0", "--points", "0,0"],
     ["prob", *HEXAGON, "--q", "0", "--points", "0,0"],
@@ -375,15 +389,38 @@ NAN_2X2 = json.dumps({"family": "periodic-2x2", "params": {
     ["verify", "--suite", "spectral", *PERIODIC_2X1, "--a0", "nan"],
     ["kernel", *PERIODIC_2X1, "--a0", "inf", "--N", "2", "--grid", "2"],
     ["verify", "--suite", "mops", "--family-json", NAN_2X2],
+    ["verify", "--suite", "spectral", *cyclic_json(x=1)],
+    ["verify", "--suite", "mops", *cyclic_json(L=2.5)],
+    ["verify", "--suite", "mops", *cyclic_json(L=float("nan"))],
+    ["verify", "--suite", "mops", *cyclic_json(R=float("inf"))],
+    ["verify", "--suite", "spectral", *cyclic_json(L=True)],
+    ["verify", "--suite", "spectral", *cyclic_json(L=None)],
+    ["verify", "--suite", "spectral", *periodic_2x2_json([[1, 1, 1], [1, 1]])],
+    ["verify", "--suite", "spectral", *periodic_2x2_json([1, 1])],
+    ["prob", *HEXAGON, "--a", "[[1,0]]", "--b", "[[1]]", "--points", "0,0"],
 ], ids=" ".join)
 def test_zero_or_negative_option_exits_2(argv, capsys):
     # a value given on the command line is used as given, never replaced
     # by the default, so a zero or negative one is rejected; so is NaN or
-    # infinity, before any numerical work
+    # infinity, before any numerical work, and so are family JSON params
+    # that are not the family's fields or whose int ones are not integers,
+    # and a weight table of the wrong shape
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "configuration error" in captured.err
+
+
+def test_prob_rejects_flags_it_does_not_read(capsys):
+    argv = ["prob", "--hexagon", "2,1,1", "--points", "1,0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--L", "9", "--family", "cyclic", "--k", "4",
+                        "--a0", "7"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --L 9 --family cyclic --k 4 --a0 7" \
+        in captured.err
 
 
 # --- parser reuse -------------------------------------------------------

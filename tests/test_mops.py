@@ -53,13 +53,13 @@ def test_node_product_matches_matmul(r, ps, nodes, seed):
 # --- pairing and moments ------------------------------------------------
 
 def test_pairing_residue_identity(quad256):
-    fam = ScalarMonomial(r_size=2, N=1)
+    fam = ScalarMonomial(r=2, N=1)
     val = mops.pairing(eye_poly(0, 2), eye_poly(0, 2), fam, quad256)
     np.testing.assert_allclose(val, TWO_PI_I * np.eye(2), atol=1e-12)
 
 
 def test_pairing_monomial(quad256):
-    fam = ScalarMonomial(r_size=2, N=3)
+    fam = ScalarMonomial(r=2, N=3)
     val = mops.pairing(eye_poly(1, 2), eye_poly(1, 2), fam, quad256)
     np.testing.assert_allclose(val, TWO_PI_I * np.eye(2), atol=1e-12)
 
@@ -67,7 +67,7 @@ def test_pairing_monomial(quad256):
 def test_pairing_noncommutative(quad256):
     # <zI, I> != <I, zI> for the cyclic weight: W z dz picks different
     # residues on the two sides of the (matrix-valued) product
-    fam = CyclicUniform(r_size=2, L=1, R=1)
+    fam = CyclicUniform(r=2, L=1, R=1)
     P, Q = eye_poly(1, 2), eye_poly(0, 2)
     lhs = mops.pairing(P, Q, fam, quad256)
     rhs = mops.pairing(Q, P, fam, quad256)
@@ -81,7 +81,7 @@ def test_pairing_noncommutative(quad256):
 
 
 def test_moments_scalar_monomial(quad256):
-    fam = ScalarMonomial(r_size=1, N=2)
+    fam = ScalarMonomial(r=1, N=2)
     m = mops.compute_moments(quad256, 2, fam.weight(quad256.nodes))
     expect = np.zeros((5, 1, 1), dtype=complex)
     expect[1, 0, 0] = TWO_PI_I
@@ -89,7 +89,7 @@ def test_moments_scalar_monomial(quad256):
 
 
 def test_moments_cyclic_residues(quad256):
-    fam = CyclicUniform(r_size=2, L=1, R=1)
+    fam = CyclicUniform(r=2, L=1, R=1)
     m = mops.compute_moments(quad256, 1, fam.weight(quad256.nodes))
     # z^{k-1} [[1, 1], [z, 1]]: residues by inspection; every moment
     # with k >= 1 has a polynomial integrand and vanishes
@@ -109,7 +109,7 @@ def test_moment_quadrature_convergence(families, quad128, quad256):
 # --- the four MOP families ----------------------------------------------
 
 def test_monomial_weight_closed_form(quad256):
-    fam = ScalarMonomial(r_size=2, N=2)
+    fam = ScalarMonomial(r=2, N=2)
     system = mops.mop_system(fam, quad256, 2)
     z = 1.7 - 0.3j
     np.testing.assert_allclose(system.PL[2](z), z ** 2 * np.eye(2),
@@ -157,7 +157,7 @@ def reference_mops(moments, sizes):
 SOLVE_DEGREES = {"cyclic-r3": 1, "root-k3": 1}
 SOLVE_CASES = [(name, make(), SOLVE_DEGREES.get(name, 2))
                for name, make in _DEFAULT_FAMILIES]
-SOLVE_CASES.append(("cyclic-r3-L4R3", CyclicUniform(r_size=3, L=4, R=3), 3))
+SOLVE_CASES.append(("cyclic-r3-L4R3", CyclicUniform(r=3, L=4, R=3), 3))
 
 
 @pytest.mark.parametrize("name, fam, N", SOLVE_CASES,
@@ -205,13 +205,13 @@ def test_biorthogonality_residual_matches_pairings(families, quad256):
 def test_biorthogonality(quad256):
     # L=4, R=3 keeps every moment system through degree 3 invertible
     # (the pole order has to match the degree window)
-    fam = CyclicUniform(r_size=2, L=4, R=3)
+    fam = CyclicUniform(r=2, L=4, R=3)
     system = mops.mop_system(fam, quad256, 3)
     assert mops.biorthogonality_residual(system, fam, quad256) < 1e-10
 
 
 def test_monic_leading_coefficients(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     for j in range(3):
         np.testing.assert_allclose(system.PL[j].coeffs[-1], np.eye(2),
@@ -239,7 +239,7 @@ def test_transpose_symmetry(quad256):
 
 
 def test_weight_scaling(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     moms = mops.compute_moments(quad256, 2, fam.weight(quad256.nodes))
     s1 = mops.solve_mops(moms, 2)
     s3 = mops.solve_mops(3.0 * moms, 2)
@@ -251,7 +251,7 @@ def test_weight_scaling(quad256):
 # --- CD kernel: three routes --------------------------------------------
 
 def test_kernel_monomial_closed_form(quad256):
-    fam = ScalarMonomial(r_size=2, N=2)
+    fam = ScalarMonomial(r=2, N=2)
     system = mops.mop_system(fam, quad256, 2)
     expect = (9 - 4) / (TWO_PI_I * 1) * np.eye(2)
     # degree-0 duals of z^{-2} I do not exist (zeroth moment vanishes),
@@ -264,7 +264,7 @@ def test_kernel_monomial_closed_form(quad256):
 
 
 def test_kernel_sum_two_forms_agree(quad256, rng):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     for _ in range(10):
         w = 1.3 * np.exp(2j * np.pi * rng.random())
@@ -275,7 +275,7 @@ def test_kernel_sum_two_forms_agree(quad256, rng):
 
 
 def test_kernel_three_routes(quad256, rng):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     for _ in range(50):
         w = 1.4 * np.exp(2j * np.pi * rng.random())
@@ -290,7 +290,7 @@ def test_kernel_three_routes(quad256, rng):
 
 
 def test_kernel_removable_singularity(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     z = 0.9 + 0.2j
     near = mops.cd_kernel_formula(system, z + 1e-9, z)
@@ -299,7 +299,7 @@ def test_kernel_removable_singularity(quad256):
 
 
 def test_kernel_formula_on_arrays_falls_back_per_pair(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     w = np.array([0.3, 0.4, 0.9 + 0.2j + 1e-9, 1.3j])
     z = np.array([0.3, 0.1, 0.9 + 0.2j, 0.7])
@@ -316,7 +316,7 @@ def test_kernel_formula_on_arrays_falls_back_per_pair(quad256):
 
 
 BATCH_FAMILIES = {"periodic-2x1": None, "periodic-2x2-b": None,
-                  "cyclic-r3": CyclicUniform(r_size=3, L=2, R=2)}
+                  "cyclic-r3": CyclicUniform(r=3, L=2, R=2)}
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -341,7 +341,7 @@ def test_kernel_from_Y_batch_matches_pairs(families, name, n, rng):
 # --- Riemann-Hilbert assembly -------------------------------------------
 
 def test_Y_unimodular_and_inverse(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     z = 2.0 * np.exp(0.6j)
     Y = mops.assemble_Y(system, fam, quad256, z)
@@ -351,7 +351,7 @@ def test_Y_unimodular_and_inverse(quad256):
 
 
 def test_Y_asymptotics(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     z = 1e3 * np.exp(0.3j)
     Y = mops.assemble_Y(system, fam, quad256, z)
@@ -362,7 +362,7 @@ def test_Y_asymptotics(quad256):
 def test_Y_jump_condition(quad256):
     # boundary values from deformed contours on either side of the unit
     # circle satisfy Y+ = Y- [[I, W], [0, I]]
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     inner = circle_quadrature(0, 0.8, 256)
     outer = circle_quadrature(0, 1.25, 256)
@@ -377,8 +377,8 @@ def test_Y_jump_condition(quad256):
 # --- reproducing properties ---------------------------------------------
 
 def test_reproducing_and_dual(quad256, rng):
-    for fam in (CyclicUniform(r_size=2, L=2, R=2),
-                ScalarMonomial(r_size=2, N=2)):
+    for fam in (CyclicUniform(r=2, L=2, R=2),
+                ScalarMonomial(r=2, N=2)):
         system = mops.mop_system(fam, quad256, 2)
         for _ in range(20):
             C = (rng.standard_normal((2, 2, 2))
@@ -400,7 +400,7 @@ def test_reproducing_residual_batch_matches_single(families, name, n, rng):
     # misses both alone and inside a batch.  Batch and single calls round
     # differently in the last product, where |U_a| |C_ab| reaches 2e3
     # and cancels to |P(z)|: on these cases they differ by up to 1.7e-13.
-    fam = (CyclicUniform(r_size=3, L=2, R=2) if name == "cyclic-r3-L2R2"
+    fam = (CyclicUniform(r=3, L=2, R=2) if name == "cyclic-r3-L2R2"
            else families[name])
     quad = unit_circle_quadrature(n)
     system = mops.mop_system(fam, quad, 2)

@@ -13,7 +13,7 @@ TWO_PI_I = 2j * np.pi
 # --- chart construction -------------------------------------------------
 
 def test_chart_cyclic_printed_data():
-    fam = CyclicUniform(r_size=3, L=2, R=1)
+    fam = CyclicUniform(r=3, L=2, R=1)
     chart = build_chart(fam, 2)
     z = 0.8 + 0.3j
     assert chart.V_is_full
@@ -60,7 +60,7 @@ def test_dphi_matches_finite_difference():
 # --- surface kernel R^lambda --------------------------------------------
 
 def test_r_lambda_scalar_monomial_diagonal(quad256):
-    fam = ScalarMonomial(r_size=2, N=2)
+    fam = ScalarMonomial(r=2, N=2)
     system = mops.mop_system(fam, quad256, 2)
     w, z = 1.2 + 0.4j, 0.6 - 0.5j
     closed = (z ** 2 - w ** 2) / (TWO_PI_I * (z - w))
@@ -72,7 +72,7 @@ def test_r_lambda_scalar_monomial_diagonal(quad256):
 
 
 def test_r_lambda_full_matrix_recovery(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     w, z = 1.3 + 0.2j, 0.7 + 0.6j
     r = 2
@@ -85,7 +85,7 @@ def test_r_lambda_full_matrix_recovery(quad256):
 
 
 def test_r_lambda_quadrature_stability():
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     vals = []
     for n in (128, 256):
         system = mops.mop_system(fam, unit_circle_quadrature(n), 2)
@@ -97,7 +97,7 @@ def test_r_lambda_quadrature_stability():
 # --- scalar reproducing kernel on the plane -----------------------------
 
 def test_frak_R_equals_scalar_cd_for_cyclic(quad256, rng):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     chart = build_chart(fam, 2)
     system = mops.mop_system(fam, quad256, 2)
     scal = sops.solve_scalar_ops(chart.scalar_weight, chart.gamma_C(256),
@@ -123,7 +123,7 @@ def test_frak_R_root_k1_equals_scalar_cd(quad256, rng):
 
 
 def test_frak_R_is_polynomial_in_zeta(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     chart = build_chart(fam, 2)
     system = mops.mop_system(fam, quad256, 2)
     om = 1.1 + 0.2j
@@ -163,7 +163,7 @@ def test_frak_R_broadcasts(families, quad256, name):
 # --- reproducing properties ---------------------------------------------
 
 def test_surface_reproducing_and_dual(quad256, rng):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     for _ in range(20):
         C = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -176,7 +176,7 @@ def test_surface_reproducing_and_dual(quad256, rng):
 
 
 def test_plane_reproducing_cyclic_monomials(quad256):
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     chart = build_chart(fam, 2)
     system = mops.mop_system(fam, quad256, 2)
 
@@ -217,7 +217,7 @@ def test_root_k3_failure_witness(quad256, rng):
 
 def test_LN_space_dimension(quad256, rng):
     # the v_basis elements span an rN-dimensional space
-    fam = CyclicUniform(r_size=2, L=2, R=2)
+    fam = CyclicUniform(r=2, L=2, R=2)
     chart = build_chart(fam, 2)
     basis = chart.v_basis()
     pts = 0.9 * np.exp(2j * np.pi * rng.random(12))

@@ -62,6 +62,8 @@ def test_model_validation():
         HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((0.0,),), b=((1.0,),))
     with pytest.raises(InvalidArgumentError):
         HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((np.nan,),), b=((1.0,),))
+    with pytest.raises(InvalidArgumentError, match="hexagon a: "):
+        HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((1.0, 0.0),), b=((1.0,),))
 
 
 def test_hexagon_geometry():

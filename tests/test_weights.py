@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +16,14 @@ from conftest import make_families, random_offcut_points
 # --- pointwise weight evaluation ----------------------------------------
 
 def test_weight_cyclic_r2():
-    fam = CyclicUniform(r_size=2, L=1, R=1)
+    fam = CyclicUniform(r=2, L=1, R=1)
     z = 0.7 + 0.4j
     expect = np.array([[1, 1], [z, 1]]) / z
     np.testing.assert_allclose(fam.weight(z), expect, atol=1e-14)
 
 
 def test_weight_scalar_monomial():
-    fam = ScalarMonomial(r_size=2, N=3)
+    fam = ScalarMonomial(r=2, N=3)
     np.testing.assert_allclose(fam.weight(2.0), np.eye(2) / 8, atol=1e-15)
 
 
@@ -41,6 +44,9 @@ def test_periodic_weights_must_be_finite_and_positive():
     with pytest.raises(InvalidArgumentError):
         Periodic2x2(a=((1.0, np.inf), (1.0, 1.0)), b=((1.0, 1.0), (1.0, 1.0)),
                     L=2, M=2, N=2)
+    with pytest.raises(InvalidArgumentError, match="periodic-2x2 a: "):
+        Periodic2x2(a=((1.0, 1.0, 1.0), (1.0, 1.0)),
+                    b=((1.0, 1.0), (1.0, 1.0)), L=2, M=2, N=2)
 
 
 # --- transition matrices ------------------------------------------------
@@ -61,14 +67,14 @@ def test_transition_periodicity_2x2():
 
 
 def test_transition_uniform_rx1_at_zero():
-    fam = CyclicUniform(r_size=2, L=2, R=1)
+    fam = CyclicUniform(r=2, L=2, R=1)
     np.testing.assert_allclose(fam.transition(0, 0.0),
                                np.array([[1, 1], [0, 1]]), atol=1e-15)
 
 
 def test_transition_unsupported():
     with pytest.raises(UnsupportedFamilyError):
-        ScalarMonomial(r_size=2, N=2).transition(0, 1.0)
+        ScalarMonomial(r=2, N=2).transition(0, 1.0)
 
 
 # --- closed-form spectral data ------------------------------------------
@@ -85,7 +91,7 @@ def test_spectral_root_k1_printed_forms():
 
 
 def test_spectral_cyclic_r3_printed_forms():
-    fam = CyclicUniform(r_size=3, L=1, R=1)
+    fam = CyclicUniform(r=3, L=1, R=1)
     z = 0.9 + 0.5j
     pt = fam.point(0, z)
     eta = np.exp(np.log(z) / 3)
@@ -119,7 +125,7 @@ def test_spectral_periodic_2x2_derived_constants():
 
 
 def test_spectral_scalar_monomial_exact():
-    fam = ScalarMonomial(r_size=2, N=2)
+    fam = ScalarMonomial(r=2, N=2)
     assert check_spectral(fam, 1.3 + 0.2j) == 0.0
 
 
@@ -183,9 +189,16 @@ def test_spectral_residual_property(rad, ang, sign):
 # --- JSON config --------------------------------------------------------
 
 def test_family_json_roundtrip():
+    # through the JSON text too: that is what --family-json receives
     for fam in make_families().values():
-        clone = family_from_json(fam.to_json())
-        assert clone == fam
+        assert family_from_json(fam.to_json()) == fam
+        assert family_from_json(json.loads(json.dumps(fam.to_json()))) == fam
+
+
+def test_family_json_params_are_the_fields():
+    for fam in make_families().values():
+        assert list(fam.to_json()["params"]) == [
+            f.name for f in dataclasses.fields(fam)]
 
 
 def test_family_json_errors():
@@ -193,3 +206,14 @@ def test_family_json_errors():
         family_from_json({"params": {}})
     with pytest.raises(UnsupportedFamilyError):
         family_from_json({"family": "nope"})
+    # the error names the parameter: an unknown key, an int parameter
+    # that is not an integer, a missing key
+    cyclic = {"r": 2, "L": 2, "R": 2}
+    for params, name in [({**cyclic, "x": 1}, "'x'"),
+                         ({**cyclic, "L": 2.5}, "'L'"),
+                         ({**cyclic, "L": float("nan")}, "'L'"),
+                         ({**cyclic, "R": float("inf")}, "'R'"),
+                         ({**cyclic, "L": True}, "'L'"),
+                         ({"r": 2, "R": 2}, "'L'")]:
+        with pytest.raises(InvalidArgumentError, match=name):
+            family_from_json({"family": "cyclic", "params": params})
