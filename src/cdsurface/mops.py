@@ -23,7 +23,7 @@ import numpy as np
 from .contour import ContourQuadrature
 from .errors import (InvalidArgumentError, NearContourWarning,
                      SingularSystemError)
-from .weights import WeightFamily
+from .weights import WeightFamily, node_product
 
 TWO_PI_I = 2j * np.pi
 EPS_SWITCH = 1e-6        # |z - w| below which the CD formula falls back
@@ -61,16 +61,6 @@ class MatrixPolynomial:
         for c in C[-3::-1]:
             out = out * z + c
         return out
-
-
-def node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(..., p, r) @ (..., r, s) per node, as r broadcast multiply-adds:
-    for the r of a weight this is several times faster than a stacked
-    matmul, and a block of a stacked operand gets the bits it gets alone."""
-    out = A[..., :1] * B[..., :1, :]
-    for k in range(1, A.shape[-1]):
-        out += A[..., k:k + 1] * B[..., k:k + 1, :]
-    return out
 
 
 def pairing(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -317,9 +307,9 @@ def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
 def _cauchy(quad: ContourQuadrature, g_nodes: np.ndarray, z) -> np.ndarray:
     """int_gamma g(s) / (s - z) ds by quadrature; g_nodes: (n, r, r)."""
     z = np.asarray(z, dtype=complex)
-    denom = quad.nodes - z[..., None]
-    coef = quad.weights / denom
-    return np.einsum("...n,nab->...ab", coef, g_nodes)
+    coef = quad.weights / (quad.nodes - z[..., None])
+    return (coef @ g_nodes.reshape(len(g_nodes), -1)).reshape(
+        z.shape + g_nodes.shape[1:])
 
 
 def _warn_near(quad, z):

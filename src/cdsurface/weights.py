@@ -21,7 +21,7 @@ Evaluators accept scalar or ndarray z.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 from sys import float_info
 
 import numpy as np
@@ -43,6 +43,50 @@ def transfer_matrix(a_row, b_row, z):
     flat[..., 1::r + 1] = a_row[:-1]
     A[..., r - 1, 0] += a_row[-1] * z
     return A
+
+
+def node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(..., p, r) @ (..., r, s) per node, as r broadcast multiply-adds:
+    for the r of a weight this is several times faster than a stacked
+    matmul, and a block of a stacked operand gets the bits it gets alone."""
+    out = A[..., :1] * B[..., :1, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., k:k + 1] * B[..., k:k + 1, :]
+    return out
+
+
+def node_power(A: np.ndarray, p: int) -> np.ndarray:
+    """A^p per node for a stack A (..., r, r) and an int p >= 0: the
+    products of numpy's `matrix_power` in its order ((A A) A for p = 3,
+    else binary powering: the same squarings, each product result @
+    square), with `node_product` as the product."""
+    if p == 0:
+        return np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype),
+                               A.shape).copy()
+    if p == 3:
+        return node_product(node_product(A, A), A)
+    square = result = None
+    while p > 0:
+        square = A if square is None else node_product(square, square)
+        p, bit = divmod(p, 2)
+        if bit:
+            result = square if result is None else node_product(result,
+                                                                square)
+    return result
+
+
+def int_fields(tag: str, obj) -> None:
+    """InvalidArgumentError naming the field, by `tag`, unless every
+    dataclass field of obj annotated int holds an integer (a bool, a
+    float, NaN or infinity does not); each is stored as an int."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type != "int" or type(value) is int:   # a plain int is valid
+            continue
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidArgumentError(f"{tag}: parameter {f.name!r} must "
+                                       f"be an integer, got {value!r}")
+        object.__setattr__(obj, f.name, int(value))
 
 
 def weight_table(tag: str, rows, shape: tuple) -> tuple:
@@ -90,7 +134,7 @@ class WeightFamily:
         arr = np.asarray(z, dtype=complex)
         if np.any(arr == 0):
             raise PoleError(f"{self.tag}: weight has a pole at z = 0")
-        W = np.linalg.matrix_power(self.base(arr), self.power)
+        W = node_power(self.base(arr), self.power)
         W = W * (arr ** (-self.shift))[..., None, None]
         return W[()] if np.ndim(z) == 0 else W
 
@@ -128,6 +172,7 @@ class CyclicUniform(WeightFamily):
     cut_description = "negative real axis (principal z^{1/r})"
 
     def __post_init__(self):
+        int_fields(self.tag, self)
         if self.r < 2:
             raise InvalidArgumentError("cyclic: need r >= 2")
         if self.L < 1 or self.R < 1:
@@ -166,6 +211,7 @@ class TwoByTwoRootK(_TwoSheeted):
     cut_description = "negative real axis (principal z^{k/2})"
 
     def __post_init__(self):
+        int_fields(self.tag, self)
         if self.k < 1 or self.k % 2 == 0:
             raise InvalidArgumentError("root-k: k must be odd and >= 1")
         if self.L < 1 or self.M < 1:
@@ -209,6 +255,7 @@ class Periodic2x1(_TwoSheeted):
     tag = "periodic-2x1"
 
     def __post_init__(self):
+        int_fields(self.tag, self)
         weight_table("periodic-2x1 (a0, a1, b0, b1)",
                      [(self.a0, self.a1, self.b0, self.b1)], (1, 4))
         if (self.M + self.N) % 2 != 0:
@@ -262,6 +309,7 @@ class Periodic2x2(_TwoSheeted):
     tag = "periodic-2x2"
 
     def __post_init__(self):
+        int_fields(self.tag, self)
         for name in ("a", "b"):
             object.__setattr__(self, name, weight_table(
                 f"periodic-2x2 {name}", getattr(self, name), (2, 2)))
@@ -334,7 +382,7 @@ class Periodic2x2(_TwoSheeted):
         return transfer_matrix(self.a[ell % 2], self.b[ell % 2], z)
 
     def base(self, z):
-        return self.transition(0, z) @ self.transition(1, z)
+        return node_product(self.transition(0, z), self.transition(1, z))
 
     def _branch(self, z):
         bpts = self.branch_points()
@@ -371,6 +419,7 @@ class ScalarMonomial(WeightFamily):
     power = 1
 
     def __post_init__(self):
+        int_fields(self.tag, self)
         if self.r < 1 or self.N < 1:
             raise InvalidArgumentError("scalar-monomial: need r, N >= 1")
 
@@ -400,8 +449,8 @@ def family_from_json(obj: dict) -> WeightFamily:
     """Build a WeightFamily from {"family": tag, "params": {...}}, the
     form `to_json` writes: the params are the family's dataclass fields,
     each once by name (the matrix size is `r`).  A missing or unknown
-    parameter, or an int one given as anything but an integer (a bool,
-    float, NaN or infinity), raises InvalidArgumentError naming it."""
+    parameter raises InvalidArgumentError naming it, and so does a bad
+    value (see `int_fields` and `weight_table`)."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise InvalidArgumentError("weight config must have a 'family' key")
     tag = obj["family"]
@@ -409,15 +458,12 @@ def family_from_json(obj: dict) -> WeightFamily:
         raise UnsupportedFamilyError(f"unknown family tag {tag!r}; "
                                      f"known: {sorted(_FAMILIES)}")
     params = dict(obj.get("params", {}))
-    types = {f.name: f.type for f in fields(_FAMILIES[tag])}
-    for name in {**types, **params}:
-        if name not in types or name not in params:
+    names = [f.name for f in fields(_FAMILIES[tag])]
+    for name in [*names, *params]:
+        if name not in names or name not in params:
             raise InvalidArgumentError(
                 f"{tag}: {'unknown' if name in params else 'missing'} "
-                f"parameter {name!r}; the parameters are {list(types)}")
-        if types[name] == "int" and type(params[name]) is not int:
-            raise InvalidArgumentError(f"{tag}: parameter {name!r} must be "
-                                       f"an integer, got {params[name]!r}")
+                f"parameter {name!r}; the parameters are {names}")
     return _FAMILIES[tag](**params)
 
 

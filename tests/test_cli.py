@@ -210,6 +210,24 @@ def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family,
     assert in_Y == [0, 0]    # formula-vs-Y, then det-Y
 
 
+@pytest.mark.parametrize("family_args", [
+    ["--family", "root-k", "--k", "3"],
+    ["--family", "scalar-monomial", "--weight-N", "2"]],
+    ids=["root-k", "scalar-monomial"])
+def test_verify_mops_suite_with_missing_lower_degree(family_args, tmp_path):
+    # P_1 and Q_0 do not exist, the degree-2 kernel does: the report names
+    # them and skips the checks that read them
+    out = tmp_path / "mops.json"
+    code = main(["verify", "--suite", "mops", *family_args,
+                 "--output", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 0 and report["pass"]
+    assert report["missing"] == ["P_1", "Q_0"]
+    assert report["skipped"] == ["biorthogonality", "sum-vs-formula"]
+    assert [c["check"] for c in report["checks"]] == [
+        "reproducing", "formula-vs-Y", "det-Y-unimodular"]
+
+
 def test_verify_unknown_suite_exits_2():
     res = run_cli("verify", "--suite", "nope")
     assert res.returncode == 2

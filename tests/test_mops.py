@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cdsurface import (CyclicUniform, MatrixPolynomial, ScalarMonomial,
                        circle_quadrature, unit_circle_quadrature)
-from cdsurface import mops, sops
+from cdsurface import mops, sops, weights
 from cdsurface.errors import SingularSystemError
 from cdsurface.cli import _DEFAULT_FAMILIES
 
@@ -44,10 +44,25 @@ def test_node_product_matches_matmul(r, ps, nodes, seed):
     rng = np.random.default_rng(seed)
     p, s = ps
     A, B = cnormal(rng, *nodes, p, r), cnormal(rng, *nodes, r, s)
-    out = mops.node_product(A, B)
+    out = weights.node_product(A, B)
     assert out.shape == nodes + (p, s)
     bound = 4 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
     assert np.all(np.abs(out - A @ B) <= bound)
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=st.sampled_from([1, 2, 3]), p=st.sampled_from([0, 1, 2, 3, 4, 7]),
+       nodes=st.sampled_from([(), (7,), (256,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_node_power_matches_matrix_power(r, p, nodes, seed):
+    # each of the at most 2 log2(p) products of either side rounds
+    # within 4 r eps of its |A|-power
+    A = cnormal(np.random.default_rng(seed), *nodes, r, r)
+    out = weights.node_power(A, p)
+    assert out.shape == nodes + (r, r)
+    bound = 4 * p * r * np.finfo(float).eps * np.linalg.matrix_power(
+        np.abs(A), p)
+    assert np.all(np.abs(out - np.linalg.matrix_power(A, p)) <= bound)
 
 
 # --- pairing and moments ------------------------------------------------

@@ -64,6 +64,11 @@ def test_model_validation():
         HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((np.nan,),), b=((1.0,),))
     with pytest.raises(InvalidArgumentError, match="hexagon a: "):
         HexagonModel(r=1, q=1, L=2, M=1, N=1, a=((1.0, 0.0),), b=((1.0,),))
+    # an int field given a float or a bool is named when the model is built
+    with pytest.raises(InvalidArgumentError, match="hexagon: parameter 'L'"):
+        HexagonModel.uniform(4.0, 2, 2, r=2)
+    with pytest.raises(InvalidArgumentError, match="hexagon: parameter 'q'"):
+        HexagonModel.uniform(4, 2, 2, r=2, q=True)
 
 
 def test_hexagon_geometry():

@@ -32,10 +32,30 @@ def test_weight_periodic_2x1_all_ones():
     np.testing.assert_allclose(fam.weight(1.0), np.ones((2, 2)), atol=1e-14)
 
 
+def test_weight_at_a_scalar_is_one_matrix():
+    for fam in make_families().values():
+        assert np.shape(fam.weight(0.7 + 0.4j)) == (fam.r, fam.r)
+
+
 def test_weight_pole_error():
     for fam in make_families().values():
         with pytest.raises(PoleError):
             fam.weight(0.0)
+
+
+def test_int_parameters_are_checked_when_built():
+    # named at construction, not later inside `weight`
+    for kwargs, name in [(dict(r=2, L=2.5, R=2), "'L'"),
+                         (dict(r=2, L=True, R=2), "'L'"),
+                         (dict(r=2.0, L=2, R=2), "'r'")]:
+        with pytest.raises(InvalidArgumentError, match=f"cyclic: .*{name}"):
+            CyclicUniform(**kwargs)
+    with pytest.raises(InvalidArgumentError, match="'N'"):
+        Periodic2x1(a0=1.0, a1=1.0, b0=1.0, b1=1.0, L=2, M=2, N=2.0)
+    with pytest.raises(InvalidArgumentError, match="'N'"):
+        ScalarMonomial(r=1, N=np.float64(2))
+    fam = CyclicUniform(r=np.int64(2), L=2, R=2)
+    assert type(fam.r) is int and fam == CyclicUniform(r=2, L=2, R=2)
 
 
 def test_periodic_weights_must_be_finite_and_positive():
