@@ -326,10 +326,12 @@ def node_values(system: MOPSystem, family: WeightFamily,
     checks read, each evaluated once at the nodes of quad.  W (n, r, r) is
     the weight there, evaluated unless given; PW (n, (N+2) r, r) stacks
     P^L_j W for j = 0..N, then Q^L_{N-1} W; Q (n, r, (N+1) r) stacks Q^R_k
-    for k < N, then P^R_N.  Every MOP through degree N must exist."""
+    for k < N, then P^R_N.  If a MOP of degree < N is missing, they stack
+    only what the Riemann-Hilbert assemblies read: the last 2 r of each."""
     z, W, N = quad.nodes, _weight_at(family, quad, W), system.N
-    left = [system.PL[j](z) for j in range(N + 1)] + [system.QL[N - 1](z)]
-    right = [system.QR[k](z) for k in range(N)] + [system.PR[N](z)]
+    low = () if system.missing else range(N)    # the degrees below N
+    left = [system.PL[j](z) for j in (*low, N)] + [system.QL[N - 1](z)]
+    right = [system.QR[k](z) for k in (*low[:-1], N - 1)] + [system.PR[N](z)]
     return (W, node_product(np.concatenate(left, axis=1), W),
             np.concatenate(right, axis=2))
 
@@ -342,15 +344,13 @@ def assemble_Y(system: MOPSystem, family: WeightFamily,
     quad is the contour of the Cauchy transforms.  It need not be the one
     the system was solved on: a deformation is valid while no poles of W
     are crossed, and evaluates boundary values accurately from either
-    side.  values, `node_values` at the nodes of quad, are read if given;
-    otherwise the two MOPs and W are evaluated there.
+    side.  values, `node_values` at the nodes of quad, are read if given
+    and evaluated otherwise.
     """
     _warn_near(quad, z)
     N, r = system.N, system.r
     PN, Qm = system.PL[N], system.QL[N - 1]
-    PW = (node_product(np.concatenate([PN(quad.nodes), Qm(quad.nodes)], 1),
-                       family.weight(quad.nodes))
-          if values is None else values[1][:, -2 * r:])
+    PW = (values or node_values(system, family, quad))[1][:, -2 * r:]
     C = _cauchy(quad, PW, z)
     Y = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Y[..., :r, :r] = PN(z)
@@ -368,10 +368,8 @@ def assemble_Yinv(system: MOPSystem, family: WeightFamily,
     _warn_near(quad, z)
     N, r = system.N, system.r
     PN, Qm = system.PR[N], system.QR[N - 1]
-    W, Q = ((family.weight(quad.nodes),
-             np.concatenate([Qm(quad.nodes), PN(quad.nodes)], 2))
-            if values is None else (values[0], values[2][..., -2 * r:]))
-    C = _cauchy(quad, node_product(W, Q), z)
+    W, _, Q = values or node_values(system, family, quad)
+    C = _cauchy(quad, node_product(W, Q[..., -2 * r:]), z)
     Yi = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Yi[..., :r, :r] = -C[..., :r]
     Yi[..., :r, r:] = -C[..., r:] / TWO_PI_I
@@ -386,7 +384,7 @@ def kernel_from_Y(system: MOPSystem, family: WeightFamily,
     """(2 pi i (z - w))^{-1} (0 I) Y^{-1}(w) Y(z) (I 0)^T; w and z
     broadcast, and the contour data are built once for all pairs.
     values, `node_values` at the nodes of quad, are read if given."""
-    r = system.r
+    r, values = system.r, values or node_values(system, family, quad)
     Yi = assemble_Yinv(system, family, quad, w, values=values)
     Y = assemble_Y(system, family, quad, z, values=values)
     d = TWO_PI_I * (np.asarray(z, dtype=complex) - w)
@@ -457,7 +455,9 @@ def biorthogonality_residual(system: MOPSystem, family: WeightFamily,
                              values: tuple | None = None) -> float:
     """max_{j,k} || <P^L_j, Q^R_k> - delta_{jk} I ||_max, formed as
     `pairing` does, for every (j, k) at once, from `node_values` at the
-    nodes of quad, which are evaluated unless given."""
+    nodes of quad, evaluated unless given; every MOP below N must exist."""
+    if system.missing:
+        raise SingularSystemError(f"missing MOPs {sorted(system.missing)}")
     _, PW, Q = values or node_values(system, family, quad)
     N, r = system.N, system.r
     vals = node_product(PW[:, :N * r], Q[..., :N * r]).reshape(-1, N, r, N, r)

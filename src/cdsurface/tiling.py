@@ -32,7 +32,7 @@ route's node data is built once per (model, n) on the cached
 `DKEvaluator`: the powers of its kernel points and its kernel
 coefficients (the block inverse, as `mops.kernel_coefficients` returns
 it) are laid out at build, and its period-matrix powers, transfer
-products, side factors (product times power), node powers x^e and
+products, side factors (product times power), weighted node powers and
 single-cell chi integrals are memoized, so a warm block does only
 the work that depends on its heights (sizes: see DKEvaluator).  The
 evaluator also keeps each column's one-point density K(x, y, x, y).
@@ -220,16 +220,16 @@ class _Route:
     Memoized: the power factors per (factor, exponent) in `memo`, the
     transfer products per (lo mod q, hi - lo) in `products`, the side
     factors B2 A^p and A^p B1 per (side, product, exponent) in `sides`,
-    the node powers x ** e per exponent e in `node_powers`, and the chi
-    integrals of single height cells per (B4, L3, B3, y2 - y1) in `chis`
-    (see `_chi`).  Every memoized array is read-only, so no caller can
-    change what a later query reads."""
+    the weighted node powers per side and exponent in `weighted`, and the
+    chi integrals of single height cells per (B4, L3, B3, y2 - y1) in
+    `chis` (see `_chi`).  Every memoized array is read-only, so no caller
+    can change what a later query reads."""
 
     def __init__(self, model: HexagonModel, x, wts, rows, flat, powers):
         self.model, self.x, self.wts = model, x, wts
         self.rows, self.flat, self._powers = rows, flat, powers
-        self.memo, self.products, self.sides, self.node_powers, self.chis = \
-            (_Memo() for _ in range(5))
+        self.memo, self.products, self.sides, self.chis, *self.weighted = \
+            (_Memo() for _ in range(6))
 
     def power(self, k: int, p: int) -> np.ndarray:
         f = self._powers[k]
@@ -259,17 +259,19 @@ class _Route:
             self.sides[key] = P if B is None else B @ P if k == 0 else P @ B
         return self.sides[key]
 
-    def node_power(self, exps) -> np.ndarray:
-        """(n, len(exps)): x ** e per node for every int e of `exps`.
-
-        Each power is taken, and memoized, with a Python int exponent, as
-        for a single height (numpy rounds array-exponent powers
-        differently), so a height's factor is the same number in any
-        batch of heights."""
+    def factors(self, k: int, exps) -> np.ndarray:
+        """(n, len(exps)): wts x ** e per node for every int e of `exps`,
+        over 2 pi i for the right factor and chi (k = 1), as is for the
+        left (k = 0); memoized per exponent in `weighted[k]`.  Each power
+        takes a Python int exponent, as for a single height (numpy rounds
+        array-exponent powers differently), so a height's factor is the
+        same number in any batch of heights."""
+        memo = self.weighted[k]
         for e in exps:
-            if e not in self.node_powers:
-                self.node_powers[e] = self.x ** e
-        return np.array([self.node_powers[e] for e in exps]).T
+            if e not in memo:
+                c = self.wts * self.x ** e
+                memo[e] = c / TWO_PI_I if k else c
+        return np.array([memo[e] for e in exps]).T
 
 
 def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
@@ -278,7 +280,7 @@ def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
     an int height none."""
     sides, shape = [], ()
     for x, y in ((query.x2, query.y2), (query.x1, query.y1)):
-        if np.ndim(y) == 0:
+        if isinstance(y, int) or np.ndim(y) == 0:
             sides.append([(x, [int(y)])])
         else:
             sides.append([(x, [int(v) for v in y])])
@@ -331,7 +333,7 @@ def _left(route: _Route, x2: int, y2s: list) -> np.ndarray:
     model = route.model
     ceil2 = -(-x2 // model.q)
     half = (model.M + model.N) // model.r
-    cw = route.wts[:, None] * route.node_power([y - half for y in y2s])
+    cw = route.factors(0, [y - half for y in y2s])
     side = route.side(0, (x2, model.q * ceil2), model.L // model.q - ceil2)
     return cw[:, :, None, None] * side[:, None]
 
@@ -340,8 +342,7 @@ def _right(route: _Route, x1: int, y1s: list) -> np.ndarray:
     """(n, s, len(y1s), r): the right factor A^L1 B1 z^(-y1-1) / (2 pi i),
     of x1 and y1 only: L1 = floor(x1/q), B1 = A_{q L1} ... A_{x1 - 1}."""
     L1 = x1 // route.model.q
-    cz = route.wts[:, None] * route.node_power([-y - 1 for y in y1s])
-    cz = cz / TWO_PI_I
+    cz = route.factors(1, [-y - 1 for y in y1s])
     side = route.side(1, (route.model.q * L1, x1), L1)
     return cz[:, None, :, None] * side[:, :, None]
 
@@ -372,8 +373,7 @@ def _chi_integral(route: _Route, B4: tuple, L3: int, B3: tuple, y1s: list,
                   y2s: list) -> np.ndarray:
     """The chi integral of the block, evaluated at the nodes."""
     exps = [b - a - 1 for b in y2s for a in y1s]
-    c = route.node_power(exps).reshape(-1, len(y2s), len(y1s))
-    c = route.wts[:, None, None] * c / TWO_PI_I
+    c = route.factors(1, exps).reshape(-1, len(y2s), len(y1s))
     mats = [m for m in (route.product(B4), route.power(2, L3),
                         route.product(B3)) if m is not None]
     idx = "abcd"[:len(mats) + 1]
@@ -414,9 +414,9 @@ class DKEvaluator:
     (`kernel_coeffs` on dk, sheets and plane), and memos of O(n r^2)
     numbers per entry: at most L/q + 1 powers per power factor, at most
     q^2 transfer products and at most 2 (q^2 + 1) (L/q + 1) side
-    factors; plus n numbers per node-power exponent queried, and r^2
-    numbers per chi integral: at most (q^2 + 1)^2 (L/q + 1) per height
-    difference y2 - y1 of the single-cell queries with x1 > x2.  The
+    factors; plus n numbers per exponent queried on a side (2n if on
+    both), and r^2 per chi integral: at most (q^2 + 1)^2 (L/q + 1) per
+    height difference y2 - y1 of the single-cell queries with x1 > x2.  The
     one-point densities of the columns queried (`densities`) are at most
     (L + 1)(N + M) floats."""
 

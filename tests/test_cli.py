@@ -145,13 +145,26 @@ def test_verify_tiling_oracle():
     assert singles and singles[0]["residual"] < 1e-8
 
 
-@pytest.mark.parametrize("family", [
-    Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=4, M=2, N=2),
-    Periodic2x2(a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
-                L=4, M=2, N=2)])
-def test_verify_mops_suite_one_weight_evaluation(family, monkeypatch,
-                                                 tmp_path):
-    # every check of the suite reads the weight evaluated once at the nodes
+MOPS_CHECKS = ["reproducing", "biorthogonality", "sum-vs-formula",
+               "formula-vs-Y", "det-Y-unimodular"]
+
+
+@pytest.mark.parametrize("family_args, skipped", [
+    (["--family-json", json.dumps(Periodic2x1(
+        a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=4, M=2, N=2).to_json()),
+      "--N", "2"], []),
+    (["--family-json", json.dumps(Periodic2x2(
+        a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
+        L=4, M=2, N=2).to_json()), "--N", "2"], []),
+    (["--family", "root-k", "--k", "1"], []),
+    (["--family", "root-k", "--k", "3"],
+     ["biorthogonality", "sum-vs-formula"])],
+    ids=["periodic-2x1", "periodic-2x2", "root-k1", "root-k3"])
+def test_verify_mops_suite_one_weight_evaluation(family_args, skipped,
+                                                 monkeypatch, tmp_path):
+    # every check of the suite reads the weight evaluated once at the
+    # nodes, also when a missing lower-degree MOP (root-k, k = 3) skips
+    # the checks that read every degree
     calls = []
     weight = WeightFamily.weight
 
@@ -161,22 +174,26 @@ def test_verify_mops_suite_one_weight_evaluation(family, monkeypatch,
 
     monkeypatch.setattr(WeightFamily, "weight", counted)
     out = tmp_path / "mops.json"
-    code = main(["verify", "--suite", "mops",
-                 "--family-json", json.dumps(family.to_json()),
-                 "--N", "2", "--n", "256", "--output", str(out)])
+    code = main(["verify", "--suite", "mops", *family_args,
+                 "--n", "256", "--output", str(out)])
     assert calls == [(256,)]
     report = json.loads(out.read_text())
     assert code == 0 and report["pass"]
+    assert report.get("skipped", []) == skipped
     assert {c["check"]: c["pass"] for c in report["checks"]} == dict.fromkeys(
-        ["reproducing", "biorthogonality", "sum-vs-formula", "formula-vs-Y",
-         "det-Y-unimodular"], True)
+        [c for c in MOPS_CHECKS if c not in skipped], True)
 
 
-@pytest.mark.parametrize("family", [
-    Periodic2x1(a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=4, M=2, N=2),
-    Periodic2x2(a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
-                L=4, M=2, N=2)])
-def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family,
+@pytest.mark.parametrize("family_args, mops_read", [
+    (["--family-json", json.dumps(Periodic2x1(
+        a0=1.0, a1=0.7, b0=1.2, b1=0.5, L=4, M=2, N=2).to_json())], 4 + 3),
+    (["--family-json", json.dumps(Periodic2x2(
+        a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
+        L=4, M=2, N=2).to_json())], 4 + 3),
+    (["--family", "root-k", "--k", "3"], 2 + 2)],
+    ids=["periodic-2x1", "periodic-2x2", "root-k3"])
+def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family_args,
+                                                            mops_read,
                                                             monkeypatch,
                                                             tmp_path):
     # every polynomial the suite reads at the 256 nodes is evaluated there
@@ -200,13 +217,13 @@ def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family,
 
     monkeypatch.setattr(MatrixPolynomial, "__call__", counted)
     monkeypatch.setattr(mops, "assemble_Y", assemble_counted)
-    code = main(["verify", "--suite", "mops",
-                 "--family-json", json.dumps(family.to_json()),
+    code = main(["verify", "--suite", "mops", *family_args,
                  "--N", "2", "--n", "256",
                  "--output", str(tmp_path / "mops.json")])
     assert code == 0
-    # five reproducing polynomials, P^L_0..2 and Q^L_1, Q^R_0..1 and P^R_2
-    assert len(at_nodes) == len(set(at_nodes)) == 5 + 4 + 3
+    # five reproducing polynomials, then P^L_0..2 and Q^L_1, Q^R_0..1 and
+    # P^R_2; with P_1 and Q_0 missing, P^L_2 and Q^L_1, Q^R_1 and P^R_2
+    assert len(at_nodes) == len(set(at_nodes)) == 5 + mops_read
     assert in_Y == [0, 0]    # formula-vs-Y, then det-Y
 
 

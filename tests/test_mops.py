@@ -276,6 +276,8 @@ def test_kernel_monomial_closed_form(quad256):
         np.testing.assert_allclose(route(system, 2.0, 3.0), expect,
                                    atol=1e-12)
     assert ("Q", 0) in system.missing
+    with pytest.raises(SingularSystemError):
+        mops.biorthogonality_residual(system, fam, quad256)
 
 
 def test_kernel_sum_two_forms_agree(quad256, rng):

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -529,12 +529,15 @@ def test_route_data_built_once_per_evaluator(monkeypatch):
 def test_route_memo_holds_no_identity():
     m = random_r2_model(np.random.default_rng(11), 2, 6, 12)
     half = (m.M + m.N) // m.r
-    exps = {2 - half, -2, 0}    # y2 - h, -y1 - 1 and y2 - y1 - 1 below
+    # the exponents queried on each side: y2 - h on the left, -y1 - 1 and
+    # the chi integrand's y2 - y1 - 1 on the right, for the queries below
+    lefts, rights = {2 - half}, {-2, 0}
     for x in range(m.L + 1):
         tiling.column_probabilities(m, x, n=128)
         ys = m.column_range(x)
         heights = range(ys[0] // m.r, ys[-1] // m.r + 1)
-        exps |= {y - half for y in heights} | {-y - 1 for y in heights}
+        lefts |= {y - half for y in heights}
+        rights |= {-y - 1 for y in heights}
     for x1 in range(m.L + 1):
         for x2 in range(m.L + 1):
             tiling.dk_kernel(m, KernelQuery(x1, 1, x2, 2), 128)
@@ -546,7 +549,9 @@ def test_route_memo_holds_no_identity():
         assert not np.allclose(prod, eye)
     assert len(route.memo) <= m.L // m.q + 1
     assert 0 < len(route.sides) <= 2 * (m.q ** 2 + 1) * (m.L // m.q + 1)
-    assert 0 < len(route.node_powers) <= len(exps)
+    # one weighted node power per exponent queried on its side
+    assert route.weighted[0].keys() == lefts
+    assert route.weighted[1].keys() == rights
 
 
 def test_warm_blocks_match_fresh_evaluator(rng):
@@ -587,6 +592,35 @@ def test_warm_blocks_match_fresh_evaluator(rng):
                               route.flat)), form
         dk, sheets = ev.route("dk"), ev.route("sheets")
         assert sheets.rows is dk.rows and sheets.flat is dk.flat
+
+
+def test_query_height_types_give_the_same_blocks():
+    # an int, a numpy integer and a 0-d array are one height; a list and a
+    # 1-D array are a height axis, of length one too.  On every route the
+    # same heights give the same blocks, bit for bit, whatever carries them
+    singles = (int, np.int64, np.array)
+    axes = (list, np.array)
+    for m in ROUTE_MODELS:
+        for form, fn in ROUTES.items():
+            for x1, x2 in ((3, 1), (1, 3), (2, 2)):
+                one = fn(m, KernelQuery(x1, 0, x2, 1), 128)
+                assert one.shape == (m.r, m.r)
+                for t1, t2 in product(singles, singles):
+                    blk = fn(m, KernelQuery(x1, t1(0), x2, t2(1)), 128)
+                    assert np.array_equal(blk, one), (form, t1, t2)
+                for t1, t2 in product(axes, axes):
+                    blk = fn(m, KernelQuery(x1, t1([0]), x2, t2([1])), 128)
+                    assert np.array_equal(blk, one[None, None]), form
+                    y1s, y2s = t1([-1, 0, 2]), t2([1, 0])
+                    blk = fn(m, KernelQuery(x1, y1s, x2, y2s), 128)
+                    assert np.array_equal(blk, fn(m, KernelQuery(
+                        x1, np.array([-1, 0, 2]), x2, [1, 0]), 128)), form
+                    assert blk.shape == (2, 3, m.r, m.r)
+                for t1, t2 in product(singles, axes):
+                    # a height and an axis, on either side
+                    for q in (KernelQuery(x1, t1(0), x2, t2([1])),
+                              KernelQuery(x1, t2([0]), x2, t1(1))):
+                        assert np.array_equal(fn(m, q, 128), one[None]), form
 
 
 def abs_terms(route, left, right):
@@ -722,7 +756,7 @@ def test_route_memos_are_read_only():
                 tiling._query_block(route, q)
             # a q = 1 route has no nonempty transfer product
             memos = (route.memo, route.products, route.sides,
-                     route.node_powers, route.chis)
+                     *route.weighted, route.chis)
             assert all(memo or memo is route.products and m.q == 1
                        for memo in memos), form
             for memo in memos:
