@@ -17,9 +17,9 @@ from .surface import (Genus0Chart, build_chart, check_reproducing_plane,
                       check_reproducing_surface,
                       check_reproducing_surface_dual, frak_R,
                       r_lambda_matrix)
-from .tiling import (HexagonModel, KernelQuery, PathSystem, dk_evaluator,
-                     dk_kernel, edge_weight, enumerate_path_systems,
-                     lgv_partition_function, macmahon_count, point_probability,
+from .tiling import (ExactOracle, HexagonModel, KernelQuery, dk_evaluator,
+                     dk_kernel, edge_weight, lgv_partition_function,
+                     macmahon_count, point_probability,
                      simplified_kernel_2x1, simplified_kernel_2x2,
                      simplified_kernel_general, uniform_scalar_kernel)
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,

@@ -28,7 +28,7 @@ class InconsistentParametersError(CDSurfaceError):
 
 
 class SizeGuardError(CDSurfaceError):
-    """Brute-force enumeration would exceed the configured size guard."""
+    """The exact tiling oracle's a-priori cost exceeds its guard."""
 
 
 class NearContourWarning(UserWarning):

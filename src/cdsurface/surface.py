@@ -87,37 +87,29 @@ class Genus0Chart:
     def v_element(self, coeffs: np.ndarray) -> Callable:
         """Member of V from P in P_{n-1}^{1 x r}: coeffs shape (n, r),
         p(zeta) = sum_a P_a(phi(zeta)) e(zeta)[..., a] h(zeta)."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-
-        def p(zeta):
-            zeta = np.asarray(zeta, dtype=complex)
-            Pvals = _row_poly(coeffs, self.phi(zeta))
-            e = self.family.evec(*self.point(zeta))
-            return np.sum(Pvals * e, axis=-1) * self.h(zeta)
-
-        return p
+        return self._element(coeffs, self.family.evec, self.h)
 
     def vstar_element(self, coeffs: np.ndarray) -> Callable:
         """Member of V*: p*(zeta) = hhat(zeta) einv(zeta) . P(phi)."""
+        return self._element(coeffs, self.family.evec_inv, self.hhat)
+
+    def _element(self, coeffs, vec: Callable, factor: Callable) -> Callable:
+        """zeta -> sum_a P_a(phi(zeta)) vec(point(zeta))_a factor(zeta)."""
         coeffs = np.asarray(coeffs, dtype=complex)
 
         def p(zeta):
             zeta = np.asarray(zeta, dtype=complex)
             Pvals = _row_poly(coeffs, self.phi(zeta))
-            einv = self.family.evec_inv(*self.point(zeta))
-            return np.sum(Pvals * einv, axis=-1) * self.hhat(zeta)
+            return np.sum(Pvals * vec(*self.point(zeta)), axis=-1) \
+                * factor(zeta)
 
         return p
 
     def v_basis(self) -> list:
-        basis = []
-        r = self.family.r
-        for m in range(self.n):
-            for a in range(r):
-                coeffs = np.zeros((self.n, r))
-                coeffs[m, a] = 1.0
-                basis.append(self.v_element(coeffs))
-        return basis
+        """The n r members of V whose P has one unit coefficient, (m, a)
+        in row-major order."""
+        return [self.v_element(c.reshape(self.n, -1))
+                for c in np.eye(self.n * self.family.r)]
 
 
 def build_chart(family: WeightFamily, n: int) -> Genus0Chart:
@@ -307,6 +299,17 @@ def frak_R(chart: Genus0Chart, system: mops.MOPSystem, omega, zeta):
 
 # --- reproducing-property verifiers -------------------------------------
 
+def _sheet_sum(family: WeightFamily, nodes: np.ndarray, f: Callable,
+               outer: Callable) -> np.ndarray:
+    """sum_j f(pt_j) lam_j outer_j over the sheets j at the nodes, with
+    pt_j = family.point(j, nodes): a vector per node."""
+    out = np.zeros(nodes.shape + (family.r,), dtype=complex)
+    for j in range(family.r):
+        pt = family.point(j, nodes)
+        out += (f(pt) * family.lam(*pt))[..., None] * outer(*pt)
+    return out
+
+
 def check_reproducing_surface(family: WeightFamily,
                               system: mops.MOPSystem, P_coeffs: np.ndarray,
                               z_sheet: int, z: complex,
@@ -316,23 +319,14 @@ def check_reproducing_surface(family: WeightFamily,
     of plane integrals over the sheets."""
     P_coeffs = np.asarray(P_coeffs, dtype=complex)  # shape (n, r)
     nodes = quad.nodes
-
     Pvals = _row_poly(P_coeffs, nodes)
-
     # v(w) = sum_j f(w^(j)) lam_j(w) einv_j(w): a row covector per node
-    v = np.zeros(nodes.shape + (family.r,), dtype=complex)
-    for j in range(family.r):
-        pt = family.point(j, nodes)
-        f_j = np.sum(Pvals * family.evec(*pt), axis=-1)
-        v += (f_j * family.lam(*pt))[..., None] * family.evec_inv(*pt)
-
+    v = _sheet_sum(family, nodes, lambda pt: np.sum(
+        Pvals * family.evec(*pt), axis=-1), family.evec_inv)
     Rw = mops.cd_kernel(system, nodes, z)
-    integ = np.einsum("n,na,nab->b", quad.weights, v, Rw)
     e_z = family.evec(*family.point(z_sheet, z))
-    val = integ @ e_z
-
-    target = _row_poly(P_coeffs, z) @ e_z
-    return float(abs(val - target))
+    val = np.einsum("n,na,nab->b", quad.weights, v, Rw) @ e_z
+    return float(abs(val - _row_poly(P_coeffs, z) @ e_z))
 
 
 def check_reproducing_surface_dual(family: WeightFamily,
@@ -343,23 +337,14 @@ def check_reproducing_surface_dual(family: WeightFamily,
     """Dual version for f*(z^(j)) = einv_j(z) P(z), integrating in z."""
     P_coeffs = np.asarray(P_coeffs, dtype=complex)  # shape (n, r)
     nodes = quad.nodes
-
     Pvals = _row_poly(P_coeffs, nodes)
-
     # u(z) = sum_j e_j(z) lam_j(z) f*(z^(j)): a column vector per node
-    u = np.zeros(nodes.shape + (family.r,), dtype=complex)
-    for j in range(family.r):
-        pt = family.point(j, nodes)
-        fst_j = np.sum(family.evec_inv(*pt) * Pvals, axis=-1)
-        u += (fst_j * family.lam(*pt))[..., None] * family.evec(*pt)
-
+    u = _sheet_sum(family, nodes, lambda pt: np.sum(
+        family.evec_inv(*pt) * Pvals, axis=-1), family.evec)
     Rz = mops.cd_kernel(system, w, nodes)
-    integ = np.einsum("n,nab,nb->a", quad.weights, Rz, u)
     einv_w = family.evec_inv(*family.point(w_sheet, w))
-    val = einv_w @ integ
-
-    target = einv_w @ _row_poly(P_coeffs, w)
-    return float(abs(val - target))
+    val = einv_w @ np.einsum("n,nab,nb->a", quad.weights, Rz, u)
+    return float(abs(val - einv_w @ _row_poly(P_coeffs, w)))
 
 
 def check_reproducing_plane(chart: Genus0Chart, kernel: Callable,

@@ -16,26 +16,20 @@ This module provides:
     formulas whose integrands contain only a *scalar* CD kernel;
   * uniform_scalar_kernel -- the classical scalar-weight kernel of the
     uniform measure (independent oracle route through `sops`);
-  * enumerate_path_systems, point_probability, lgv_partition_function,
-    macmahon_count -- brute-force and closed-form oracles.
+  * ExactOracle -- the measure's kernel and probabilities in exact
+    arithmetic (Eynard-Mehta on the transfer matrices);
+  * point_probability, lgv_partition_function, macmahon_count --
+    probabilities, the partition function and the uniform count.
 
 Every kernel entry is one double-contour block (`_contour_block`) on one
 of the DK, sheet, plane and explicit routes, contracted through CD
 kernel coefficients (`mops.contract`); the routes differ only in their
 nodes, their kernel coefficients and how they write powers of the period
-matrix.  Each factor of the integrand derives its own geometry: the left
-from (x2, y2), the right from (x1, y1), the chi term from both columns.
-So a block takes groups of (column, heights) per side and stacks their
-factors into one contraction: a `KernelQuery` is one group per side,
-`DKEvaluator.point_matrix` one single-height group per point.  Each
-route's node data is built once per (model, n) on the cached
-`DKEvaluator`: the powers of its kernel points and its kernel
-coefficients (the block inverse, as `mops.kernel_coefficients` returns
-it) are laid out at build, and its period-matrix powers, transfer
-products, side factors (product times power), weighted node powers and
-single-cell chi integrals are memoized, so a warm block does only
-the work that depends on its heights (sizes: see DKEvaluator).  The
-evaluator also keeps each column's one-point density K(x, y, x, y).
+matrix.  A block stacks groups of (column, heights) per side into one
+contraction.  Each route's node data is built once per (model, n) on
+the cached `DKEvaluator` and memoized (see `_Route`), so a warm block
+does only the work that depends on its heights; the evaluator also
+keeps each column's one-point density K(x, y, x, y).
 """
 
 from __future__ import annotations
@@ -43,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import product
-from math import comb, prod
+from itertools import accumulate, product
+from math import prod
 
 import numpy as np
 
@@ -54,13 +48,13 @@ from .errors import InvalidArgumentError, SizeGuardError, \
     UnsupportedFamilyError
 from .surface import build_chart
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, WeightFamily,
-                      int_fields, transfer_matrix, weight_table)
+                      check_integers, int_fields, transfer_matrix,
+                      weight_table)
 
 TWO_PI_I = 2j * np.pi
 
-#: largest number of candidate lattice configurations the brute-force
-#: path enumeration will attempt.
-ENUMERATION_GUARD = 10_000_000
+#: largest `exact_cost` admitted: about 10 s (periodic (24,12,12): 1.9e5)
+EXACT_GUARD = 2_500_000
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +110,8 @@ class HexagonModel:
 
     def period_matrix(self, z):
         """A(z) = A_0(z) ... A_{q-1}(z)."""
-        A = self.transition(0, z)
-        for ell in range(1, self.q):
-            A = A @ self.transition(ell, z)
-        return A
+        return reduce(np.matmul, (self.transition(ell, z)
+                                  for ell in range(self.q)))
 
     def family(self) -> WeightFamily:
         """Matching closed-form weight family, when one exists."""
@@ -143,14 +135,6 @@ class HexagonModel:
         lo = max(0, x - (self.L - self.M))
         hi = min(self.N + self.M - 1, x + self.N - 1)
         return range(lo, hi + 1)
-
-    @property
-    def starts(self) -> tuple:
-        return tuple(range(self.N))
-
-    @property
-    def ends(self) -> tuple:
-        return tuple(self.M + j for j in range(self.N))
 
 
 def edge_weight(model: HexagonModel, edge) -> float:
@@ -193,6 +177,10 @@ class KernelQuery:
     y1: int | np.ndarray
     x2: int
     y2: int | np.ndarray
+
+    def __post_init__(self):
+        check_integers("KernelQuery column", 0, self.x1, self.x2)
+        check_integers("KernelQuery height", 1, self.y1, self.y2)
 
 
 def check_columns(model: HexagonModel, *xs: int) -> None:
@@ -613,14 +601,11 @@ def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
                           n: int | None = None) -> complex:
     """Correlation kernel of the uniform measure through the scalar
     weight (1+z)^L z^{-M-N}; independent of the matrix-kernel path."""
-
-    def wtilde(z):
-        return (1 + z) ** L * z ** (-(M + N))
-
     quad = unit_circle_quadrature(n)
     z = quad.nodes
-    coeffs, _ = mops.kernel_coefficients(
-        sops.scalar_moments(wtilde, quad, N).reshape(-1, 1, 1), N)
+    coeffs, _ = mops.kernel_coefficients(sops.scalar_moments(
+        lambda s: (1 + s) ** L * s ** (-(M + N)), quad, N).reshape(-1, 1, 1),
+        N)
     cu = (quad.weights * (1 + z) ** (L - x2) * z ** (y2 - M - N))[:, None]
     cv = (quad.weights * (1 + z) ** x1 * z ** (-y1 - 1) / TWO_PI_I)[:, None]
     out = complex(mops.kernel_integral(coeffs, z, cu, z, cv))
@@ -631,59 +616,8 @@ def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
 
 
 # ---------------------------------------------------------------------------
-# brute-force path oracle
+# exact and closed-form oracles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PathSystem:
-    """N strictly ordered monotone paths; paths[i][x] is the height of
-    path i in column x."""
-
-    paths: tuple
-    weight: float
-
-    def passes_through(self, x: int, y: int) -> bool:
-        return any(p[x] == y for p in self.paths)
-
-
-def enumerate_path_systems(model: HexagonModel) -> list:
-    """All systems of N non-intersecting paths with their weights."""
-    L, M, N = model.L, model.M, model.N
-    if comb(L, M) ** N > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"enumeration guard exceeded: C({L},{M})^{N} > "
-            f"{ENUMERATION_GUARD}")
-    target = model.ends
-    ranges = [model.column_range(x) for x in range(L + 1)]
-    out = []
-
-    ts = [transfer(model, x).tolist() for x in range(L)]
-
-    def step_weight(x, ys, steps):
-        return prod(ts[x][y - ranges[x].start][y + dlt - ranges[x + 1].start]
-                    for y, dlt in zip(ys, steps))
-
-    def rec(x, ys, weight, hist):
-        if x == L:
-            if ys == target:
-                paths = tuple(tuple(row[i] for row in hist)
-                              for i in range(N))
-                out.append(PathSystem(paths=paths, weight=weight))
-            return
-        rng = ranges[x + 1]
-        for steps in product((0, 1), repeat=N):
-            nys = tuple(y + dlt for y, dlt in zip(ys, steps))
-            if any(n2 <= n1 for n1, n2 in zip(nys, nys[1:])):
-                continue
-            if nys[0] < rng.start or nys[-1] >= rng.stop:
-                continue
-            rec(x + 1, nys, weight * step_weight(x, ys, steps),
-                hist + (nys,))
-
-    start = model.starts
-    rec(0, start, 1.0, (start,))
-    return out
-
 
 def lgv_partition_function(model: HexagonModel) -> float:
     """Partition function as the determinant of the single-path
@@ -697,14 +631,100 @@ def lgv_partition_function(model: HexagonModel) -> float:
 def macmahon_count(L: int, M: int, N: int) -> int:
     """Number of lozenge tilings of the uniform (L, M, N) hexagon
     (boxed-plane-partition product formula with box M x N x (L-M))."""
-    a, b, c = M, N, L - M
-    total = Fraction(1)
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                total *= Fraction(i + j + k - 1, i + j + k - 2)
+    sides = range(1, M + 1), range(1, N + 1), range(1, L - M + 1)
+    total = prod(Fraction(i + j + k - 1, i + j + k - 2)
+                 for i, j, k in product(*sides))
     assert total.denominator == 1
     return int(total)
+
+
+def exact_cost(model: HexagonModel) -> int:
+    """A-priori cost of `ExactOracle(model)` in Fraction operations on
+    small numbers (about 4 us each, measured): 4 N per hexagon cell for
+    the path products, on b = L (weights' mean bits) bits, and 2 N^3 for
+    eliminating G, on N b bits; one on b bits counts 1 + (b / 2300)^2."""
+    b = model.L * np.mean([Fraction(w).numerator.bit_length()
+                           + Fraction(w).denominator.bit_length()
+                           for row in model.a + model.b for w in row])
+    N, cells = model.N, sum(map(len, map(model.column_range,
+                                         range(model.L + 1))))
+    return round(4 * N * cells * (1 + (b / 2300) ** 2 / 3)
+                 + 2 * N ** 3 * (1 + (N * b / 2300) ** 2))
+
+
+def _fractions(mat) -> list:
+    """A float matrix as lists of rows of exact Fractions."""
+    return [[Fraction(v) for v in row] for row in np.asarray(mat).tolist()]
+
+
+def _fraction_product(a: list, b: list) -> list:
+    """a @ b for lists of Fraction rows, multiplying nonzero pairs only
+    (t_x has at most two nonzero entries per row)."""
+    return [[sum((u * v for u, v in zip(row, col) if u and v), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def _fraction_gauss_jordan(mat: list) -> tuple:
+    """(det, inverse) of a square Fraction matrix by one Gauss-Jordan
+    elimination; (0, None) when it is singular."""
+    n, det = len(mat), Fraction(1)
+    rows = [list(row) + e for row, e in zip(mat, _fractions(np.eye(n)))]
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0), None
+        rows[c], rows[p] = rows[p], rows[c]
+        det *= rows[c][c] if p == c else -rows[c][c]
+        pivot = [v / rows[c][c] for v in rows[c]]
+        rows = [pivot if i == c else [u - row[c] * v for u, v in
+                                      zip(row, pivot)]
+                for i, row in enumerate(rows)]
+    return det, [row[n:] for row in rows]
+
+
+class ExactOracle:
+    """The tiling measure in exact arithmetic: Eynard-Mehta (1998;
+    Johansson, PTRF 2002) on the `Fraction` values of `transfer`'s
+    entries.  With the path products F[x] = t_0 ... t_{x-1} from the
+    starts and B[x] = t_x ... t_{L-1} to the ends, G = F[L] and
+    `partition_function` = det G, in the contour routes' argument order
+    (Eynard-Mehta's transposed, so that chi falls where x1 > x2):
+
+        K(x1, y1, x2, y2) = B[x2](y2, .) G^-1 F[x1](., y1)
+                            - [x1 > x2] (t_x2 ... t_{x1-1})(y2, y1).
+
+    A gauge may separate it from the contour kernel; zero entries and
+    determinants do not see one.  Raises SizeGuardError before any work
+    if `exact_cost` exceeds EXACT_GUARD."""
+
+    def __init__(self, model: HexagonModel):
+        if (cost := exact_cost(model)) > EXACT_GUARD:
+            raise SizeGuardError(f"exact oracle guard exceeded: cost {cost}"
+                                 f" > {EXACT_GUARD}")
+        self.model, eye = model, _fractions(np.eye(model.N))
+        self.ts = [_fractions(transfer(model, x)) for x in range(model.L)]
+        self.F = list(accumulate(self.ts, _fraction_product, initial=eye))
+        self.B = list(accumulate(reversed(self.ts), lambda b, t:
+                                 _fraction_product(t, b), initial=eye))[::-1]
+        self.partition_function, self.Ginv = _fraction_gauss_jordan(self.F[-1])
+
+    def kernel(self, x1: int, y1: int, x2: int, y2: int) -> Fraction:
+        """K(x1, y1, x2, y2); 0 for a height outside its column."""
+        r1, r2 = self.model.column_range(x1), self.model.column_range(x2)
+        if y1 not in r1 or y2 not in r2:
+            return Fraction(0)
+        left = _fraction_product([self.B[x2][y2 - r2.start]], self.Ginv)[0]
+        out = sum(u * f[y1 - r1.start] for u, f in zip(left, self.F[x1]))
+        if x1 > x2:
+            out -= reduce(_fraction_product, self.ts[x2:x1], _fractions(
+                np.eye(len(r2))[[y2 - r2.start]]))[0][y1 - r1.start]
+        return out
+
+    def probability(self, points: list) -> Fraction:
+        """det[K(x_i, y_i, x_j, y_j)]: P(a path passes through every
+        point), 1 for no points."""
+        return _fraction_gauss_jordan([[self.kernel(*a, *b) for b in points]
+                                       for a in points])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +733,26 @@ def macmahon_count(L: int, M: int, N: int) -> int:
 
 def point_probability(model: HexagonModel, points,
                       route: str = "determinant",
-                      n: int | None = None) -> float:
+                      n: int | None = None) -> float | Fraction:
     """P(a path passes through every point in `points`).
 
     route="determinant": det[K(x_i, y_i, x_j, y_j)] via the matrix
     double-contour kernel (exactly 0.0 for a height outside its column).
-    route="enumeration": exhaustive-path ratio."""
-    points = list(points)
+    route="exact": the same determinant as a Fraction, on a fresh
+    `ExactOracle`."""
+    points = [tuple(pt) for pt in points]
+    check_integers("point coordinate", 0, *(v for pt in points for v in pt))
     if len(set(points)) != len(points):
         raise InvalidArgumentError("points must be distinct")
-    if not points:
-        return 1.0
     check_columns(model, *(x for x, _ in points))
-
-    if route == "enumeration":
-        systems = enumerate_path_systems(model)
-        Z = sum(s.weight for s in systems)
-        hit = sum(s.weight for s in systems
-                  if all(s.passes_through(x, y) for x, y in points))
-        return hit / Z
-
+    if route == "exact":
+        return ExactOracle(model).probability(points)
     if route != "determinant":
         raise InvalidArgumentError(f"unknown route {route!r}")
+    if not points:
+        return 1.0
     if any(y not in model.column_range(x) for x, y in points):
         return 0.0
-
     mat = dk_evaluator(model, n).point_matrix(points)
     return float(np.linalg.det(mat).real)
 

@@ -21,7 +21,7 @@ Evaluators accept scalar or ndarray z.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 from sys import float_info
 
 import numpy as np
@@ -75,18 +75,25 @@ def node_power(A: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+def check_integers(name: str, ndim: int, *values) -> None:
+    """InvalidArgumentError naming `name` unless each value is an integer
+    (a bool, a float, NaN or infinity is not) or, with ndim 1, a 1-D
+    integer array or list."""
+    for v in values:
+        if type(v) is not int and (np.asarray(v).dtype.kind not in "iu"
+                                   or np.ndim(v) > ndim):
+            raise InvalidArgumentError(f"{name} must be an integer"
+                                       f"{' or 1-D array' * ndim}, got {v!r}")
+
+
 def int_fields(tag: str, obj) -> None:
-    """InvalidArgumentError naming the field, by `tag`, unless every
-    dataclass field of obj annotated int holds an integer (a bool, a
-    float, NaN or infinity does not); each is stored as an int."""
+    """`check_integers` on every dataclass field of obj annotated int,
+    named by `tag`; each is stored as an int."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type != "int" or type(value) is int:   # a plain int is valid
-            continue
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise InvalidArgumentError(f"{tag}: parameter {f.name!r} must "
-                                       f"be an integer, got {value!r}")
-        object.__setattr__(obj, f.name, int(value))
+        if f.type == "int":
+            value = getattr(obj, f.name)
+            check_integers(f"{tag}: parameter {f.name!r}", 0, value)
+            object.__setattr__(obj, f.name, int(value))
 
 
 def weight_table(tag: str, rows, shape: tuple) -> tuple:

@@ -1,11 +1,14 @@
 import os
+from fractions import Fraction
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdsurface import (CyclicUniform, Periodic2x1, Periodic2x2,
-                       ScalarMonomial, TwoByTwoRootK,
+                       ScalarMonomial, TwoByTwoRootK, edge_weight,
                        unit_circle_quadrature)
 
 SEED = 20260826
@@ -63,3 +66,39 @@ def random_offcut_points(rng, count=100):
     ang = 0.15 + (np.pi - 0.3) * rng.random(count)
     sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
     return rad * np.exp(1j * sign * ang)
+
+
+def path_systems(model) -> list:
+    """(paths, weight) for every system of N non-intersecting paths of a
+    small tiling model, by brute force: paths[i][x] is the height of path
+    i in column x, and weight is the product of its `edge_weight`s as an
+    exact Fraction.  The one reference for the tiling measure that
+    assumes neither Lindstrom-Gessel-Viennot nor Eynard-Mehta."""
+    out = []
+
+    def extend(hist, weight):
+        x, ys = len(hist) - 1, hist[-1]
+        if x == model.L:
+            if ys == tuple(model.column_range(model.L)):
+                out.append((tuple(zip(*hist)), weight))
+            return
+        heights = model.column_range(x + 1)
+        for steps in product((0, 1), repeat=model.N):
+            nys = tuple(y + d for y, d in zip(ys, steps))
+            if nys[0] in heights and nys[-1] in heights and all(
+                    a < b for a, b in zip(nys, nys[1:])):
+                extend(hist + [nys], weight * prod(
+                    Fraction(edge_weight(model, ((x, y), (x + 1, ny))))
+                    for y, ny in zip(ys, nys)))
+
+    extend([tuple(model.column_range(0))], Fraction(1))
+    return out
+
+
+def enumerated_probability(systems: list, points) -> Fraction:
+    """P(a path passes through every point): the weight of the `systems`
+    that do over the weight of all."""
+    hit = sum((w for paths, w in systems
+               if all(any(p[x] == y for p in paths) for x, y in points)),
+              Fraction(0))
+    return hit / sum(w for _, w in systems)

@@ -19,7 +19,7 @@ from cdsurface import (CyclicUniform, HexagonModel, KernelQuery,
                        simplified_kernel_2x2, uniform_scalar_kernel,
                        unit_circle_quadrature)
 from cdsurface import mops, sops, surface, tiling
-from conftest import make_families
+from conftest import enumerated_probability, make_families, path_systems
 
 QN = 256
 SEED = 20260826
@@ -299,26 +299,28 @@ def test_criterion_08_surface_reproducing(capsys):
 
 
 def test_criterion_09_tiling_oracle(capsys):
+    # the reference is the brute-force enumerated measure, which assumes
+    # neither LGV nor Eynard-Mehta
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     counts_ok = True
     worst = 0.0
     for (L, N, M), expect in (((2, 1, 1), 2), ((4, 2, 2), 20)):
         m = HexagonModel.uniform(L, M, N)
-        systems = tiling.enumerate_path_systems(m)
+        systems = path_systems(m)
         counts_ok &= len(systems) == macmahon_count(L, M, N) == expect
         singles = [(x, y) for x in range(m.L + 1)
                    for y in m.column_range(x)]
         for pt in singles:
             worst = max(worst, abs(
                 point_probability(m, [pt], "determinant", QN)
-                - point_probability(m, [pt], "enumeration")))
+                - enumerated_probability(systems, [pt])))
         for _ in range(10):
             idx = rng.choice(len(singles), 2, replace=False)
             pts = [singles[i] for i in idx]
             worst = max(worst, abs(
                 point_probability(m, pts, "determinant", QN)
-                - point_probability(m, pts, "enumeration")))
+                - enumerated_probability(systems, pts)))
     dt = time.perf_counter() - t0
     ok = counts_ok and worst < 1e-8 and dt < 60.0
     report(capsys, 9, ok,

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cdsurface import MatrixPolynomial, Periodic2x1, Periodic2x2, WeightFamily
+from cdsurface import (HexagonModel, MatrixPolynomial, Periodic2x1,
+                       Periodic2x2, WeightFamily, point_probability)
 from cdsurface import mops
 from cdsurface.cli import EXIT_CONFIG, main
 
@@ -140,8 +142,12 @@ def test_verify_tiling_oracle():
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert all(c["pass"] for c in report["checks"])
+    assert [c["check"] for c in report["checks"]] == [
+        "exact-vs-macmahon", "lgv-vs-exact", "determinant-vs-exact-singles",
+        "determinant-vs-exact-pairs", "column-sums"]
+    assert report["checks"][0]["residual"] == 0.0    # det G == 2 tilings
     singles = [c for c in report["checks"]
-               if c["check"] == "determinant-vs-enumeration-singles"]
+               if c["check"] == "determinant-vs-exact-singles"]
     assert singles and singles[0]["residual"] < 1e-8
 
 
@@ -257,7 +263,8 @@ def test_prob_uniform_box():
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert abs(report["probability_determinant"] - 0.5) < 1e-8
-    assert abs(report["probability_enumeration"] - 0.5) < 1e-12
+    assert point_probability(HexagonModel.uniform(2, 1, 1), [(1, 0)],
+                             "exact") == Fraction(1, 2)
     for total in report["column_sums"].values():
         assert abs(total - 1) < 1e-7
 
@@ -275,7 +282,10 @@ def test_prob_periodic_r2_q2_hexagon():
         assert abs(total - 2) < 1e-7
     p_det = report["probability_determinant"]
     assert 1e-3 < p_det < 1 - 1e-3
-    assert abs(p_det - report["probability_enumeration"]) < 1e-8
+    m = HexagonModel(r=2, q=2, L=4, M=2, N=2, a=((1.0, 2.0), (1.0, 1.0)),
+                     b=((1.0, 2.0), (1.5, 0.7)))
+    assert abs(p_det - point_probability(m, [(1, 1), (3, 2)], "exact")) \
+        < 1e-8
 
 
 def test_prob_point_outside_column_reports_zero(tmp_path):
@@ -284,7 +294,8 @@ def test_prob_point_outside_column_reports_zero(tmp_path):
                  "--n", "64", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["probability_determinant"] == 0.0
-    assert report["probability_enumeration"] == 0.0
+    assert point_probability(HexagonModel.uniform(4, 2, 2, r=2), [(1, 9)],
+                             "exact") == 0
     assert '"probability_determinant": 0.0,' in out.read_text()
     for total in report["column_sums"].values():
         assert abs(total - 2) < 1e-7
@@ -361,13 +372,14 @@ def test_prob_empty_points():
     assert json.loads(res.stdout)["probability_determinant"] == 1.0
 
 
-def test_prob_guard_notice():
+def test_prob_reports_the_determinant_route_only():
+    # no reference probability rides along, at any size
     res = run_cli("prob", "--hexagon", "40,10,20", "--points", "5,5",
                   "--n", "64")
     assert res.returncode == 0
     report = json.loads(res.stdout)
-    assert report["probability_enumeration"] is None
-    assert "enumeration skipped" in report.get("notice", "")
+    assert list(report) == ["hexagon", "points", "probability_determinant",
+                            "column_sums"]
 
 
 # --- option values -----------------------------------------------------

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdsurface import (HexagonModel, InvalidArgumentError, KernelQuery,
-                       SingularSystemError, SizeGuardError, WeightFamily,
-                       edge_weight, enumerate_path_systems,
+from cdsurface import (ExactOracle, HexagonModel, InvalidArgumentError,
+                       KernelQuery, SingularSystemError, SizeGuardError,
+                       WeightFamily, edge_weight,
                        lgv_partition_function, macmahon_count,
                        point_probability,
                        simplified_kernel_2x1, simplified_kernel_2x2,
                        simplified_kernel_general, uniform_scalar_kernel,
                        unit_circle_quadrature)
 from cdsurface import mops, tiling
+from conftest import enumerated_probability, path_systems
 
 QN = 256
 
@@ -73,8 +74,6 @@ def test_model_validation():
 
 def test_hexagon_geometry():
     m = HexagonModel.uniform(4, 2, 2)
-    assert m.starts == (0, 1)
-    assert m.ends == (2, 3)
     assert list(m.column_range(0)) == [0, 1]
     assert list(m.column_range(2)) == [0, 1, 2, 3]
     assert list(m.column_range(4)) == [2, 3]
@@ -112,70 +111,119 @@ def test_edge_weights_match_contour_formula(rng):
             assert abs(val - expect) < 1e-12
 
 
-# --- enumeration oracle -------------------------------------------------
+# --- exact oracle and brute-force enumeration ---------------------------
+
+def q3_model():
+    """q = 3 has column pairs x2 < x1 inside one period (x2 = 3k + 1,
+    x1 = 3k + 2), whose chi product is the single factor A_x2."""
+    rng = np.random.default_rng(3)
+    return HexagonModel(r=1, q=3, L=6, M=2, N=2,
+                        a=tuple((v,) for v in rng.uniform(0.5, 2, 3)),
+                        b=tuple((v,) for v in rng.uniform(0.5, 2, 3)))
+
+
+# every model the tests enumerate, with a q = 2 one of dyadic weights
+ENUMERATED_MODELS = (
+    HexagonModel.uniform(2, 1, 1), HexagonModel.uniform(4, 2, 2),
+    HexagonModel.uniform(4, 2, 2, r=2), model_2x1(),
+    model_2x1(L=2, a=((1.0, 0.7),), b=((1.2, 0.5),)),
+    model_2x2(((1.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.5, 0.7))),
+    model_2x2(((1.0, 2.0), (1.0, 1.0)), ((1.0, 2.0), (1.5, 0.7))),
+    model_2x2(((1.0, 0.5), (2.0, 1.0)), ((0.25, 1.0), (1.5, 0.75))),
+    q3_model())
+
 
 def test_macmahon_counts():
     assert macmahon_count(2, 1, 1) == 2
     assert macmahon_count(4, 2, 2) == 20
-    assert len(enumerate_path_systems(HexagonModel.uniform(2, 1, 1))) == 2
-    assert len(enumerate_path_systems(HexagonModel.uniform(4, 2, 2))) == 20
+    assert len(path_systems(HexagonModel.uniform(2, 1, 1))) == 2
+    assert len(path_systems(HexagonModel.uniform(4, 2, 2))) == 20
+    # det G of the exact oracle is the count itself, as an integer
+    for L, M, N in ((2, 1, 1), (4, 2, 2), (6, 3, 3), (5, 2, 3), (8, 4, 4)):
+        Z = ExactOracle(HexagonModel.uniform(L, M, N)).partition_function
+        assert Z.denominator == 1 and Z == macmahon_count(L, M, N)
 
 
 def test_path_system_invariants():
-    systems = enumerate_path_systems(model_2x1())
+    systems = path_systems(model_2x1())
     m = model_2x1()
-    for s in systems:
-        for i, p in enumerate(s.paths):
-            assert p[0] == m.starts[i] and p[-1] == m.ends[i]
+    for paths, weight in systems:
+        for i, p in enumerate(paths):     # from start i to end i
+            assert (p[0], p[-1]) == (i, m.M + i)
             assert all(p[x + 1] - p[x] in (0, 1) for x in range(m.L))
-        for a, b in zip(s.paths, s.paths[1:]):
+        for a, b in zip(paths, paths[1:]):
             assert all(ya < yb for ya, yb in zip(a, b))
-        assert s.weight > 0
+        assert weight > 0
 
 
 def test_partition_function_vs_lgv():
     for m in (model_2x1(),
               model_2x2(((1.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.5, 0.7)))):
-        Z = sum(s.weight for s in enumerate_path_systems(m))
-        assert abs(lgv_partition_function(m) - Z) < 1e-10 * abs(Z)
+        Z = sum(w for _, w in path_systems(m))
+        assert abs(Fraction(lgv_partition_function(m)) - Z) <= 1e-10 * Z
 
 
-def fraction_det(mat):
-    """Exact determinant of a matrix of Fractions, by elimination."""
-    mat, det = [row[:] for row in mat], Fraction(1)
-    for c in range(len(mat)):
-        p = next(i for i in range(c, len(mat)) if mat[i][c] != 0)
-        if p != c:
-            mat[c], mat[p], det = mat[p], mat[c], -det
-        det *= mat[c][c]
-        for row in mat[c + 1:]:
-            f = row[c] / mat[c][c]
-            row[:] = [x - f * y for x, y in zip(row, mat[c])]
-    return det
+@pytest.mark.parametrize("m", ENUMERATED_MODELS,
+                         ids=lambda m: f"{m.L}-{m.M}-{m.N}-r{m.r}-q{m.q}")
+def test_exact_oracle_equals_enumeration(m):
+    # every single point and every pair, x1 < x2 and x1 > x2 included,
+    # and the partition function: equal as Fractions
+    systems = path_systems(m)
+    oracle = ExactOracle(m)
+    assert oracle.partition_function == sum(w for _, w in systems)
+    for pts in [[pt] for pt in lattice(m)] + list(combinations(lattice(m), 2)):
+        assert oracle.probability(pts) == enumerated_probability(
+            systems, pts), pts
+    # the exact route is a fresh oracle's probability
+    assert point_probability(m, pts, "exact") == oracle.probability(pts)
 
 
 def test_lgv_matches_exact_transfer_product():
-    # det(t_0 ... t_{L-1}) in floats against the same product and
-    # determinant in exact arithmetic on the floats' values
-    def product(a, b):
-        return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-                 for col in zip(*b)] for row in a]
-
+    # det(t_0 ... t_{L-1}) in floats against the exact oracle's det G on
+    # the floats' values
     for m in (model_2x1(), *ROUTE_MODELS,
               model_2x2(((1.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.5, 0.7))),
               random_r2_model(np.random.default_rng(1), 2, 4, 8),
               random_r2_model(np.random.default_rng(505), 2, 6, 12)):
-        ts = [[[Fraction(v) for v in row]
-               for row in tiling.transfer(m, x).tolist()]
-              for x in range(m.L)]
-        exact = fraction_det(reduce(product, ts))
+        exact = ExactOracle(m).partition_function
         assert abs(Fraction(lgv_partition_function(m)) - exact) \
             <= Fraction(1e-12) * abs(exact)
 
 
-def test_enumeration_guard():
-    with pytest.raises(SizeGuardError):
-        enumerate_path_systems(HexagonModel.uniform(40, 20, 10))
+def periodic_model(n):
+    """The periodic r = 2, q = 1 model on the (2n, n, n) hexagon."""
+    return HexagonModel(r=2, q=1, L=2 * n, M=n, N=n,
+                        a=((1.0, 0.7),), b=((1.2, 0.5),))
+
+
+def test_exact_oracle_guard(monkeypatch):
+    # the guard admits the periodic model at N = 12 and refuses it at
+    # N = 20 from the estimate alone, before any transfer matrix is built
+    assert tiling.exact_cost(periodic_model(12)) <= tiling.EXACT_GUARD
+    calls = Counter()
+    monkeypatch.setattr(tiling, "transfer",
+                        counting(calls, "transfer", tiling.transfer))
+    for m in (periodic_model(20), HexagonModel.uniform(400, 200, 200)):
+        with pytest.raises(SizeGuardError, match="exact oracle guard"):
+            ExactOracle(m)
+        with pytest.raises(SizeGuardError):
+            point_probability(m, [(0, 0)], "exact")
+    assert calls["transfer"] == 0
+
+
+def test_exact_pins_on_seed_505():
+    # the strict xfail's model: the entry K(12, 9, 0, 2) from the start
+    # (0, 2) to the end (12, 9) is exactly 0, and a path passes through
+    # both with probability exactly 1.  The float route's kernel may
+    # differ by a gauge, so only the zero and the determinant compare
+    m = random_r2_model(np.random.default_rng(505), 2, 6, 12)
+    oracle = ExactOracle(m)
+    pts = [(0, 2), (12, 9)]
+    assert oracle.kernel(12, 9, 0, 2) == 0
+    assert oracle.probability(pts) == Fraction(1)
+    ev = tiling.dk_evaluator(m, 128)
+    assert abs(ev.scalar(12, 9, 0, 2)) < 1e-7
+    assert abs(point_probability(m, pts, n=128) - 1) < 1e-8
 
 
 # --- DK kernel vs oracle ------------------------------------------------
@@ -191,22 +239,20 @@ def test_uniform_kernel_matches_scalar_form():
         assert abs(a - b) < 1e-8
 
 
-def test_probabilities_match_enumeration(rng):
+def test_probabilities_match_exact(rng):
     for m in (HexagonModel.uniform(2, 1, 1), HexagonModel.uniform(4, 2, 2),
               model_2x1(L=2, a=((1.0, 0.7),), b=((1.2, 0.5),))):
-        singles = [(x, y) for x in range(m.L + 1)
-                   for y in m.column_range(x)]
+        oracle = ExactOracle(m)
+        singles = lattice(m)
         for pt in singles:
             d = point_probability(m, [pt], "determinant", QN)
-            e = point_probability(m, [pt], "enumeration")
-            assert abs(d - e) < 1e-8
+            assert abs(d - oracle.probability([pt])) < 1e-8
             assert -1e-9 <= d <= 1 + 1e-9
         for _ in range(10):
             idx = rng.choice(len(singles), 2, replace=False)
             pts = [singles[i] for i in idx]
             d = point_probability(m, pts, "determinant", QN)
-            e = point_probability(m, pts, "enumeration")
-            assert abs(d - e) < 1e-8
+            assert abs(d - oracle.probability(pts)) < 1e-8
 
 
 def test_column_sums_equal_N():
@@ -240,7 +286,7 @@ def test_column_probabilities_column_outside_hexagon():
 
 def test_point_outside_column_range_has_probability_zero(monkeypatch):
     # a height outside the column's range carries no path: the
-    # determinant route returns 0.0 exactly, as enumeration does, and
+    # determinant route returns 0.0 exactly, as the exact route does, and
     # evaluates no block, whose rounding could make it negative
     m = HexagonModel.uniform(4, 2, 2, r=2)
     calls = Counter()
@@ -250,7 +296,7 @@ def test_point_outside_column_range_has_probability_zero(monkeypatch):
         for pts in ([pt], [(2, 1), pt]):
             p = point_probability(m, pts, "determinant", 64)
             assert p == 0.0 and not np.signbit(p), pts
-            assert point_probability(m, pts, "enumeration") == 0.0
+            assert point_probability(m, pts, "exact") == 0
     assert calls["block"] == 0
 
 
@@ -290,17 +336,12 @@ def test_point_probability_within_unit_interval_r2_q2_hexagon():
 
 
 def test_pair_probabilities_q3_within_one_period():
-    # q = 3 has column pairs x2 < x1 inside one period (x2 = 3k + 1,
-    # x1 = 3k + 2), whose chi product is the single factor A_x2
-    rng = np.random.default_rng(3)
-    m = HexagonModel(r=1, q=3, L=6, M=2, N=2,
-                     a=tuple((v,) for v in rng.uniform(0.5, 2, 3)),
-                     b=tuple((v,) for v in rng.uniform(0.5, 2, 3)))
-    systems = enumerate_path_systems(m)
-    Z = sum(s.weight for s in systems)
+    # the chi product of x2 < x1 inside one period is the single factor
+    # A_x2 (see q3_model); the reference is the enumerated measure
+    m = q3_model()
+    systems = path_systems(m)
     for pts in combinations(lattice(m), 2):
-        exact = sum(s.weight for s in systems
-                    if all(s.passes_through(*pt) for pt in pts)) / Z
+        exact = enumerated_probability(systems, pts)
         assert abs(point_probability(m, pts, n=128) - exact) < 1e-12, pts
 
 
@@ -311,6 +352,17 @@ def test_point_probability_edge_cases():
         point_probability(m, [(1, 0), (1, 0)])
     with pytest.raises(InvalidArgumentError):
         point_probability(m, [(5, 0)])
+    # a coordinate must be an integer, on either route; a numpy integer is
+    m = HexagonModel.uniform(4, 2, 2)
+    for pts in ([(2, 0.7)], [(2, 1.0)], [(2.5, 1)], [(True, 1)], [(2, None)]):
+        for route in ("determinant", "exact"):
+            with pytest.raises(InvalidArgumentError, match="point coordinate"):
+                point_probability(m, pts, route)
+    pts = [(np.int64(2), np.int32(1)), [1, np.int64(0)]]
+    assert point_probability(m, pts, n=QN) == point_probability(
+        m, [(2, 1), (1, 0)], n=QN)
+    assert point_probability(m, pts, "exact") == point_probability(
+        m, [(2, 1), (1, 0)], "exact")
 
 
 # --- stacked point matrix -----------------------------------------------
@@ -621,6 +673,15 @@ def test_query_height_types_give_the_same_blocks():
                     for q in (KernelQuery(x1, t1(0), x2, t2([1])),
                               KernelQuery(x1, t2([0]), x2, t1(1))):
                         assert np.array_equal(fn(m, q, 128), one[None]), form
+    # a bool or a float, alone or in an array, a 2-D array of heights and
+    # an array column are refused when the query is made, not truncated
+    good = dict(x1=3, y1=0, x2=1, y2=1)
+    for bad in ({"y1": 0.7}, {"y1": 1.0}, {"y2": True}, {"y2": np.float64(1)},
+                {"y1": [0, 1.5]}, {"y1": np.array([0.0])},
+                {"y2": np.zeros((1, 1), int)}, {"x1": 2.5}, {"x2": True},
+                {"x2": np.array([1, 2])}):
+        with pytest.raises(InvalidArgumentError, match="KernelQuery"):
+            KernelQuery(**{**good, **bad})
 
 
 def abs_terms(route, left, right):
