@@ -269,20 +269,39 @@ def power_rows(x, N: int) -> np.ndarray:
     return np.ascontiguousarray(_powers(x, N).T)
 
 
+def moments(rows: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
+    """The moments sum_j rows[a, j] f[j] of each factor f of a double
+    integral in the stack `factors`, laid out for `pair`: a left factor
+    (k = 0), (nw, ..., s), gives U, (prod(...), N s), and a right factor
+    (k = 1), (nz, s, ...), gives V, (N s, prod(...)), with N = len(rows).
+    numpy projects each factor of the stack with a BLAS call of its own,
+    so its moments have the bits they have alone."""
+    G, n = factors.shape[:2]
+    M = rows @ factors.reshape(G, n, -1)
+    if k:
+        return M.reshape(G, len(rows) * factors.shape[2], -1)
+    s = factors.shape[-1]
+    M = M.reshape(G, len(rows), -1, s).transpose(0, 2, 1, 3)
+    return M.reshape(G, -1, len(rows) * s)
+
+
+def pair(U: np.ndarray, flat: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_ab U_a C_ab V_b for the `moments` U (m, N s) and V (N s, p):
+    (m, p).  flat, (N s, N s), is the coefficient layout of
+    `kernel_coefficients`: C_ab is its s x s block (a, b)."""
+    return U @ (flat @ V)
+
+
 def contract(wrows: np.ndarray, left, zrows: np.ndarray, right,
              flat: np.ndarray) -> np.ndarray:
     """sum_ab U_a C_ab V_b with U_a = sum_k wrows[a, k] left[k] and
     V_b = sum_j zrows[b, j] right[j]: `kernel_integral` on the powers
-    (`power_rows`) laid out once.  flat, (N s, N s), is the coefficient
-    layout of `kernel_coefficients`: C_ab is its s x s block (a, b).
+    (`power_rows`) laid out once, as the `pair` of the two `moments`.
 
     left (nw, ..., s) and right (nz, s, ...) meet C_ab's s x s values;
     the result has shape left.shape[1:-1] + right.shape[2:]."""
-    size = flat.shape[0]
-    U = wrows @ left.reshape(len(left), -1)
-    V = zrows @ right.reshape(len(right), -1)
-    U = U.reshape(len(U), -1, size // len(U)).transpose(1, 0, 2)
-    out = U.reshape(-1, size) @ (flat @ V.reshape(size, -1))
+    out = pair(moments(wrows, left[None], 0)[0], flat,
+               moments(zrows, right[None], 1)[0])
     return out.reshape(left.shape[1:-1] + right.shape[2:])
 
 

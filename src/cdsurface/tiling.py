@@ -23,12 +23,15 @@ This module provides:
 
 Every kernel entry is one double-contour block (`_contour_block`) on one
 of the DK, sheet, plane and explicit routes, contracted through CD
-kernel coefficients (`mops.contract`); the routes differ only in their
-nodes, their kernel coefficients and how they write powers of the period
-matrix.  A block stacks groups of (column, heights) per side into one
-contraction.  Each route's node data is built once per (model, n) on
-the cached `DKEvaluator` and memoized (see `_Route`), so a warm block
-does only the work that depends on its heights; the evaluator also
+kernel coefficients; the routes differ only in their nodes, their
+kernel coefficients and how they write powers of the period matrix.
+The integral factorizes as U^T C V - chi, with U the moments
+of a left factor of (x2, y2) only and V those of a right factor of
+(x1, y1) only, so a block stacks groups of (column, heights) per side
+into one pairing (`mops.pair`).  Each route's node data is built once
+per (model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
+down to each (column, height)'s moments, so a warm block reads its
+moments and does one pairing and its chi terms; the evaluator also
 keeps each column's one-point density K(x, y, x, y).
 """
 
@@ -202,22 +205,27 @@ class _Route:
     """Node data of one tiling route: the arguments of `_contour_block`.
 
     Given by its builder: the nodes' base-plane points `x`, weights
-    `wts`, and what `mops.contract` reads: `rows`, the kernel's basis at
-    the nodes (the powers `mops.power_rows`), and `flat`, its coefficients
-    in that basis (the block inverse of `mops.kernel_coefficients`).
-    Memoized: the power factors per (factor, exponent) in `memo`, the
-    transfer products per (lo mod q, hi - lo) in `products`, the side
-    factors B2 A^p and A^p B1 per (side, product, exponent) in `sides`,
-    the weighted node powers per side and exponent in `weighted`, and the
-    chi integrals of single height cells per (B4, L3, B3, y2 - y1) in
-    `chis` (see `_chi`).  Every memoized array is read-only, so no caller
-    can change what a later query reads."""
+    `wts`, the kernel's basis at the nodes `rows` (the powers
+    `mops.power_rows`), which `mops.moments` projects onto, and `flat`,
+    the kernel's coefficients in that basis (the block inverse of
+    `mops.kernel_coefficients`), which `mops.pair` reads.  Memoized: the
+    power factors per (factor, exponent) in `memo`, the transfer products
+    per (lo mod q, hi - lo) in `products`, the side factors B2 A^p and
+    A^p B1 per (side, product, exponent) in `sides`, the weighted node
+    powers per side and exponent in `weighted`, the projected moments of
+    one height's left and right factor per (column, height) in `moments`
+    (see `_moments`), and the chi integrals of single height cells per
+    (B4, L3, B3, y2 - y1) in `chis` (see `_chi`).  Only a miss in
+    `moments` reads `weighted`, `sides`, `products` and `memo`.  Every
+    memoized array is read-only, so no caller can change what a later
+    query reads."""
 
     def __init__(self, model: HexagonModel, x, wts, rows, flat, powers):
         self.model, self.x, self.wts = model, x, wts
         self.rows, self.flat, self._powers = rows, flat, powers
-        self.memo, self.products, self.sides, self.chis, *self.weighted = \
-            (_Memo() for _ in range(6))
+        self.memo, self.products, self.sides, self.chis = \
+            (_Memo() for _ in range(4))
+        self.weighted, self.moments = (_Memo(), _Memo()), (_Memo(), _Memo())
 
     def power(self, k: int, p: int) -> np.ndarray:
         f = self._powers[k]
@@ -292,17 +300,17 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
 
     `lefts` are (x2, heights y2) groups and `rights` (x1, heights y1)
     groups.  The left factor depends on x2 and y2 only, the right factor
-    on x1 and y1 only, so all groups take one contraction; only chi =
-    [x1 > x2] sees both columns.  The result is indexed (y2, y1) over
-    the stacked heights: (sum len(y2s), sum len(y1s), r, r)."""
+    on x1 and y1 only, so the double integral is the pairing
+    U^T C V of their moments U_a and V_b (`_moments`, kept per (column,
+    height)), and all groups take one pairing; only chi = [x1 > x2] sees
+    both columns.  The result is indexed (y2, y1) over the stacked
+    heights: (sum len(y2s), sum len(y1s), r, r)."""
     check_columns(route.model, *(x for x, _ in lefts + rights))
-    left = [_left(route, *g) for g in lefts]
-    right = [_right(route, *g) for g in rights]
-    left = left[0] if len(left) == 1 else np.concatenate(left, axis=1)
-    right = right[0] if len(right) == 1 else np.concatenate(right, axis=2)
-    # the contraction gives (y2, r, y1, r); blocks are indexed (y2, y1)
-    out = mops.contract(route.rows, left, route.rows, right, route.flat)
-    out = out.transpose(0, 2, 1, 3)
+    # the pairing gives (y2 r, y1 r); blocks are indexed (y2, y1)
+    out = mops.pair(_moments(route, 0, lefts), route.flat,
+                    _moments(route, 1, rights))
+    r = route.model.r
+    out = out.reshape(len(out) // r, r, -1, r).transpose(0, 2, 1, 3)
     i = 0
     for x2, y2s in lefts:
         j = 0
@@ -313,6 +321,26 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
             j += len(y1s)
         i += len(y2s)
     return out
+
+
+def _moments(route: _Route, k: int, groups: list) -> np.ndarray:
+    """The `mops.moments` of the left (k = 0) or right (k = 1) factor of
+    (column, heights) `groups`, stacked for `mops.pair`: the
+    concatenation of each (column, height)'s own moments, kept in
+    `route.moments[k]`.  A miss forms the factor of its group's missing
+    heights at once and projects them as a stack of one factor per
+    height, each alone, so an entry has the same bits whichever query
+    made it."""
+    memo = route.moments[k]
+    for x, ys in groups:
+        missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
+        if missing:
+            factors = np.moveaxis((_left, _right)[k](route, x, missing),
+                                  k + 1, 0)
+            for y, m in zip(missing, mops.moments(route.rows, factors, k)):
+                memo[x, y] = m
+    out = [memo[x, y] for x, ys in groups for y in ys]
+    return out[0] if len(out) == 1 else np.concatenate(out, k)
 
 
 def _left(route: _Route, x2: int, y2s: list) -> np.ndarray:
@@ -403,10 +431,12 @@ class DKEvaluator:
     numbers per entry: at most L/q + 1 powers per power factor, at most
     q^2 transfer products and at most 2 (q^2 + 1) (L/q + 1) side
     factors; plus n numbers per exponent queried on a side (2n if on
-    both), and r^2 per chi integral: at most (q^2 + 1)^2 (L/q + 1) per
-    height difference y2 - y1 of the single-cell queries with x1 > x2.  The
-    one-point densities of the columns queried (`densities`) are at most
-    (L + 1)(N + M) floats."""
+    both), N r per (column, height) queried on a side (its moments, on
+    every route; at most (L + 1)((N + M)/r + 1) per side for heights
+    inside the hexagon), and r^2 per chi integral: at most
+    (q^2 + 1)^2 (L/q + 1) per height difference y2 - y1 of the
+    single-cell queries with x1 > x2.  The one-point densities of the
+    columns queried (`densities`) are at most (L + 1)(N + M) floats."""
 
     def __init__(self, model: HexagonModel, n: int | None = None):
         self.model = model
@@ -710,21 +740,35 @@ class ExactOracle:
 
     def kernel(self, x1: int, y1: int, x2: int, y2: int) -> Fraction:
         """K(x1, y1, x2, y2); 0 for a height outside its column."""
+        return self._entry(self._row(x2, y2), x1, y1, x2, y2)
+
+    def probability(self, points: list) -> Fraction:
+        """det[K(x_i, y_i, x_j, y_j)]: P(a path passes through every
+        point), 1 for no points.  Each point's row is formed once."""
+        rows = [self._row(*b) for b in points]
+        return _fraction_gauss_jordan([[self._entry(row, *a, *b)
+                                        for b, row in zip(points, rows)]
+                                       for a in points])[0]
+
+    def _row(self, x2: int, y2: int) -> list | None:
+        """B[x2](y2, .) G^-1, which every entry K(., ., x2, y2) reads;
+        None for a height outside its column."""
+        r2 = self.model.column_range(x2)
+        if y2 not in r2:
+            return None
+        return _fraction_product([self.B[x2][y2 - r2.start]], self.Ginv)[0]
+
+    def _entry(self, row: list | None, x1: int, y1: int, x2: int,
+               y2: int) -> Fraction:
+        """K(x1, y1, x2, y2) from its `_row`."""
         r1, r2 = self.model.column_range(x1), self.model.column_range(x2)
-        if y1 not in r1 or y2 not in r2:
+        if row is None or y1 not in r1:
             return Fraction(0)
-        left = _fraction_product([self.B[x2][y2 - r2.start]], self.Ginv)[0]
-        out = sum(u * f[y1 - r1.start] for u, f in zip(left, self.F[x1]))
+        out = sum(u * f[y1 - r1.start] for u, f in zip(row, self.F[x1]))
         if x1 > x2:
             out -= reduce(_fraction_product, self.ts[x2:x1], _fractions(
                 np.eye(len(r2))[[y2 - r2.start]]))[0][y1 - r1.start]
         return out
-
-    def probability(self, points: list) -> Fraction:
-        """det[K(x_i, y_i, x_j, y_j)]: P(a path passes through every
-        point), 1 for no points."""
-        return _fraction_gauss_jordan([[self.kernel(*a, *b) for b in points]
-                                       for a in points])[0]
 
 
 # ---------------------------------------------------------------------------

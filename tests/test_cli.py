@@ -303,21 +303,21 @@ def test_prob_point_outside_column_reports_zero(tmp_path):
 
 def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     # the second call finds every column's density on the cached
-    # evaluator: its only block is the k points' one contraction
+    # evaluator: its only block is the k points' one pairing
     from cdsurface import mops, tiling
-    blocks, contractions = [], []
-    contour_block, contract = tiling._contour_block, mops.contract
+    blocks, pairings = [], []
+    contour_block, pair = tiling._contour_block, mops.pair
 
     def counted(*args):
         blocks.append(args)
         return contour_block(*args)
 
-    def counted_contract(*args):
-        contractions.append(args)
-        return contract(*args)
+    def counted_pair(*args):
+        pairings.append(args)
+        return pair(*args)
 
     monkeypatch.setattr(tiling, "_contour_block", counted)
-    monkeypatch.setattr(mops, "contract", counted_contract)
+    monkeypatch.setattr(mops, "pair", counted_pair)
     tiling._dk_evaluator.cache_clear()
     argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
             "--a", "[[1.0, 2.0], [1.0, 1.0]]",
@@ -328,9 +328,9 @@ def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     for name in ("first", "second"):
         out = tmp_path / f"{name}.json"
         blocks.clear()
-        contractions.clear()
+        pairings.clear()
         assert main(argv + ["--output", str(out)]) == 0
-        assert len(contractions) == len(blocks)
+        assert len(pairings) == len(blocks)
         assert [b[1:] for b in blocks].count((points, points)) == 1
         runs.append((out.read_bytes(), len(blocks)))
     (first, cold), (second, warm) = runs

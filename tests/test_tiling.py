@@ -211,6 +211,50 @@ def test_exact_oracle_guard(monkeypatch):
     assert calls["transfer"] == 0
 
 
+def entry_by_entry(oracle, x1, y1, x2, y2):
+    """K(x1, y1, x2, y2) of the oracle's docstring, forming its row
+    B[x2](y2, .) G^-1 for this entry alone."""
+    r1, r2 = oracle.model.column_range(x1), oracle.model.column_range(x2)
+    if y1 not in r1 or y2 not in r2:
+        return Fraction(0)
+    row = [sum((b * g for b, g in zip(oracle.B[x2][y2 - r2.start], col)),
+               Fraction(0)) for col in zip(*oracle.Ginv)]
+    out = sum(u * f[y1 - r1.start] for u, f in zip(row, oracle.F[x1]))
+    if x1 > x2:
+        chi = [Fraction(int(y == y2)) for y in r2]
+        for t in oracle.ts[x2:x1]:
+            chi = [sum((c * v for c, v in zip(chi, col)), Fraction(0))
+                   for col in zip(*t)]
+        out -= chi[y1 - r1.start]
+    return out
+
+
+def test_exact_rows_formed_once_per_point(monkeypatch):
+    # entries (every pair, on the enumerated models) and k-point
+    # probabilities are the entry-by-entry Fractions, with heights outside
+    # their columns and x1 <, =, > x2, and a probability forms each of
+    # its k points' rows once
+    rows = Counter()
+    monkeypatch.setattr(ExactOracle, "_row",
+                        counting(rows, "row", ExactOracle._row))
+    rng = np.random.default_rng(7)
+    for m in ENUMERATED_MODELS + (periodic_model(4),):
+        oracle = ExactOracle(m)
+        cells = lattice(m) + [(0, -1), (m.L, m.M + m.N)]
+        pairs = product(cells, repeat=2) if m in ENUMERATED_MODELS else ()
+        for a, b in pairs:
+            assert oracle.kernel(*a, *b) == entry_by_entry(oracle, *a, *b)
+        for k in (1, 2, 3, 4):
+            idx = rng.choice(len(cells), min(k, len(cells)), replace=False)
+            pts = [cells[i] for i in idx]
+            rows.clear()
+            p = oracle.probability(pts)
+            assert rows["row"] == len(pts)
+            assert p == tiling._fraction_gauss_jordan([[
+                entry_by_entry(oracle, *a, *b) for b in pts]
+                for a in pts])[0], pts
+
+
 def test_exact_pins_on_seed_505():
     # the strict xfail's model: the entry K(12, 9, 0, 2) from the start
     # (0, 2) to the end (12, 9) is exactly 0, and a path passes through
@@ -586,8 +630,7 @@ def test_route_memo_holds_no_identity():
     lefts, rights = {2 - half}, {-2, 0}
     for x in range(m.L + 1):
         tiling.column_probabilities(m, x, n=128)
-        ys = m.column_range(x)
-        heights = range(ys[0] // m.r, ys[-1] // m.r + 1)
+        heights = block_heights(m, x)
         lefts |= {y - half for y in heights}
         rights |= {-y - 1 for y in heights}
     for x1 in range(m.L + 1):
@@ -724,6 +767,62 @@ def test_stacked_groups_match_one_group_blocks():
                 i += len(y2s)
 
 
+def block_heights(m, x):
+    """The block heights y // r of column x."""
+    ys = m.column_range(x)
+    return range(ys[0] // m.r, ys[-1] // m.r + 1)
+
+
+def test_all_pairs_sweep_keeps_one_moment_per_column_height():
+    # every pair of lattice points, the column densities and a stacked
+    # block: each side keeps exactly one moment per (column, block
+    # height) queried on it, of N/r r s numbers
+    for m in ROUTE_MODELS:
+        ev = tiling.DKEvaluator(m, 128)
+        cells = {(x, y) for x in range(m.L + 1) for y in block_heights(m, x)}
+        for form in ROUTES:
+            route = ev.route(form)
+            for (x1, y1), (x2, y2) in product(cells, repeat=2):
+                tiling._query_block(route, KernelQuery(x1, y1, x2, y2))
+            for x in range(m.L + 1):
+                heights = np.array(block_heights(m, x))
+                tiling._query_block(route, KernelQuery(x, heights, x,
+                                                       heights))
+            tiling._contour_block(route, [(1, [0]), (3, [1, 0])],
+                                  [(3, [1]), (1, [0, 0])])
+            s = len(route.flat) // len(route.rows)
+            size = len(route.rows) * s
+            for k, shape in enumerate(((m.r, size), (size, m.r))):
+                memo = route.moments[k]
+                assert memo.keys() == cells, (form, k)
+                assert all(v.shape == shape for v in memo.values()), form
+
+
+def test_stacked_moments_are_their_heights_entries():
+    # a stacked or batched side's moments are the concatenation of its
+    # (column, height) entries, bit for bit, and each entry is the
+    # projection of that height's factor alone (a stack of one, as
+    # `mops.contract` projects), as a fresh route forms it
+    groups = [(0, [1]), (2, [-1, 0, 2]), (3, [0]), (4, [2, 1, 2])]
+    factors = (tiling._left, tiling._right)
+    for m in ROUTE_MODELS:
+        ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
+        for form in ROUTES:
+            route = ev.route(form)
+            for k in (0, 1):
+                stacked = tiling._moments(route, k, groups)
+                memo = route.moments[k]
+                assert np.array_equal(stacked, np.concatenate(
+                    [memo[x, y] for x, ys in groups for y in ys], k))
+                for x, ys in groups:
+                    for y in ys:
+                        route1 = fresh.route(form)
+                        alone = mops.moments(route1.rows, factors[k](
+                            route1, x, [y])[None], k)[0]
+                        assert np.array_equal(memo[x, y], alone), \
+                            (form, k, x, y)
+
+
 # --- chi integrals kept on the route ------------------------------------
 
 CHI_HEIGHTS = st.integers(-2, 3) | st.lists(
@@ -817,7 +916,7 @@ def test_route_memos_are_read_only():
                 tiling._query_block(route, q)
             # a q = 1 route has no nonempty transfer product
             memos = (route.memo, route.products, route.sides,
-                     *route.weighted, route.chis)
+                     *route.weighted, *route.moments, route.chis)
             assert all(memo or memo is route.products and m.q == 1
                        for memo in memos), form
             for memo in memos:
