@@ -158,8 +158,8 @@ def _hexagon_model(args) -> tiling.HexagonModel:
     L, N, M = _parse_ints(args.hexagon, "L,N,M")
     r = 1 if args.r is None else args.r
     q = 1 if args.q is None else args.q
-    if args.a or args.b:
-        if not (args.a and args.b):
+    if args.a is not None or args.b is not None:
+        if args.a is None or args.b is None:
             raise InvalidArgumentError("--a and --b must be given together")
         return tiling.HexagonModel(r=r, q=q, L=L, M=M, N=N,
                                    a=json.loads(args.a), b=json.loads(args.b))
@@ -385,7 +385,8 @@ def _suite_tiling_oracle(args) -> dict:
         Fraction(tiling.lgv_partition_function(model)) - Z) / Z, 1e-10))
 
     def gap(pts):
-        return abs(tiling.point_probability(model, pts, "determinant")
+        return abs(tiling.point_probability(model, pts, "determinant",
+                                            args.n)
                    - oracle.probability(pts))
 
     singles = [(x, y) for x in range(model.L + 1)
@@ -397,8 +398,8 @@ def _suite_tiling_oracle(args) -> dict:
     checks.append(_check("determinant-vs-exact-pairs",
                          max(gap(pts) for pts in pairs), 1e-8))
 
-    res = max(abs(sum(tiling.column_probabilities(model, x).values())
-                  - model.N) for x in range(model.L + 1))
+    res = max(abs(sum(tiling.column_probabilities(
+        model, x, args.n).values()) - model.N) for x in range(model.L + 1))
     checks.append(_check("column-sums", res, 1e-7))
     return {"checks": checks}
 

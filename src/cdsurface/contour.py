@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .weights import check_integers
 
 DEFAULT_N = 256
 
@@ -78,6 +79,7 @@ def circle_quadrature(center: complex, radius: float,
     (2*pi*i/n)*(z_j - center).  `reversed()` gives the other orientation."""
     if n is None:
         n = default_n()
+    check_integers("node count n", 0, n)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1 nodes, got {n}")
     if radius <= 0:

@@ -292,33 +292,23 @@ def pair(U: np.ndarray, flat: np.ndarray, V: np.ndarray) -> np.ndarray:
     return U @ (flat @ V)
 
 
-def contract(wrows: np.ndarray, left, zrows: np.ndarray, right,
-             flat: np.ndarray) -> np.ndarray:
-    """sum_ab U_a C_ab V_b with U_a = sum_k wrows[a, k] left[k] and
-    V_b = sum_j zrows[b, j] right[j]: `kernel_integral` on the powers
-    (`power_rows`) laid out once, as the `pair` of the two `moments`.
-
-    left (nw, ..., s) and right (nz, s, ...) meet C_ab's s x s values;
-    the result has shape left.shape[1:-1] + right.shape[2:]."""
-    out = pair(moments(wrows, left[None], 0)[0], flat,
-               moments(zrows, right[None], 1)[0])
-    return out.reshape(left.shape[1:-1] + right.shape[2:])
-
-
 def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
     """sum_{k,j} left[k] R(w_k, z_j) right[j] for the kernel
     R(w, z) = sum_ab w^a C_ab z^b with coefficients `coeffs`.
 
     The sum is contracted through the coefficients: with
     U_a = sum_k w_k^a left[k] and V_b = sum_j z_j^b right[j] it equals
-    sum_ab U_a C_ab V_b, so no table of R over the (w, z) grid is formed.
+    sum_ab U_a C_ab V_b, the `pair` of the two `moments`, so no table of
+    R over the (w, z) grid is formed.
 
     coeffs (N r, N r), as `kernel_coefficients` lays them out: left
     (nw, ..., r) and right (nz, r, ...) multiply R's values as matrices,
     also for r = 1; the result has shape left.shape[1:-1] + right.shape[2:]."""
     left, right = np.asarray(left), np.asarray(right)
     N = len(coeffs) // left.shape[-1]
-    return contract(power_rows(w, N), left, power_rows(z, N), right, coeffs)
+    out = pair(moments(power_rows(w, N), left[None], 0)[0], coeffs,
+               moments(power_rows(z, N), right[None], 1)[0])
+    return out.reshape(left.shape[1:-1] + right.shape[2:])
 
 
 # --- Riemann-Hilbert assembly -------------------------------------------

@@ -173,8 +173,8 @@ def transfer(model: HexagonModel, x: int) -> np.ndarray:
 class KernelQuery:
     """Block query: the r x r matrix [K(x1, r y1 + j, x2, r y2 + i)]_{i,j}.
 
-    The heights y1, y2 may each be an int or a 1-D integer array; with
-    arrays the query stands for every block of the (y2, y1) grid."""
+    The heights y1, y2 are each an int or a nonempty 1-D integer array;
+    arrays stand for every block of the (y2, y1) grid."""
 
     x1: int
     y1: int | np.ndarray
@@ -184,6 +184,8 @@ class KernelQuery:
     def __post_init__(self):
         check_integers("KernelQuery column", 0, self.x1, self.x2)
         check_integers("KernelQuery height", 1, self.y1, self.y2)
+        if not all(type(y) is int or np.size(y) for y in (self.y1, self.y2)):
+            raise InvalidArgumentError("KernelQuery height array is empty")
 
 
 def check_columns(model: HexagonModel, *xs: int) -> None:
@@ -201,6 +203,16 @@ class _Memo(dict):
         super().__setitem__(key, value)
 
 
+def _split(q: int, lo: int, hi: int) -> tuple:
+    """The column range [lo, hi) as (head, p, tail): the partial period
+    range(lo, mid) up to the first multiple mid of q, p whole periods and
+    the partial period range(end, hi) from the last multiple end of q,
+    each empty at a period edge; it depends on lo mod q and hi - lo."""
+    mid = min(hi, -(-lo // q) * q)
+    end = max(mid, hi // q * q)
+    return range(lo, mid), (end - mid) // q, range(end, hi)
+
+
 class _Route:
     """Node data of one tiling route: the arguments of `_contour_block`.
 
@@ -208,52 +220,40 @@ class _Route:
     `wts`, the kernel's basis at the nodes `rows` (the powers
     `mops.power_rows`), which `mops.moments` projects onto, and `flat`,
     the kernel's coefficients in that basis (the block inverse of
-    `mops.kernel_coefficients`), which `mops.pair` reads.  Memoized: the
-    power factors per (factor, exponent) in `memo`, the transfer products
-    per (lo mod q, hi - lo) in `products`, the side factors B2 A^p and
-    A^p B1 per (side, product, exponent) in `sides`, the weighted node
-    powers per side and exponent in `weighted`, the projected moments of
-    one height's left and right factor per (column, height) in `moments`
-    (see `_moments`), and the chi integrals of single height cells per
-    (B4, L3, B3, y2 - y1) in `chis` (see `_chi`).  Only a miss in
-    `moments` reads `weighted`, `sides`, `products` and `memo`.  Every
-    memoized array is read-only, so no caller can change what a later
-    query reads."""
+    `mops.kernel_coefficients`), which `mops.pair` reads.  Kept: the q
+    `transitions`, and memos of the period-matrix powers per (power
+    factor, exponent) in `memo`, the weighted node powers per side and
+    exponent in `weighted`, each (column, height)'s moments per side in
+    `moments` (see `_moments`) and single-cell chi integrals in `chis`
+    (see `_chi`).  Only a miss in `moments` reads `weighted` and `memo`.
+    Every memoized array is read-only, so no caller can change what a
+    later query reads."""
 
     def __init__(self, model: HexagonModel, x, wts, rows, flat, powers):
         self.model, self.x, self.wts = model, x, wts
         self.rows, self.flat, self._powers = rows, flat, powers
-        self.memo, self.products, self.sides, self.chis = \
-            (_Memo() for _ in range(4))
+        self.memo, self.chis = _Memo(), _Memo()
         self.weighted, self.moments = (_Memo(), _Memo()), (_Memo(), _Memo())
 
-    def power(self, k: int, p: int) -> np.ndarray:
+    @cached_property
+    def transitions(self) -> list:
+        """A_0 ... A_{q-1} at the nodes; a q = 1 route never forms them."""
+        return [self.model.transition(ell, self.x)
+                for ell in range(self.model.q)]
+
+    def transfers(self, k: int, lo: int, hi: int) -> list:
+        """The per-node factors whose product is A_lo ... A_{hi-1}: the
+        products of the `_split`'s nonempty partial periods either side
+        of A^p, written by the power factor k (0 left, 1 right, 2 chi)."""
+        q = self.model.q
+        head, p, tail = _split(q, lo, hi)
         f = self._powers[k]
         if (f, p) not in self.memo:
             self.memo[f, p] = f(p)
-        return self.memo[f, p]
-
-    def _product_key(self, cols: tuple):
-        lo, hi = cols
-        return (lo % self.model.q, hi - lo) if hi > lo else None
-
-    def product(self, cols: tuple):
-        """A_lo ... A_{hi-1} at the nodes, (lo, hi) = cols; None (the
-        identity) when the range is empty."""
-        key = self._product_key(cols)
-        if key is not None and key not in self.products:
-            self.products[key] = reduce(np.matmul, (
-                self.model.transition(ell, self.x) for ell in range(*cols)))
-        return self.products.get(key)
-
-    def side(self, k: int, cols: tuple, p: int) -> np.ndarray:
-        """The left factor B A^p (k = 0) or the right factor A^p B
-        (k = 1) of the double integral, B = product(cols)."""
-        key = (k, self._product_key(cols), p)
-        if key not in self.sides:
-            P, B = self.power(k, p), self.product(cols)
-            self.sides[key] = P if B is None else B @ P if k == 0 else P @ B
-        return self.sides[key]
+        ends = [[reduce(np.matmul, (self.transitions[ell % q]
+                                    for ell in cols))]
+                if cols else [] for cols in (head, tail)]
+        return ends[0] + [self.memo[f, p]] + ends[1]
 
     def factors(self, k: int, exps) -> np.ndarray:
         """(n, len(exps)): wts x ** e per node for every int e of `exps`,
@@ -288,15 +288,16 @@ def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
 def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
     """The block that every tiling route evaluates,
 
-        int int w^(y2-h) B2(w) P_L2(w) R(w, z) P_L1(z) B1(z) z^(-y1-1)
-          - chi int z^(y2-y1-1) B4(z) P_L3(z) B3(z),      h = (M+N)/r,
+        int int w^(y2-h) T[x2, L)(w) R(w, z) T[0, x1)(z) z^(-y1-1)
+          - chi int z^(y2-y1-1) T[x2, x1)(z),      h = (M+N)/r,
 
     with dw dz / (2 pi i) over nodes whose base-plane points are `x` and
-    whose weights `wts` include the Jacobian.  The routes differ in the
-    nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`rows`, `flat`)
-    and in how they write the period-matrix power P_p = A^p:
-    `power(k, p)` is the per-node factor k (0 left, 1 right, 2 chi),
-    where left (n, r, s) and right (n, s, r) meet R's s x s values.
+    whose weights `wts` include the Jacobian, and T[lo, hi) the transfer
+    product A_lo ... A_{hi-1} (`_Route.transfers`).  The routes differ
+    in the nodes, in the kernel R(w, z) = sum_ab w^a C_ab z^b (`rows`,
+    `flat`) and in the per-node factor k (0 left, 1 right, 2 chi) that
+    writes A^p, where left (n, r, s) and right (n, s, r) meet R's s x s
+    values.
 
     `lefts` are (x2, heights y2) groups and `rights` (x1, heights y1)
     groups.  The left factor depends on x2 and y2 only, the right factor
@@ -335,63 +336,50 @@ def _moments(route: _Route, k: int, groups: list) -> np.ndarray:
     for x, ys in groups:
         missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
         if missing:
-            factors = np.moveaxis((_left, _right)[k](route, x, missing),
-                                  k + 1, 0)
+            factors = np.moveaxis(_factor(route, k, x, missing), 1, 0)
             for y, m in zip(missing, mops.moments(route.rows, factors, k)):
                 memo[x, y] = m
     out = [memo[x, y] for x, ys in groups for y in ys]
     return out[0] if len(out) == 1 else np.concatenate(out, k)
 
 
-def _left(route: _Route, x2: int, y2s: list) -> np.ndarray:
-    """(n, len(y2s), r, s): the left factor w^(y2-h) B2 A^L2, of x2 and
-    y2 only: B2 = A_x2 ... A_{q ceil(x2/q) - 1}, L2 = L/q - ceil(x2/q)."""
+def _factor(route: _Route, k: int, x: int, ys: list) -> np.ndarray:
+    """The left factor (k = 0) w^(y2-h) A_x2 ... A_{L-1} of x2 = x, as
+    (n, len(ys), r, s) over the heights y2 in ys, or the right factor
+    (k = 1) A_0 ... A_{x1-1} z^(-y1-1) / (2 pi i) of x1 = x, as
+    (n, len(ys), s, r) over the heights y1 in ys."""
     model = route.model
-    ceil2 = -(-x2 // model.q)
-    half = (model.M + model.N) // model.r
-    cw = route.factors(0, [y - half for y in y2s])
-    side = route.side(0, (x2, model.q * ceil2), model.L // model.q - ceil2)
-    return cw[:, :, None, None] * side[:, None]
-
-
-def _right(route: _Route, x1: int, y1s: list) -> np.ndarray:
-    """(n, s, len(y1s), r): the right factor A^L1 B1 z^(-y1-1) / (2 pi i),
-    of x1 and y1 only: L1 = floor(x1/q), B1 = A_{q L1} ... A_{x1 - 1}."""
-    L1 = x1 // route.model.q
-    cz = route.factors(1, [-y - 1 for y in y1s])
-    side = route.side(1, (route.model.q * L1, x1), L1)
-    return cz[:, None, :, None] * side[:, :, None]
+    if k:
+        exps, cols = [-y - 1 for y in ys], (0, x)
+    else:
+        half = (model.M + model.N) // model.r
+        exps, cols = [y - half for y in ys], (x, model.L)
+    side = reduce(np.matmul, route.transfers(k, *cols))
+    return route.factors(k, exps)[:, :, None, None] * side[:, None]
 
 
 def _chi(route: _Route, x1: int, x2: int, y1s: list,
          y2s: list) -> np.ndarray:
-    """(len(y2s), len(y1s), r, r): the chi integral of columns x1 > x2,
-    whose product A_x2 ... A_{x1-1} is written B4 A^L3 B3 with B4 and
-    B3 the partial periods at either end.  A single cell's is kept in
-    `route.chis` per (B4, L3, B3, y2 - y1): all it depends on, so later
-    queries of the same geometry at other columns and heights reuse it.
-    A batched grid's is computed each time: a memo keyed by whole grids
-    would grow with every new grid."""
-    q = route.model.q
-    L1, ceil2 = x1 // q, -(-x2 // q)
-    mid = min(x1, q * ceil2)    # x1 when x2 < x1 lie within one period
-    g = (x2, mid), max(L1 - ceil2, 0), (max(q * L1, mid), x1)
+    """(len(y2s), len(y1s), r, r): the chi integral of columns x1 > x2.
+    A single cell's is kept in `route.chis` per (x2 mod q, x1 - x2,
+    y2 - y1), all that the `_split` of [x2, x1) and the integrand depend
+    on, so later queries of the same geometry at other columns and
+    heights reuse it.  A batched grid's is computed each time: a memo
+    keyed by whole grids would grow with every new grid."""
     if len(y1s) * len(y2s) > 1:
-        return _chi_integral(route, *g, y1s, y2s)
-    key = (route._product_key(g[0]), g[1], route._product_key(g[2]),
-           y2s[0] - y1s[0])
+        return _chi_integral(route, x1, x2, y1s, y2s)
+    key = (x2 % route.model.q, x1 - x2, y2s[0] - y1s[0])
     if key not in route.chis:
-        route.chis[key] = _chi_integral(route, *g, y1s, y2s)
+        route.chis[key] = _chi_integral(route, x1, x2, y1s, y2s)
     return route.chis[key]
 
 
-def _chi_integral(route: _Route, B4: tuple, L3: int, B3: tuple, y1s: list,
+def _chi_integral(route: _Route, x1: int, x2: int, y1s: list,
                   y2s: list) -> np.ndarray:
     """The chi integral of the block, evaluated at the nodes."""
     exps = [b - a - 1 for b in y2s for a in y1s]
     c = route.factors(1, exps).reshape(-1, len(y2s), len(y1s))
-    mats = [m for m in (route.product(B4), route.power(2, L3),
-                        route.product(B3)) if m is not None]
+    mats = route.transfers(2, x2, x1)
     idx = "abcd"[:len(mats) + 1]
     chain = ",".join(f"n{i}{j}" for i, j in zip(idx, idx[1:]))
     return np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
@@ -427,16 +415,15 @@ class DKEvaluator:
     `point_matrix` each make one `_contour_block` on the dk route.  A
     route holds its nodes, the powers of its kernel points (N/r rows of
     n; N for the explicit route), its N x N kernel coefficients
-    (`kernel_coeffs` on dk, sheets and plane), and memos of O(n r^2)
-    numbers per entry: at most L/q + 1 powers per power factor, at most
-    q^2 transfer products and at most 2 (q^2 + 1) (L/q + 1) side
-    factors; plus n numbers per exponent queried on a side (2n if on
-    both), N r per (column, height) queried on a side (its moments, on
-    every route; at most (L + 1)((N + M)/r + 1) per side for heights
-    inside the hexagon), and r^2 per chi integral: at most
-    (q^2 + 1)^2 (L/q + 1) per height difference y2 - y1 of the
-    single-cell queries with x1 > x2.  The one-point densities of the
-    columns queried (`densities`) are at most (L + 1)(N + M) floats."""
+    (`kernel_coeffs` on dk, sheets and plane), q transition matrices and
+    at most L/q + 1 period-matrix powers of O(n r^2) numbers per power
+    factor, n numbers per exponent queried on a side (2n if on both),
+    N r per (column, height) queried on a side (its moments, on every
+    route; at most (L + 1)((N + M)/r + 1) per side for heights inside
+    the hexagon), and r^2 per chi integral: at most q L per height
+    difference y2 - y1 of the single-cell queries with x1 > x2.  The
+    one-point densities of the columns queried (`densities`) are at
+    most (L + 1)(N + M) floats."""
 
     def __init__(self, model: HexagonModel, n: int | None = None):
         self.model = model
@@ -557,7 +544,7 @@ _ROUTES = {"sheets": _sheet_route, "plane": _plane_route,
            "explicit": _explicit_route}
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)   # so a float n misses, and raises
 def _dk_evaluator(model: HexagonModel, n: int) -> DKEvaluator:
     return DKEvaluator(model, n)
 
@@ -723,9 +710,9 @@ class ExactOracle:
         K(x1, y1, x2, y2) = B[x2](y2, .) G^-1 F[x1](., y1)
                             - [x1 > x2] (t_x2 ... t_{x1-1})(y2, y1).
 
-    A gauge may separate it from the contour kernel; zero entries and
-    determinants do not see one.  Raises SizeGuardError before any work
-    if `exact_cost` exceeds EXACT_GUARD."""
+    It is the contour routes' kernel entry by entry: no gauge separates
+    the two.  Raises SizeGuardError before any work if `exact_cost`
+    exceeds EXACT_GUARD."""
 
     def __init__(self, model: HexagonModel):
         if (cost := exact_cost(model)) > EXACT_GUARD:

@@ -151,6 +151,19 @@ def test_verify_tiling_oracle():
     assert singles and singles[0]["residual"] < 1e-8
 
 
+def test_verify_tiling_oracle_reads_n(capsys):
+    # the determinant routes run at the given node count: one node is
+    # far off the exact oracle, eight are within every tolerance
+    argv = ["verify", "--suite", "tiling-oracle", "--hexagon", "4,2,2",
+            "--r", "2", "--q", "1", "--a", "[[1,0.7]]", "--b", "[[1.2,0.5]]"]
+    assert main(argv + ["--n", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    singles = {c["check"]: c for c in report["checks"]}[
+        "determinant-vs-exact-singles"]
+    assert singles["residual"] > 0.5
+    assert main(argv + ["--n", "8"]) == 0
+
+
 MOPS_CHECKS = ["reproducing", "biorthogonality", "sum-vs-formula",
                "formula-vs-Y", "det-Y-unimodular"]
 
@@ -445,6 +458,8 @@ def periodic_2x2_json(a):
     ["verify", "--suite", "spectral", *periodic_2x2_json([[1, 1, 1], [1, 1]])],
     ["verify", "--suite", "spectral", *periodic_2x2_json([1, 1])],
     ["prob", *HEXAGON, "--a", "[[1,0]]", "--b", "[[1]]", "--points", "0,0"],
+    ["prob", "--hexagon", "2,1,1", "--a", "", "--b", "", "--points", "1,0"],
+    ["prob", "--hexagon", "2,1,1", "--a", "", "--points", "1,0"],
 ], ids=" ".join)
 def test_zero_or_negative_option_exits_2(argv, capsys):
     # a value given on the command line is used as given, never replaced

@@ -88,6 +88,17 @@ def test_invalid_arguments():
         circle_quadrature(0, -1.0, 16)
     with pytest.raises(InvalidArgumentError):
         union_quadrature([])
+    # a float or a bool node count would build a rule whose weights do not
+    # match its nodes (16.5 gives 17 nodes of weight 2 pi i / 16.5); a
+    # numpy integer is a node count like any int
+    for bad in (16.5, 16.0, np.float64(16), True, np.array([16])):
+        with pytest.raises(InvalidArgumentError, match="node count n"):
+            unit_circle_quadrature(bad)
+        with pytest.raises(InvalidArgumentError, match="node count n"):
+            circle_quadrature(1.0, 0.5, bad)
+    for n in (np.int64(16), np.int32(16), np.uint8(16)):
+        quad = unit_circle_quadrature(n)
+        assert np.array_equal(quad.weights, unit_circle_quadrature(16).weights)
 
 
 def test_default_n_names_a_bad_environment_value(monkeypatch):

@@ -3,10 +3,11 @@ package imports is referenced in that module, every private module-level
 name is referenced somewhere in the package, every public function, class
 and method is read somewhere in the code or its tests, every
 parameter default of the package is overridden by some call, and every
-name the benchmark's tracer wraps still exists."""
+name the benchmark's tracer wraps or README.md names still exists."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -252,3 +253,34 @@ def test_traced_names_resolve_on_the_package():
     names = traced_names((ROOT / "perfbench" / "tracer.py").read_text())
     assert {name for name, (module, path) in names.items()
             if not resolves(module, path)} == STALE_TRACED
+
+
+# The package's modules whose `module.name` README.md may name.
+README_MODULES = ("mops", "tiling", "sops", "surface", "weights", "contour",
+                  "cli", "errors")
+
+
+def readme_names(text: str) -> set:
+    """(module or class, attribute) of every backticked span that starts
+    with `module.name` of README_MODULES or `Class.attr`, such as
+    `tiling.transfer(model, x)`."""
+    owners = "|".join(README_MODULES) + r"|[A-Z]\w*"
+    return {m.groups() for span in re.findall(r"`([^`]+)`", text)
+            if (m := re.match(rf"({owners})\.(\w+)", span))}
+
+
+def test_readme_names_are_found():
+    text = ("`mops.pair` and `tiling.transfer(model, x)`; `Foo.bar`,\n"
+            "`oracle.kernel`, `fractions.Fraction` and `cdsurface.mops`")
+    assert readme_names(text) == {("mops", "pair"), ("tiling", "transfer"),
+                                  ("Foo", "bar")}
+
+
+def test_readme_names_resolve_on_the_package():
+    names = readme_names((ROOT / "README.md").read_text())
+    assert names
+    assert sorted(
+        (owner, attr) for owner, attr in names
+        if not (resolves(owner, (attr,)) if owner in README_MODULES else
+                any(resolves(m, (owner, attr)) for m in README_MODULES))
+    ) == []

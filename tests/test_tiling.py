@@ -258,8 +258,10 @@ def test_exact_rows_formed_once_per_point(monkeypatch):
 def test_exact_pins_on_seed_505():
     # the strict xfail's model: the entry K(12, 9, 0, 2) from the start
     # (0, 2) to the end (12, 9) is exactly 0, and a path passes through
-    # both with probability exactly 1.  The float route's kernel may
-    # differ by a gauge, so only the zero and the determinant compare
+    # both with probability exactly 1.  The float route's kernel is the
+    # oracle's up to rounding (see test_dk_entries_match_exact_kernel);
+    # on this model the zero reads 1.4e-8 at n = 128, the strict xfail's
+    # defect
     m = random_r2_model(np.random.default_rng(505), 2, 6, 12)
     oracle = ExactOracle(m)
     pts = [(0, 2), (12, 9)]
@@ -281,6 +283,22 @@ def test_uniform_kernel_matches_scalar_form():
         a = ev.scalar(x1, y1, x2, y2)
         b = uniform_scalar_kernel(L, M, N, x1, y1, x2, y2, QN)
         assert abs(a - b) < 1e-8
+
+
+def test_dk_entries_match_exact_kernel():
+    # no gauge separates the contour kernel from the Eynard-Mehta one:
+    # every entry, over all pairs of lattice points (x1 <, =, > x2),
+    # is the oracle's to 1e-12 max(1, |K|) (measured worst 1.4e-14)
+    same = ((1.0, 2.0), (1.0, 1.0))
+    for m in (HexagonModel.uniform(4, 2, 2),
+              HexagonModel.uniform(4, 2, 2, r=2), model_2x1(),
+              model_2x1(L=6), model_2x2(same, same)):
+        oracle, points = ExactOracle(m), lattice(m)
+        exact = np.array([[float(oracle.kernel(*a, *b)) for b in points]
+                          for a in points])
+        got = tiling.DKEvaluator(m, QN).point_matrix(points)
+        assert np.all(np.abs(got - exact) <= 1e-12 * np.maximum(
+            1, np.abs(exact))), m
 
 
 def test_probabilities_match_exact(rng):
@@ -407,6 +425,12 @@ def test_point_probability_edge_cases():
         m, [(2, 1), (1, 0)], n=QN)
     assert point_probability(m, pts, "exact") == point_probability(
         m, [(2, 1), (1, 0)], "exact")
+    # so must the node count, also when an evaluator of the equal int is
+    # cached
+    for n in (QN + 0.0, True):
+        point_probability(model_2x1(), [(2, 1)], n=int(n))
+        with pytest.raises(InvalidArgumentError, match="node count n"):
+            point_probability(model_2x1(), [(2, 1)], n=n)
 
 
 # --- stacked point matrix -----------------------------------------------
@@ -637,13 +661,7 @@ def test_route_memo_holds_no_identity():
         for x2 in range(m.L + 1):
             tiling.dk_kernel(m, KernelQuery(x1, 1, x2, 2), 128)
     route = tiling.dk_evaluator(m, 128).route("dk")
-    assert 0 < len(route.products) <= m.q ** 2
-    eye = np.eye(m.r)
-    for (lo, length), prod in route.products.items():
-        assert 0 <= lo < m.q and length >= 1
-        assert not np.allclose(prod, eye)
     assert len(route.memo) <= m.L // m.q + 1
-    assert 0 < len(route.sides) <= 2 * (m.q ** 2 + 1) * (m.L // m.q + 1)
     # one weighted node power per exponent queried on its side
     assert route.weighted[0].keys() == lefts
     assert route.weighted[1].keys() == rights
@@ -680,11 +698,14 @@ def test_warm_blocks_match_fresh_evaluator(rng):
             s = len(route.flat) // len(route.rows)
             left, right = (rng.standard_normal(shape + (2,)) @ [1, 1j]
                            for shape in ((n, 3, m.r, s), (n, s, 2, m.r)))
+            # the pairing of the moments on the route's own rows
+            pairing = mops.pair(mops.moments(route.rows, left[None], 0)[0],
+                                route.flat,
+                                mops.moments(route.rows, right[None], 1)[0])
             assert np.array_equal(
                 mops.kernel_integral(route.flat, at[form], left, at[form],
                                      right),
-                mops.contract(route.rows, left, route.rows, right,
-                              route.flat)), form
+                pairing.reshape(left.shape[1:-1] + right.shape[2:])), form
         dk, sheets = ev.route("dk"), ev.route("sheets")
         assert sheets.rows is dk.rows and sheets.flat is dk.flat
 
@@ -716,23 +737,30 @@ def test_query_height_types_give_the_same_blocks():
                     for q in (KernelQuery(x1, t1(0), x2, t2([1])),
                               KernelQuery(x1, t2([0]), x2, t1(1))):
                         assert np.array_equal(fn(m, q, 128), one[None]), form
-    # a bool or a float, alone or in an array, a 2-D array of heights and
-    # an array column are refused when the query is made, not truncated
+    # a bool or a float, alone or in an array, a 2-D or an empty array of
+    # heights and an array column are refused when the query is made, not
+    # truncated
     good = dict(x1=3, y1=0, x2=1, y2=1)
     for bad in ({"y1": 0.7}, {"y1": 1.0}, {"y2": True}, {"y2": np.float64(1)},
                 {"y1": [0, 1.5]}, {"y1": np.array([0.0])},
                 {"y2": np.zeros((1, 1), int)}, {"x1": 2.5}, {"x2": True},
-                {"x2": np.array([1, 2])}):
+                {"x2": np.array([1, 2])}, {"y1": np.array([], int)},
+                {"y2": []}):
         with pytest.raises(InvalidArgumentError, match="KernelQuery"):
             KernelQuery(**{**good, **bad})
 
 
 def abs_terms(route, left, right):
-    """The contraction of one group pair with every factor replaced by
-    its modulus: the size of the terms its sums add, (y2, y1, r, r)."""
-    args = (route.rows, tiling._left(route, *left), route.rows,
-            tiling._right(route, *right), route.flat)
-    return mops.contract(*map(np.abs, args)).transpose(0, 2, 1, 3)
+    """The pairing of one group pair with every factor replaced by its
+    modulus: the size of the terms its sums add, (y2, y1, r, r)."""
+    rows = np.abs(route.rows)
+    U, V = (mops.moments(rows, np.abs(np.moveaxis(
+        tiling._factor(route, k, *group), 1, 0)), k)
+        for k, group in enumerate((left, right)))
+    out = mops.pair(np.concatenate(U, 0), np.abs(route.flat),
+                    np.concatenate(V, 1))
+    r = route.model.r
+    return out.reshape(len(left[1]), r, -1, r).transpose(0, 2, 1, 3)
 
 
 def test_stacked_groups_match_one_group_blocks():
@@ -802,9 +830,8 @@ def test_stacked_moments_are_their_heights_entries():
     # a stacked or batched side's moments are the concatenation of its
     # (column, height) entries, bit for bit, and each entry is the
     # projection of that height's factor alone (a stack of one, as
-    # `mops.contract` projects), as a fresh route forms it
+    # `mops.kernel_integral` projects), as a fresh route forms it
     groups = [(0, [1]), (2, [-1, 0, 2]), (3, [0]), (4, [2, 1, 2])]
-    factors = (tiling._left, tiling._right)
     for m in ROUTE_MODELS:
         ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
         for form in ROUTES:
@@ -817,8 +844,8 @@ def test_stacked_moments_are_their_heights_entries():
                 for x, ys in groups:
                     for y in ys:
                         route1 = fresh.route(form)
-                        alone = mops.moments(route1.rows, factors[k](
-                            route1, x, [y])[None], k)[0]
+                        alone = mops.moments(route1.rows, np.moveaxis(
+                            tiling._factor(route1, k, x, [y]), 1, 0), k)[0]
                         assert np.array_equal(memo[x, y], alone), \
                             (form, k, x, y)
 
@@ -846,9 +873,10 @@ def chi_cases(draw):
     return m, KernelQuery(x1, y1, x2, y2), shift
 
 
-# q = 1: (2, 0) shares all but L3 with (1, 0); q = 2: (3, 1) shares all
-# but B4 with (1, 0), and all but B3 with (2, 1).  Single heights: only a
-# single cell's chi integral is kept
+# the `_split` of [x2, x1): at q = 1, (2, 0) shares all but the whole
+# periods with (1, 0); at q = 2, (3, 1) shares all but the head partial
+# period with (1, 0), and all but the tail with (2, 1).  Single heights:
+# only a single cell's chi integral is kept
 @example((ROUTE_MODELS[0], KernelQuery(2, 0, 0, 1), 1))
 @example((ROUTE_MODELS[1], KernelQuery(3, 0, 1, 1), -1))
 @example((ROUTE_MODELS[1], KernelQuery(3, 2, 1, 0), 2))
@@ -892,8 +920,7 @@ def test_chi_integrals_evaluated_once_per_key(monkeypatch):
             for q in queries:
                 tiling._query_block(route, q)
             assert calls["chi"] == len(route.chis) < len(queries), form
-            assert len(route.chis) <= \
-                (m.q ** 2 + 1) ** 2 * (m.L // m.q + 1) * 2
+            assert len(route.chis) <= m.q * m.L * 2
             for q in queries:
                 tiling._query_block(route, q)
             assert calls["chi"] == len(route.chis), form
@@ -914,11 +941,9 @@ def test_route_memos_are_read_only():
             for q in chi_queries(m, 0, 1) + [KernelQuery(x, 1, x, 0)
                                              for x in range(m.L + 1)]:
                 tiling._query_block(route, q)
-            # a q = 1 route has no nonempty transfer product
-            memos = (route.memo, route.products, route.sides,
-                     *route.weighted, *route.moments, route.chis)
-            assert all(memo or memo is route.products and m.q == 1
-                       for memo in memos), form
+            memos = (route.memo, *route.weighted, *route.moments,
+                     route.chis)
+            assert all(memos), form
             for memo in memos:
                 for arr in memo.values():
                     assert not arr.flags.writeable, form
