@@ -2,7 +2,7 @@
 scalar counterparts on genus-0 Riemann surfaces, and correlation kernels
 of doubly periodic lozenge-tiling models."""
 
-from .contour import (ContourQuadrature, circle_quadrature, default_n,
+from .contour import (DEFAULT_N, ContourQuadrature, circle_quadrature,
                       union_quadrature, unit_circle_quadrature)
 from .errors import (CDSurfaceError,
                      InconsistentParametersError, InvalidArgumentError,

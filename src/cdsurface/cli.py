@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import mops, sops, surface, tiling, weights
-from .contour import unit_circle_quadrature
+from .contour import DEFAULT_N, unit_circle_quadrature
 from .errors import (CDSurfaceError, InconsistentParametersError,
                      InvalidArgumentError, SingularSystemError,
                      SizeGuardError, UnsupportedFamilyError)
@@ -97,40 +97,18 @@ def _parse_ints(token: str, form: str) -> tuple:
 
 
 def _family_from_args(args) -> weights.WeightFamily:
-    if getattr(args, "family_json", None):
-        spec = args.family_json
-        if spec.startswith("@"):
-            try:
-                with open(spec[1:]) as fh:
-                    spec = fh.read()
-            except OSError as exc:
-                raise InvalidArgumentError(
-                    f"cannot read --family-json file: {exc}") from exc
-        return weights.family_from_json(json.loads(spec))
-    tag = args.family
-    if tag is None:
-        raise InvalidArgumentError("--family or --family-json is required")
-    if tag == "cyclic":
-        return weights.CyclicUniform(r=_req(args, "r"), L=_req(args, "L"),
-                                     R=_req(args, "R"))
-    if tag == "root-k":
-        return weights.TwoByTwoRootK(k=_req(args, "k"),
-                                     L=2 if args.L is None else args.L,
-                                     M=2 if args.M is None else args.M)
-    if tag == "periodic-2x1":
-        return weights.Periodic2x1(a0=_req(args, "a0"), a1=_req(args, "a1"),
-                                   b0=_req(args, "b0"), b1=_req(args, "b1"),
-                                   L=_req(args, "L"), M=_req(args, "M"),
-                                   N=_req(args, "NW"))
-    if tag == "scalar-monomial":
-        N = args.N if args.NW is None else args.NW
-        if N is None:
+    """The family of --family-json: inline JSON, or @file."""
+    spec = args.family_json
+    if spec is None:
+        raise InvalidArgumentError("--family-json is required")
+    if spec.startswith("@"):
+        try:
+            with open(spec[1:]) as fh:
+                spec = fh.read()
+        except OSError as exc:
             raise InvalidArgumentError(
-                f"--weight-N (or --N) is required for --family {tag}")
-        return weights.ScalarMonomial(
-            r=1 if args.r is None else args.r, N=N)
-    raise UnsupportedFamilyError(
-        f"unknown family {tag!r} (use --family-json for periodic-2x2)")
+                f"cannot read --family-json file: {exc}") from exc
+    return weights.family_from_json(json.loads(spec))
 
 
 def _kernel_degree(args, default=None) -> int:
@@ -141,15 +119,6 @@ def _kernel_degree(args, default=None) -> int:
     if N < 1:
         raise InvalidArgumentError(f"--N must be >= 1, got {N}")
     return N
-
-
-def _req(args, name):
-    val = getattr(args, name, None)
-    if val is None:
-        raise InvalidArgumentError(
-            f"--{name.replace('NW', 'weight-N')} is required for "
-            f"--family {args.family}")
-    return val
 
 
 def _hexagon_model(args) -> tiling.HexagonModel:
@@ -270,8 +239,8 @@ _DEFAULT_FAMILIES = (
 
 def _suite_spectral(args) -> dict:
     rng = np.random.default_rng(args.seed)
-    if args.family or args.family_json:
-        fams = [(args.family or "json", _family_from_args(args))]
+    if args.family_json:
+        fams = [("json", _family_from_args(args))]
     else:
         fams = [(name, make()) for name, make in _DEFAULT_FAMILIES]
     checks = []
@@ -442,22 +411,16 @@ def cmd_prob(args) -> tuple:
 
 # --- argument parsing ----------------------------------------------------
 
-def _family_flags(p):
-    """Flags that name a weight family (beside --r)."""
-    p.add_argument("--family", help="family tag (cyclic, root-k, "
-                                    "periodic-2x1, scalar-monomial)")
+def _family_flag(p):
+    """The one flag that names a weight family."""
     p.add_argument("--family-json",
                    help="inline JSON or @file with {family, params}")
-    for name in ("L", "R", "M", "k"):
-        p.add_argument(f"--{name}", type=int)
-    p.add_argument("--weight-N", dest="NW", type=int,
-                   help="weight exponent N (periodic families)")
-    for name in ("a0", "a1", "b0", "b1"):
-        p.add_argument(f"--{name}", type=float)
 
 
 def _hexagon_flags(p):
-    """Flags that describe a hexagon tiling model (beside --r)."""
+    """Flags that describe a hexagon tiling model."""
+    p.add_argument("--r", type=int,
+                   help="vertical period of the hexagon's weights (tiling)")
     p.add_argument("--q", type=int, help="column period (tiling)")
     p.add_argument("--a", help="JSON nested list of a-weights (tiling)")
     p.add_argument("--b", help="JSON nested list of b-weights (tiling)")
@@ -466,12 +429,12 @@ def _hexagon_flags(p):
 
 def _add_command(sub, command: str, summary: str, func, *groups):
     """A subparser with the shared options and the given flag groups."""
-    p = sub.add_parser(command, help=summary)
+    p = sub.add_parser(command, help=summary, allow_abbrev=False)
     p.set_defaults(func=func)
-    p.add_argument("--r", type=int, help="matrix size / period")
     for group in groups:
         group(p)
-    p.add_argument("--n", type=int, help="quadrature nodes")
+    p.add_argument("--n", type=int, default=DEFAULT_N,
+                   help="quadrature nodes")
     p.add_argument("--output")
     return p
 
@@ -486,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pk = _add_command(sub, "kernel", "evaluate a kernel table", cmd_kernel,
-                      _family_flags, _hexagon_flags)
+                      _family_flag, _hexagon_flags)
     pk.add_argument("--N", type=int, help="kernel degree")
     pk.add_argument("--kind", choices=("matrix", "surface", "tiling"),
                     default="matrix")
@@ -496,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--format", choices=("csv", "json"), default="csv")
 
     pv = _add_command(sub, "verify", "run a verification suite", cmd_verify,
-                      _family_flags, _hexagon_flags)
+                      _family_flag, _hexagon_flags)
     pv.add_argument("--suite", required=True)
     pv.add_argument("--N", type=int)
     pv.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,6 @@ an annulus around the circle and *exact* for Laurent monomials z^k with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,21 +21,6 @@ from .errors import InvalidArgumentError
 from .weights import check_integers
 
 DEFAULT_N = 256
-
-
-def default_n() -> int:
-    """Default node count per component; CDSURFACE_QUAD_N overrides."""
-    env = os.environ.get("CDSURFACE_QUAD_N")
-    if env is None:
-        return DEFAULT_N
-    try:
-        n = int(env)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"CDSURFACE_QUAD_N must be an integer, got {env!r}") from None
-    if n < 1:
-        raise InvalidArgumentError(f"CDSURFACE_QUAD_N must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -74,11 +58,9 @@ class ContourQuadrature:
 
 
 def circle_quadrature(center: complex, radius: float,
-                      n: int | None = None) -> ContourQuadrature:
+                      n: int = DEFAULT_N) -> ContourQuadrature:
     """Trapezoid rule on a positively oriented circle; weights are
     (2*pi*i/n)*(z_j - center).  `reversed()` gives the other orientation."""
-    if n is None:
-        n = default_n()
     check_integers("node count n", 0, n)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1 nodes, got {n}")
@@ -91,7 +73,7 @@ def circle_quadrature(center: complex, radius: float,
     return ContourQuadrature(nodes, weights)
 
 
-def unit_circle_quadrature(n: int | None = None) -> ContourQuadrature:
+def unit_circle_quadrature(n: int = DEFAULT_N) -> ContourQuadrature:
     """Positively oriented unit circle, nodes exp(2*pi*i*j/n)."""
     return circle_quadrature(0.0, 1.0, n)
 

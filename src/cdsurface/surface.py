@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import mops
-from .contour import ContourQuadrature, circle_quadrature, default_n, \
+from .contour import DEFAULT_N, ContourQuadrature, circle_quadrature, \
     unit_circle_quadrature
 from .errors import InconsistentParametersError, UnsupportedFamilyError
 from .weights import (CyclicUniform, Periodic2x1, Periodic2x2, ScalarMonomial,
@@ -349,12 +349,12 @@ def check_reproducing_surface_dual(family: WeightFamily,
 
 def check_reproducing_plane(chart: Genus0Chart, kernel: Callable,
                             p: Callable, zeta: complex,
-                            n_nodes: int | None = None) -> float:
+                            n_nodes: int = DEFAULT_N) -> float:
     """| int_{gamma_C} p(omega) W_s(omega) S(omega, zeta) d omega - p(zeta) |.
 
     kernel(omega_nodes, zeta) must return S on an array of omega values.
     """
-    quad = chart.gamma_C(n_nodes if n_nodes is not None else default_n())
+    quad = chart.gamma_C(n_nodes)
     Sw = kernel(quad.nodes, zeta)
     val = np.sum(quad.weights * p(quad.nodes)
                  * chart.scalar_weight(quad.nodes) * Sw)

@@ -46,7 +46,7 @@ from math import prod
 import numpy as np
 
 from . import mops, sops
-from .contour import default_n, unit_circle_quadrature
+from .contour import DEFAULT_N, unit_circle_quadrature
 from .errors import InvalidArgumentError, SizeGuardError, \
     UnsupportedFamilyError
 from .surface import build_chart
@@ -425,7 +425,7 @@ class DKEvaluator:
     one-point densities of the columns queried (`densities`) are at
     most (L + 1)(N + M) floats."""
 
-    def __init__(self, model: HexagonModel, n: int | None = None):
+    def __init__(self, model: HexagonModel, n: int = DEFAULT_N):
         self.model = model
         self.quad = unit_circle_quadrature(n)
         N = model.N // model.r
@@ -549,12 +549,13 @@ def _dk_evaluator(model: HexagonModel, n: int) -> DKEvaluator:
     return DKEvaluator(model, n)
 
 
-def dk_evaluator(model: HexagonModel, n: int | None = None) -> DKEvaluator:
-    return _dk_evaluator(model, n if n is not None else default_n())
+def dk_evaluator(model: HexagonModel, n: int = DEFAULT_N) -> DKEvaluator:
+    """The cached evaluator of (model, n), however n is passed."""
+    return _dk_evaluator(model, n)
 
 
 def dk_kernel(model: HexagonModel, query: KernelQuery,
-              n: int | None = None) -> np.ndarray:
+              n: int = DEFAULT_N) -> np.ndarray:
     """Matrix correlation-kernel block via the double-contour formula."""
     return dk_evaluator(model, n).block(query)
 
@@ -565,7 +566,7 @@ def dk_kernel(model: HexagonModel, query: KernelQuery,
 
 def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
                               form: str = "plane",
-                              n: int | None = None) -> np.ndarray:
+                              n: int = DEFAULT_N) -> np.ndarray:
     """Scalarized double-contour kernel.
 
     form="sheets": sum over sheet pairs of the spectral curve; A^p is
@@ -583,7 +584,7 @@ def simplified_kernel_general(model: HexagonModel, query: KernelQuery,
 
 
 def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
-                          n: int | None = None) -> np.ndarray:
+                          n: int = DEFAULT_N) -> np.ndarray:
     """Explicit scalarized kernel for r=2, q=1 models.
 
     The integrand contains only the scalar CD kernel of
@@ -598,7 +599,7 @@ def simplified_kernel_2x1(model: HexagonModel, query: KernelQuery,
 
 
 def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
-                          n: int | None = None) -> np.ndarray:
+                          n: int = DEFAULT_N) -> np.ndarray:
     """Explicit scalarized kernel for r=2, q=2 models.
 
     Columns are re-indexed as x1 = 2 m1 + eps1 and x2 = 2 m2 - eps2 so
@@ -615,9 +616,13 @@ def simplified_kernel_2x2(model: HexagonModel, query: KernelQuery,
 
 def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
                           x2: int, y2: int,
-                          n: int | None = None) -> complex:
+                          n: int = DEFAULT_N) -> complex:
     """Correlation kernel of the uniform measure through the scalar
-    weight (1+z)^L z^{-M-N}; independent of the matrix-kernel path."""
+    weight (1+z)^L z^{-M-N}; independent of the matrix-kernel path.
+    Sizes that `HexagonModel` refuses and a column outside [0, L] raise
+    InvalidArgumentError."""
+    check_integers("point coordinate", 0, x1, y1, x2, y2)
+    check_columns(HexagonModel.uniform(L, M, N), x1, x2)
     quad = unit_circle_quadrature(n)
     z = quad.nodes
     coeffs, _ = mops.kernel_coefficients(sops.scalar_moments(
@@ -647,7 +652,9 @@ def lgv_partition_function(model: HexagonModel) -> float:
 
 def macmahon_count(L: int, M: int, N: int) -> int:
     """Number of lozenge tilings of the uniform (L, M, N) hexagon
-    (boxed-plane-partition product formula with box M x N x (L-M))."""
+    (boxed-plane-partition product formula with box M x N x (L-M)).
+    Sizes that `HexagonModel` refuses raise InvalidArgumentError."""
+    HexagonModel.uniform(L, M, N)
     sides = range(1, M + 1), range(1, N + 1), range(1, L - M + 1)
     total = prod(Fraction(i + j + k - 1, i + j + k - 2)
                  for i, j, k in product(*sides))
@@ -712,7 +719,8 @@ class ExactOracle:
 
     It is the contour routes' kernel entry by entry: no gauge separates
     the two.  Raises SizeGuardError before any work if `exact_cost`
-    exceeds EXACT_GUARD."""
+    exceeds EXACT_GUARD, and InvalidArgumentError for a query column
+    outside [0, L]."""
 
     def __init__(self, model: HexagonModel):
         if (cost := exact_cost(model)) > EXACT_GUARD:
@@ -727,11 +735,13 @@ class ExactOracle:
 
     def kernel(self, x1: int, y1: int, x2: int, y2: int) -> Fraction:
         """K(x1, y1, x2, y2); 0 for a height outside its column."""
+        check_columns(self.model, x1, x2)
         return self._entry(self._row(x2, y2), x1, y1, x2, y2)
 
     def probability(self, points: list) -> Fraction:
         """det[K(x_i, y_i, x_j, y_j)]: P(a path passes through every
         point), 1 for no points.  Each point's row is formed once."""
+        check_columns(self.model, *(x for x, _ in points))
         rows = [self._row(*b) for b in points]
         return _fraction_gauss_jordan([[self._entry(row, *a, *b)
                                         for b, row in zip(points, rows)]
@@ -764,14 +774,14 @@ class ExactOracle:
 
 def point_probability(model: HexagonModel, points,
                       route: str = "determinant",
-                      n: int | None = None) -> float | Fraction:
+                      n: int = DEFAULT_N) -> float | Fraction:
     """P(a path passes through every point in `points`).
 
     route="determinant": det[K(x_i, y_i, x_j, y_j)] via the matrix
     double-contour kernel (exactly 0.0 for a height outside its column).
     route="exact": the same determinant as a Fraction, on a fresh
     `ExactOracle`."""
-    points = [tuple(pt) for pt in points]
+    points = list(map(_pair, points))
     check_integers("point coordinate", 0, *(v for pt in points for v in pt))
     if len(set(points)) != len(points):
         raise InvalidArgumentError("points must be distinct")
@@ -788,8 +798,18 @@ def point_probability(model: HexagonModel, points,
     return float(np.linalg.det(mat).real)
 
 
+def _pair(point) -> tuple:
+    """`point` as an (x, y) tuple; InvalidArgumentError unless a pair."""
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"point {point!r} is not an (x, y) pair") from None
+    return x, y
+
+
 def column_probabilities(model: HexagonModel, x: int,
-                         n: int | None = None) -> dict:
+                         n: int = DEFAULT_N) -> dict:
     """{y: P(point at (x, y))} over the admissible heights of column x.
 
     P = K(x, y, x, y): one double-contour block over the block heights

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,19 +15,24 @@ from cdsurface.cli import EXIT_CONFIG, main
 RUN = [sys.executable, "-m", "cdsurface.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + list(args), capture_output=True,
-                          text=True, env=env)
+def run_cli(*args):
+    return subprocess.run(RUN + list(args), capture_output=True, text=True)
+
+
+def family(tag, **params):
+    """The --family-json arguments of family `tag` with `params`."""
+    return ["--family-json", json.dumps({"family": tag, "params": params})]
+
+
+CYCLIC = family("cyclic", r=2, L=2, R=2)
+ROOT_K3 = family("root-k", k=3, L=2, M=2)
 
 
 # --- kernel -------------------------------------------------------------
 
 def test_kernel_scalar_monomial_closed_form(tmp_path):
     out = tmp_path / "k.csv"
-    rc = main(["kernel", "--family", "scalar-monomial", "--N", "2",
+    rc = main(["kernel", *family("scalar-monomial", r=1, N=2), "--N", "2",
                "--at", "2,0", "3,0", "--output", str(out)])
     assert rc == 0
     rows = list(csv.DictReader(open(out)))
@@ -40,8 +44,7 @@ def test_kernel_scalar_monomial_closed_form(tmp_path):
 
 def test_kernel_grid_row_count(tmp_path):
     out = tmp_path / "g.csv"
-    rc = main(["kernel", "--family", "cyclic", "--r", "2", "--L", "2",
-               "--R", "2", "--N", "2", "--grid", "5",
+    rc = main(["kernel", *CYCLIC, "--N", "2", "--grid", "5",
                "--output", str(out)])
     assert rc == 0
     rows = list(csv.reader(open(out)))
@@ -60,38 +63,27 @@ def test_kernel_malformed_json_exits_2_without_output(tmp_path):
 
 
 def test_kernel_singular_system_exits_3():
-    res = run_cli("kernel", "--family", "cyclic", "--r", "2", "--L", "1",
-                  "--R", "1", "--N", "2", "--grid", "2")
+    res = run_cli("kernel", *family("cyclic", r=2, L=1, R=1), "--N", "2",
+                  "--grid", "2")
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
 
 
 def test_kernel_deterministic_output(tmp_path):
-    args = ["kernel", "--family", "cyclic", "--r", "2", "--L", "2",
-            "--R", "2", "--N", "2", "--grid", "3"]
+    args = ["kernel", *CYCLIC, "--N", "2", "--grid", "3"]
     a, b = run_cli(*args), run_cli(*args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 
-def test_kernel_quad_env_override():
-    args = ["kernel", "--family", "cyclic", "--r", "2", "--L", "2",
-            "--R", "2", "--N", "2", "--at", "1.5,0", "0.5,0",
+def test_kernel_n_64_matches_the_default():
+    args = ["kernel", *CYCLIC, "--N", "2", "--at", "1.5,0", "0.5,0",
             "--format", "json"]
-    coarse = run_cli(*args, env_extra={"CDSURFACE_QUAD_N": "64"})
-    fine = run_cli(*args, env_extra={"CDSURFACE_QUAD_N": "256"})
+    coarse = run_cli(*args, "--n", "64")
+    fine = run_cli(*args)
     ka = json.loads(coarse.stdout)[0]["K"]
     kb = json.loads(fine.stdout)[0]["K"]
     assert np.allclose(ka, kb, atol=1e-8)
-
-
-def test_quad_env_not_an_integer_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("CDSURFACE_QUAD_N", "abc")
-    assert main(["kernel", "--family", "cyclic", "--r", "2", "--L", "2",
-                 "--R", "2", "--N", "2", "--grid", "2"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-    assert "CDSURFACE_QUAD_N" in err and "'abc'" in err
 
 
 def test_kernel_tiling_kind():
@@ -120,15 +112,14 @@ def test_verify_contour_suite():
 
 
 def test_verify_surface_cyclic():
-    res = run_cli("verify", "--suite", "surface", "--family", "cyclic",
-                  "--r", "2", "--L", "2", "--R", "2", "--N", "2")
+    res = run_cli("verify", "--suite", "surface", *CYCLIC, "--N", "2")
     assert res.returncode == 0
     assert json.loads(res.stdout)["pass"]
 
 
 def test_verify_surface_root_k_not_cd():
-    res = run_cli("verify", "--suite", "surface", "--family", "root-k",
-                  "--k", "3", "--expect-not-cd")
+    res = run_cli("verify", "--suite", "surface", *ROOT_K3,
+                  "--expect-not-cd")
     assert res.returncode == 0
     report = json.loads(res.stdout)
     names = {c["check"]: c["pass"] for c in report["checks"]}
@@ -175,9 +166,8 @@ MOPS_CHECKS = ["reproducing", "biorthogonality", "sum-vs-formula",
     (["--family-json", json.dumps(Periodic2x2(
         a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
         L=4, M=2, N=2).to_json()), "--N", "2"], []),
-    (["--family", "root-k", "--k", "1"], []),
-    (["--family", "root-k", "--k", "3"],
-     ["biorthogonality", "sum-vs-formula"])],
+    (family("root-k", k=1, L=2, M=2), []),
+    (ROOT_K3, ["biorthogonality", "sum-vs-formula"])],
     ids=["periodic-2x1", "periodic-2x2", "root-k1", "root-k3"])
 def test_verify_mops_suite_one_weight_evaluation(family_args, skipped,
                                                  monkeypatch, tmp_path):
@@ -209,7 +199,7 @@ def test_verify_mops_suite_one_weight_evaluation(family_args, skipped,
     (["--family-json", json.dumps(Periodic2x2(
         a=((1.0, 2.0), (1.0, 1.0)), b=((1.0, 2.0), (1.0, 1.0)),
         L=4, M=2, N=2).to_json())], 4 + 3),
-    (["--family", "root-k", "--k", "3"], 2 + 2)],
+    (ROOT_K3, 2 + 2)],
     ids=["periodic-2x1", "periodic-2x2", "root-k3"])
 def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family_args,
                                                             mops_read,
@@ -247,8 +237,7 @@ def test_verify_mops_suite_evaluates_each_mop_once_at_nodes(family_args,
 
 
 @pytest.mark.parametrize("family_args", [
-    ["--family", "root-k", "--k", "3"],
-    ["--family", "scalar-monomial", "--weight-N", "2"]],
+    ROOT_K3, family("scalar-monomial", r=1, N=2)],
     ids=["root-k", "scalar-monomial"])
 def test_verify_mops_suite_with_missing_lower_degree(family_args, tmp_path):
     # P_1 and Q_0 do not exist, the degree-2 kernel does: the report names
@@ -397,27 +386,9 @@ def test_prob_reports_the_determinant_route_only():
 
 # --- option values -----------------------------------------------------
 
-CYCLIC = ["--family", "cyclic", "--r", "2", "--L", "2", "--R", "2"]
 HEXAGON = ["--hexagon", "4,2,2"]
-PERIODIC_2X1 = ["--family", "periodic-2x1", "--a1", "1", "--b0", "1",
-                "--b1", "1", "--L", "2", "--M", "2", "--weight-N", "2"]
-NAN_2X2 = json.dumps({"family": "periodic-2x2", "params": {
-    "a": [[float("nan"), 1], [1, 1]], "b": [[1, 1], [1, 1]],
-    "L": 2, "M": 2, "N": 2}})
-
-
-def cyclic_json(**params):
-    """--family-json of the cyclic r=2, L=R=2 family with `params`
-    replaced; a value of None drops that parameter."""
-    params = {k: v for k, v in {"r": 2, "L": 2, "R": 2, **params}.items()
-              if v is not None}
-    return ["--family-json", json.dumps({"family": "cyclic",
-                                         "params": params})]
-
-
-def periodic_2x2_json(a):
-    return ["--family-json", json.dumps({"family": "periodic-2x2", "params": {
-        "a": a, "b": [[1, 1], [1, 1]], "L": 2, "M": 2, "N": 2}})]
+PERIODIC_2X1 = dict(a1=1, b0=1, b1=1, L=2, M=2, N=2)    # and a0
+PERIODIC_2X2 = dict(b=[[1, 1], [1, 1]], L=2, M=2, N=2)  # and a
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,29 +405,30 @@ def periodic_2x2_json(a):
     ["verify", "--suite", "mops", *CYCLIC, "--n", "0"],
     ["verify", "--suite", "surface", *CYCLIC, "--N", "0"],
     ["verify", "--suite", "surface", *CYCLIC, "--n", "-4"],
-    ["verify", "--suite", "spectral", "--family", "root-k", "--k", "3",
-     "--L", "0"],
-    ["verify", "--suite", "spectral", "--family", "root-k", "--k", "3",
-     "--M", "0"],
-    ["verify", "--suite", "spectral", "--family", "scalar-monomial",
-     "--r", "0", "--weight-N", "2"],
-    ["verify", "--suite", "spectral", "--family", "scalar-monomial",
-     "--weight-N", "0"],
+    ["verify", "--suite", "spectral", *family("root-k", k=3, L=0, M=2)],
+    ["verify", "--suite", "spectral", *family("root-k", k=3, L=2, M=0)],
+    ["verify", "--suite", "spectral", *family("scalar-monomial", r=0, N=2)],
+    ["verify", "--suite", "spectral", *family("scalar-monomial", r=1, N=0)],
     ["kernel", *CYCLIC, "--N", "2", "--at", "nan", "1", "--format", "json"],
     ["kernel", *CYCLIC, "--N", "2", "--at", "1", "0,inf"],
     ["prob", *HEXAGON, "--a", "[[NaN]]", "--b", "[[1]]", "--points", "0,0"],
     ["prob", *HEXAGON, "--a", "[[1]]", "--b", "[[Infinity]]"],
-    ["verify", "--suite", "spectral", *PERIODIC_2X1, "--a0", "nan"],
-    ["kernel", *PERIODIC_2X1, "--a0", "inf", "--N", "2", "--grid", "2"],
-    ["verify", "--suite", "mops", "--family-json", NAN_2X2],
-    ["verify", "--suite", "spectral", *cyclic_json(x=1)],
-    ["verify", "--suite", "mops", *cyclic_json(L=2.5)],
-    ["verify", "--suite", "mops", *cyclic_json(L=float("nan"))],
-    ["verify", "--suite", "mops", *cyclic_json(R=float("inf"))],
-    ["verify", "--suite", "spectral", *cyclic_json(L=True)],
-    ["verify", "--suite", "spectral", *cyclic_json(L=None)],
-    ["verify", "--suite", "spectral", *periodic_2x2_json([[1, 1, 1], [1, 1]])],
-    ["verify", "--suite", "spectral", *periodic_2x2_json([1, 1])],
+    ["verify", "--suite", "spectral",
+     *family("periodic-2x1", a0=float("nan"), **PERIODIC_2X1)],
+    ["kernel", *family("periodic-2x1", a0=float("inf"), **PERIODIC_2X1),
+     "--N", "2", "--grid", "2"],
+    ["verify", "--suite", "mops",
+     *family("periodic-2x2", a=[[float("nan"), 1], [1, 1]], **PERIODIC_2X2)],
+    ["verify", "--suite", "spectral", *family("cyclic", r=2, L=2, R=2, x=1)],
+    ["verify", "--suite", "mops", *family("cyclic", r=2, L=2.5, R=2)],
+    ["verify", "--suite", "mops", *family("cyclic", r=2, L=float("nan"), R=2)],
+    ["verify", "--suite", "mops", *family("cyclic", r=2, L=2, R=float("inf"))],
+    ["verify", "--suite", "spectral", *family("cyclic", r=2, L=True, R=2)],
+    ["verify", "--suite", "spectral", *family("cyclic", r=2, R=2)],
+    ["verify", "--suite", "spectral",
+     *family("periodic-2x2", a=[[1, 1, 1], [1, 1]], **PERIODIC_2X2)],
+    ["verify", "--suite", "spectral",
+     *family("periodic-2x2", a=[1, 1], **PERIODIC_2X2)],
     ["prob", *HEXAGON, "--a", "[[1,0]]", "--b", "[[1]]", "--points", "0,0"],
     ["prob", "--hexagon", "2,1,1", "--a", "", "--b", "", "--points", "1,0"],
     ["prob", "--hexagon", "2,1,1", "--a", "", "--points", "1,0"],
@@ -473,15 +445,21 @@ def test_zero_or_negative_option_exits_2(argv, capsys):
     assert "configuration error" in captured.err
 
 
-def test_prob_rejects_flags_it_does_not_read(capsys):
-    argv = ["prob", "--hexagon", "2,1,1", "--points", "1,0"]
+@pytest.mark.parametrize("argv", [
+    ["prob", "--hexagon", "2,1,1", "--points", "1,0"],
+    ["kernel", *CYCLIC, "--N", "2", "--grid", "2"],
+    ["verify", "--suite", "contour"],
+], ids=lambda argv: argv[0])
+def test_every_command_rejects_flags_it_does_not_read(argv, capsys):
+    # the per-parameter family flags are gone from every command, and no
+    # flag is read by a prefix of its name (--family is not --family-json)
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv + ["--L", "9", "--family", "cyclic", "--k", "4",
+    assert main(argv + ["--family", "cyclic", "--L", "9", "--k", "4",
                         "--a0", "7"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --L 9 --family cyclic --k 4 --a0 7" \
+    assert "unrecognized arguments: --family cyclic --L 9 --k 4 --a0 7" \
         in captured.err
 
 
@@ -494,8 +472,7 @@ def test_main_calls_in_sequence_match_calls_alone(tmp_path, capsys):
     prob = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
             "--a", "[[1.0, 2.0], [1.0, 1.0]]",
             "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--points", "1,1", "3,2"]
-    calls = [["verify", "--suite", "mops", "--family", "cyclic", "--r", "2",
-              "--L", "2", "--R", "2", "--N", "2"],
+    calls = [["verify", "--suite", "mops", *CYCLIC, "--N", "2"],
              prob, ["prob", "--hexagon", "4,2,2", "--no-such-option"], prob]
 
     def run(argv):
@@ -548,7 +525,7 @@ def test_kernel_csv_cells_are_the_json_leaves(kind_args, header, tmp_path):
 
 @pytest.mark.parametrize("family_args, code, residual, ok", [
     (CYCLIC, 1, 0.0, False),
-    (["--family", "root-k", "--k", "3"], 0, float("inf"), True),
+    (ROOT_K3, 0, float("inf"), True),
 ], ids=["cyclic", "root-k"])
 def test_verify_surface_scalar_cd_nonexistence(family_args, code, residual,
                                                ok, tmp_path):
@@ -579,8 +556,7 @@ def test_kernel_malformed_at_exits_2_before_numerical_work(tmp_path,
     monkeypatch.setattr(tiling, "dk_evaluator",
                         lambda *a: built.append(a) or dk_evaluator(*a))
     out = tmp_path / "k.csv"
-    singular = ["--family", "cyclic", "--r", "2", "--L", "1", "--R", "1",
-                "--N", "2"]
+    singular = [*family("cyclic", r=2, L=1, R=1), "--N", "2"]
     for argv in (["--kind", "tiling", "--hexagon", "40,20,20",
                   "--at", "1,0", "x"],
                  ["--kind", "tiling", "--hexagon", "40,20,20",
@@ -608,18 +584,6 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     assert captured.err.startswith("configuration error: ")
     assert str(out) in captured.err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "spectral"],
-    ["kernel", "--grid", "2"],
-], ids=" ".join)
-def test_scalar_monomial_without_weight_n_names_the_option(argv, capsys):
-    assert main(argv + ["--family", "scalar-monomial"]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("configuration error: --weight-N (or --N) is required for "
-            "--family scalar-monomial") in captured.err
 
 
 @pytest.mark.parametrize("argv", [

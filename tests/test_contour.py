@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdsurface import (InvalidArgumentError, circle_quadrature, default_n,
+from cdsurface import (InvalidArgumentError, circle_quadrature,
                        union_quadrature, unit_circle_quadrature)
 
 TWO_PI_I = 2j * np.pi
@@ -90,8 +90,8 @@ def test_invalid_arguments():
         union_quadrature([])
     # a float or a bool node count would build a rule whose weights do not
     # match its nodes (16.5 gives 17 nodes of weight 2 pi i / 16.5); a
-    # numpy integer is a node count like any int
-    for bad in (16.5, 16.0, np.float64(16), True, np.array([16])):
+    # numpy integer is a node count like any int; None is not a count
+    for bad in (16.5, 16.0, np.float64(16), True, np.array([16]), None):
         with pytest.raises(InvalidArgumentError, match="node count n"):
             unit_circle_quadrature(bad)
         with pytest.raises(InvalidArgumentError, match="node count n"):
@@ -99,15 +99,6 @@ def test_invalid_arguments():
     for n in (np.int64(16), np.int32(16), np.uint8(16)):
         quad = unit_circle_quadrature(n)
         assert np.array_equal(quad.weights, unit_circle_quadrature(16).weights)
-
-
-def test_default_n_names_a_bad_environment_value(monkeypatch):
-    monkeypatch.setenv("CDSURFACE_QUAD_N", "abc")
-    with pytest.raises(InvalidArgumentError,
-                       match="CDSURFACE_QUAD_N.*'abc'"):
-        default_n()
-    monkeypatch.setenv("CDSURFACE_QUAD_N", "64")
-    assert default_n() == 64
 
 
 @settings(deadline=None, max_examples=50)

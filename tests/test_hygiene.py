@@ -2,12 +2,14 @@
 package imports is referenced in that module, every private module-level
 name is referenced somewhere in the package, every public function, class
 and method is read somewhere in the code or its tests, every
-parameter default of the package is overridden by some call, and every
-name the benchmark's tracer wraps or README.md names still exists."""
+parameter default of the package is overridden by some call, every
+name the benchmark's tracer wraps or README.md names still exists, and
+every `cdsurface` command README.md shows runs."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -284,3 +286,38 @@ def test_readme_names_resolve_on_the_package():
         if not (resolves(owner, (attr,)) if owner in README_MODULES else
                 any(resolves(m, (owner, attr)) for m in README_MODULES))
     ) == []
+
+
+def readme_commands(text: str) -> list:
+    """The commands of the ```sh blocks as argument lists, split as the
+    shell would: a line goes on with the next while a quote is open, and
+    `#` starts a comment."""
+    commands, pending = [], ""
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines(keepends=True):
+            pending += line
+            try:
+                argv = shlex.split(pending, comments=True)
+            except ValueError:      # no closing quotation yet
+                continue
+            pending = ""
+            if argv:
+                commands.append(argv)
+    return commands
+
+
+def test_readme_commands_are_found():
+    text = ("```sh\n# a comment\ncdsurface kernel --family-json '{\"a\":\n"
+            "  1}' --N 2\npytest   # full suite\n```\nprose\n```sh\nls\n```\n")
+    assert readme_commands(text) == [
+        ["cdsurface", "kernel", "--family-json", '{"a":\n  1}', "--N", "2"],
+        ["pytest"], ["ls"]]
+
+
+def test_readme_commands_run():
+    from cdsurface import cli
+    commands = [argv for argv in readme_commands(
+        (ROOT / "README.md").read_text()) if argv[0] == "cdsurface"]
+    assert commands
+    codes = {shlex.join(argv): cli.main(argv[1:]) for argv in commands}
+    assert codes == dict.fromkeys(codes, cli.EXIT_OK)

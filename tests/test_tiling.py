@@ -142,6 +142,10 @@ def test_macmahon_counts():
     for L, M, N in ((2, 1, 1), (4, 2, 2), (6, 3, 3), (5, 2, 3), (8, 4, 4)):
         Z = ExactOracle(HexagonModel.uniform(L, M, N)).partition_function
         assert Z.denominator == 1 and Z == macmahon_count(L, M, N)
+    # sizes no hexagon has are refused, as HexagonModel refuses them
+    for L, M, N in ((1, 2, 2), (-1, 0, 0), (4.0, 2, 2), (4, 2, 0)):
+        with pytest.raises(InvalidArgumentError, match="hexagon"):
+            macmahon_count(L, M, N)
 
 
 def test_path_system_invariants():
@@ -209,6 +213,18 @@ def test_exact_oracle_guard(monkeypatch):
         with pytest.raises(SizeGuardError):
             point_probability(m, [(0, 0)], "exact")
     assert calls["transfer"] == 0
+
+
+def test_exact_oracle_refuses_columns_outside_the_hexagon():
+    # unchecked, a negative column reads the path products from the other
+    # end by negative indexing (K(-1, 0, 0, 0) = 6, P((-1, 0)) = 1)
+    oracle = ExactOracle(HexagonModel.uniform(4, 2, 2))
+    for call in (partial(oracle.kernel, -1, 0, 0, 0),
+                 partial(oracle.kernel, 0, 0, -1, 0),
+                 partial(oracle.kernel, 5, 0, 0, 0),
+                 partial(oracle.probability, [(-1, 0)])):
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            call()
 
 
 def entry_by_entry(oracle, x1, y1, x2, y2):
@@ -283,6 +299,18 @@ def test_uniform_kernel_matches_scalar_form():
         a = ev.scalar(x1, y1, x2, y2)
         b = uniform_scalar_kernel(L, M, N, x1, y1, x2, y2, QN)
         assert abs(a - b) < 1e-8
+
+
+def test_uniform_scalar_kernel_rejects_bad_arguments():
+    # unchecked, a column outside [0, L] gives 4.8e123; a hexagon size
+    # HexagonModel refuses or a non-integer coordinate is refused too
+    for args, match in (((4, 2, 2, -3, 0, 9, 0), "column -3"),
+                        ((4, 2, 2, 1, 0, 5, 0), "column 5"),
+                        ((1, 2, 2, 0, 0, 1, 0), "L >= M"),
+                        ((4, 2.0, 2, 1, 0, 1, 0), "parameter 'M'"),
+                        ((4, 2, 2, 1, 0.5, 1, 0), "point coordinate")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            uniform_scalar_kernel(*args, n=64)
 
 
 def test_dk_entries_match_exact_kernel():
@@ -420,15 +448,20 @@ def test_point_probability_edge_cases():
         for route in ("determinant", "exact"):
             with pytest.raises(InvalidArgumentError, match="point coordinate"):
                 point_probability(m, pts, route)
+    # and a point must be a pair
+    for pts in ([(1, 2, 3)], [(1,)], [5]):
+        for route in ("determinant", "exact"):
+            with pytest.raises(InvalidArgumentError, match="point .* pair"):
+                point_probability(m, pts, route)
     pts = [(np.int64(2), np.int32(1)), [1, np.int64(0)]]
     assert point_probability(m, pts, n=QN) == point_probability(
         m, [(2, 1), (1, 0)], n=QN)
     assert point_probability(m, pts, "exact") == point_probability(
         m, [(2, 1), (1, 0)], "exact")
-    # so must the node count, also when an evaluator of the equal int is
-    # cached
-    for n in (QN + 0.0, True):
-        point_probability(model_2x1(), [(2, 1)], n=int(n))
+    # so must the node count, also when an evaluator of the equal int
+    # (QN for None) is cached
+    for n in (QN + 0.0, True, None):
+        point_probability(model_2x1(), [(2, 1)], n=int(n or QN))
         with pytest.raises(InvalidArgumentError, match="node count n"):
             point_probability(model_2x1(), [(2, 1)], n=n)
 
