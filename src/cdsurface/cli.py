@@ -122,16 +122,24 @@ def _kernel_degree(args, default=None) -> int:
 
 
 def _hexagon_model(args) -> tiling.HexagonModel:
-    if args.hexagon is None:
+    """The model of the hexagon flags, built once per process for each
+    set of flag values (the model is frozen; a refused set raises on
+    every call)."""
+    return _model_from_flags(args.hexagon, args.r, args.q, args.a, args.b)
+
+
+@lru_cache(maxsize=16)
+def _model_from_flags(hexagon, r, q, a, b) -> tiling.HexagonModel:
+    if hexagon is None:
         raise InvalidArgumentError("--hexagon L,N,M is required")
-    L, N, M = _parse_ints(args.hexagon, "L,N,M")
-    r = 1 if args.r is None else args.r
-    q = 1 if args.q is None else args.q
-    if args.a is not None or args.b is not None:
-        if args.a is None or args.b is None:
+    L, N, M = _parse_ints(hexagon, "L,N,M")
+    r = 1 if r is None else r
+    q = 1 if q is None else q
+    if a is not None or b is not None:
+        if a is None or b is None:
             raise InvalidArgumentError("--a and --b must be given together")
         return tiling.HexagonModel(r=r, q=q, L=L, M=M, N=N,
-                                   a=json.loads(args.a), b=json.loads(args.b))
+                                   a=json.loads(a), b=json.loads(b))
     return tiling.HexagonModel.uniform(L, M, N, r=r, q=q)
 
 
@@ -240,7 +248,8 @@ _DEFAULT_FAMILIES = (
 def _suite_spectral(args) -> dict:
     rng = np.random.default_rng(args.seed)
     if args.family_json:
-        fams = [("json", _family_from_args(args))]
+        family = _family_from_args(args)
+        fams = [(family.tag, family)]
     else:
         fams = [(name, make()) for name, make in _DEFAULT_FAMILIES]
     checks = []
@@ -442,7 +451,7 @@ def _add_command(sub, command: str, summary: str, func, *groups):
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cdsurface",
+        prog="cdsurface", allow_abbrev=False,
         description="CD kernels for matrix weights, their scalar "
                     "counterparts on genus-0 surfaces, and tiling "
                     "correlation kernels.")

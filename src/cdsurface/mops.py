@@ -271,7 +271,8 @@ def power_rows(x, N: int) -> np.ndarray:
 
 def moments(rows: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
     """The moments sum_j rows[a, j] f[j] of each factor f of a double
-    integral in the stack `factors`, laid out for `pair`: a left factor
+    integral in the stack `factors`, laid out for U @ (C @ V) with the
+    kernel coefficients C (see `kernel_integral`): a left factor
     (k = 0), (nw, ..., s), gives U, (prod(...), N s), and a right factor
     (k = 1), (nz, s, ...), gives V, (N s, prod(...)), with N = len(rows).
     numpy projects each factor of the stack with a BLAS call of its own,
@@ -285,29 +286,23 @@ def moments(rows: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
     return M.reshape(G, -1, len(rows) * s)
 
 
-def pair(U: np.ndarray, flat: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sum_ab U_a C_ab V_b for the `moments` U (m, N s) and V (N s, p):
-    (m, p).  flat, (N s, N s), is the coefficient layout of
-    `kernel_coefficients`: C_ab is its s x s block (a, b)."""
-    return U @ (flat @ V)
-
-
 def kernel_integral(coeffs: np.ndarray, w, left, z, right) -> np.ndarray:
     """sum_{k,j} left[k] R(w_k, z_j) right[j] for the kernel
     R(w, z) = sum_ab w^a C_ab z^b with coefficients `coeffs`.
 
-    The sum is contracted through the coefficients: with
+    The sum is contracted through the coefficients: with the `moments`
     U_a = sum_k w_k^a left[k] and V_b = sum_j z_j^b right[j] it equals
-    sum_ab U_a C_ab V_b, the `pair` of the two `moments`, so no table of
-    R over the (w, z) grid is formed.
+    sum_ab U_a C_ab V_b = U @ (coeffs @ V), so no table of R over the
+    (w, z) grid is formed.
 
-    coeffs (N r, N r), as `kernel_coefficients` lays them out: left
-    (nw, ..., r) and right (nz, r, ...) multiply R's values as matrices,
-    also for r = 1; the result has shape left.shape[1:-1] + right.shape[2:]."""
+    coeffs (N r, N r), as `kernel_coefficients` lays them out (C_ab is
+    its r x r block (a, b)): left (nw, ..., r) and right (nz, r, ...)
+    multiply R's values as matrices, also for r = 1; the result has shape
+    left.shape[1:-1] + right.shape[2:]."""
     left, right = np.asarray(left), np.asarray(right)
     N = len(coeffs) // left.shape[-1]
-    out = pair(moments(power_rows(w, N), left[None], 0)[0], coeffs,
-               moments(power_rows(z, N), right[None], 1)[0])
+    out = (moments(power_rows(w, N), left[None], 0)[0]
+           @ (coeffs @ moments(power_rows(z, N), right[None], 1)[0]))
     return out.reshape(left.shape[1:-1] + right.shape[2:])
 
 

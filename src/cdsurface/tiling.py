@@ -28,11 +28,11 @@ kernel coefficients and how they write powers of the period matrix.
 The integral factorizes as U^T C V - chi, with U the moments
 of a left factor of (x2, y2) only and V those of a right factor of
 (x1, y1) only, so a block stacks groups of (column, heights) per side
-into one pairing (`mops.pair`).  Each route's node data is built once
-per (model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
-down to each (column, height)'s moments, so a warm block reads its
-moments and does one pairing and its chi terms; the evaluator also
-keeps each column's one-point density K(x, y, x, y).
+into one product U @ (C V).  Each route's node data is built once per
+(model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
+down to each (column, height)'s U on the left and C V on the right, so
+a warm block reads them and does one product and its chi terms; the
+evaluator also keeps each column's one-point density K(x, y, x, y).
 """
 
 from __future__ import annotations
@@ -219,11 +219,12 @@ class _Route:
     Given by its builder: the nodes' base-plane points `x`, weights
     `wts`, the kernel's basis at the nodes `rows` (the powers
     `mops.power_rows`), which `mops.moments` projects onto, and `flat`,
-    the kernel's coefficients in that basis (the block inverse of
-    `mops.kernel_coefficients`), which `mops.pair` reads.  Kept: the q
-    `transitions`, and memos of the period-matrix powers per (power
-    factor, exponent) in `memo`, the weighted node powers per side and
-    exponent in `weighted`, each (column, height)'s moments per side in
+    the kernel's coefficients C in that basis (the block inverse of
+    `mops.kernel_coefficients`), which each right-side moment is
+    multiplied by.  Kept: the q `transitions`, and memos of the
+    period-matrix powers per (power factor, exponent) in `memo`, the
+    weighted node powers per side and exponent in `weighted`, each
+    (column, height)'s moments U on the left and C V on the right in
     `moments` (see `_moments`) and single-cell chi integrals in `chis`
     (see `_chi`).  Only a miss in `moments` reads `weighted` and `memo`.
     Every memoized array is read-only, so no caller can change what a
@@ -302,14 +303,14 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
     `lefts` are (x2, heights y2) groups and `rights` (x1, heights y1)
     groups.  The left factor depends on x2 and y2 only, the right factor
     on x1 and y1 only, so the double integral is the pairing
-    U^T C V of their moments U_a and V_b (`_moments`, kept per (column,
-    height)), and all groups take one pairing; only chi = [x1 > x2] sees
-    both columns.  The result is indexed (y2, y1) over the stacked
-    heights: (sum len(y2s), sum len(y1s), r, r)."""
+    U^T C V of their moments U_a and V_b, and all groups take one
+    product U @ (C V) of the left moments and the right moments already
+    multiplied by C (`_moments`, kept per (column, height)); only
+    chi = [x1 > x2] sees both columns.  The result is indexed (y2, y1)
+    over the stacked heights: (sum len(y2s), sum len(y1s), r, r)."""
     check_columns(route.model, *(x for x, _ in lefts + rights))
-    # the pairing gives (y2 r, y1 r); blocks are indexed (y2, y1)
-    out = mops.pair(_moments(route, 0, lefts), route.flat,
-                    _moments(route, 1, rights))
+    # the product gives (y2 r, y1 r); blocks are indexed (y2, y1)
+    out = _moments(route, 0, lefts) @ _moments(route, 1, rights)
     r = route.model.r
     out = out.reshape(len(out) // r, r, -1, r).transpose(0, 2, 1, 3)
     i = 0
@@ -325,19 +326,24 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
 
 
 def _moments(route: _Route, k: int, groups: list) -> np.ndarray:
-    """The `mops.moments` of the left (k = 0) or right (k = 1) factor of
-    (column, heights) `groups`, stacked for `mops.pair`: the
-    concatenation of each (column, height)'s own moments, kept in
-    `route.moments[k]`.  A miss forms the factor of its group's missing
-    heights at once and projects them as a stack of one factor per
-    height, each alone, so an entry has the same bits whichever query
-    made it."""
+    """The `mops.moments` U of the left factor (k = 0) of (column,
+    heights) `groups`, or C V, those V of the right factor (k = 1)
+    multiplied by the route's coefficients C = `flat`, stacked for the
+    one product U @ (C V): the concatenation of each (column, height)'s
+    own entry, kept in `route.moments[k]`.  A miss forms the factor of
+    its group's missing heights at once, projects them as a stack of one
+    factor per height and multiplies each height's V by C alone, so an
+    entry has the same bits whichever query made it, and a single-height
+    block the bits of U @ (C @ V)."""
     memo = route.moments[k]
     for x, ys in groups:
         missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
         if missing:
             factors = np.moveaxis(_factor(route, k, x, missing), 1, 0)
-            for y, m in zip(missing, mops.moments(route.rows, factors, k)):
+            moments = mops.moments(route.rows, factors, k)
+            if k:
+                moments = route.flat @ moments
+            for y, m in zip(missing, moments):
                 memo[x, y] = m
     out = [memo[x, y] for x, ys in groups for y in ys]
     return out[0] if len(out) == 1 else np.concatenate(out, k)
@@ -418,9 +424,10 @@ class DKEvaluator:
     (`kernel_coeffs` on dk, sheets and plane), q transition matrices and
     at most L/q + 1 period-matrix powers of O(n r^2) numbers per power
     factor, n numbers per exponent queried on a side (2n if on both),
-    N r per (column, height) queried on a side (its moments, on every
-    route; at most (L + 1)((N + M)/r + 1) per side for heights inside
-    the hexagon), and r^2 per chi integral: at most q L per height
+    N r per (column, height) queried on a side (its moments U on the
+    left and C V on the right, on every route; at most
+    (L + 1)((N + M)/r + 1) per side for heights inside the hexagon),
+    and r^2 per chi integral: at most q L per height
     difference y2 - y1 of the single-cell queries with x1 > x2.  The
     one-point densities of the columns queried (`densities`) are at
     most (L + 1)(N + M) floats."""
@@ -738,10 +745,11 @@ class ExactOracle:
         check_columns(self.model, x1, x2)
         return self._entry(self._row(x2, y2), x1, y1, x2, y2)
 
-    def probability(self, points: list) -> Fraction:
+    def probability(self, points) -> Fraction:
         """det[K(x_i, y_i, x_j, y_j)]: P(a path passes through every
-        point), 1 for no points.  Each point's row is formed once."""
-        check_columns(self.model, *(x for x, _ in points))
+        point), 1 for no points; points are checked as `point_probability`
+        checks them.  Each point's row is formed once."""
+        points = _check_points(self.model, points)
         rows = [self._row(*b) for b in points]
         return _fraction_gauss_jordan([[self._entry(row, *a, *b)
                                         for b, row in zip(points, rows)]
@@ -781,11 +789,7 @@ def point_probability(model: HexagonModel, points,
     double-contour kernel (exactly 0.0 for a height outside its column).
     route="exact": the same determinant as a Fraction, on a fresh
     `ExactOracle`."""
-    points = list(map(_pair, points))
-    check_integers("point coordinate", 0, *(v for pt in points for v in pt))
-    if len(set(points)) != len(points):
-        raise InvalidArgumentError("points must be distinct")
-    check_columns(model, *(x for x, _ in points))
+    points = _check_points(model, points)
     if route == "exact":
         return ExactOracle(model).probability(points)
     if route != "determinant":
@@ -796,6 +800,17 @@ def point_probability(model: HexagonModel, points,
         return 0.0
     mat = dk_evaluator(model, n).point_matrix(points)
     return float(np.linalg.det(mat).real)
+
+
+def _check_points(model: HexagonModel, points) -> list:
+    """`points` as a list of (x, y) tuples; InvalidArgumentError unless
+    each is a pair of integers with x in [0, L] and no two are equal."""
+    points = list(map(_pair, points))
+    check_integers("point coordinate", 0, *(v for pt in points for v in pt))
+    if len(set(points)) != len(points):
+        raise InvalidArgumentError("points must be distinct")
+    check_columns(model, *(x for x, _ in points))
+    return points
 
 
 def _pair(point) -> tuple:

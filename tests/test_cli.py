@@ -258,6 +258,16 @@ def test_verify_unknown_suite_exits_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("family_args", [CYCLIC, ROOT_K3],
+                         ids=["cyclic", "root-k"])
+def test_verify_spectral_names_a_json_family_by_its_tag(family_args,
+                                                        capsys):
+    assert main(["verify", "--suite", "spectral", *family_args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    tag = json.loads(family_args[1])["family"]
+    assert [c["check"] for c in report["checks"]] == [f"spectral-{tag}"]
+
+
 # --- prob ---------------------------------------------------------------
 
 def test_prob_uniform_box():
@@ -305,21 +315,32 @@ def test_prob_point_outside_column_reports_zero(tmp_path):
 
 def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     # the second call finds every column's density on the cached
-    # evaluator: its only block is the k points' one pairing
+    # evaluator: its only block is the k points' one product, of moments
+    # that it finds kept on the route, so it projects none
     from cdsurface import mops, tiling
-    blocks, pairings = [], []
-    contour_block, pair = tiling._contour_block, mops.pair
+    blocks, products, projections = [], [], []
+    contour_block, side, project = (tiling._contour_block, tiling._moments,
+                                    mops.moments)
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ np.asarray(other)
 
     def counted(*args):
         blocks.append(args)
         return contour_block(*args)
 
-    def counted_pair(*args):
-        pairings.append(args)
-        return pair(*args)
+    def counted_side(*args):
+        return side(*args).view(Counted)
+
+    def counted_project(*args):
+        projections.append(args)
+        return project(*args)
 
     monkeypatch.setattr(tiling, "_contour_block", counted)
-    monkeypatch.setattr(mops, "pair", counted_pair)
+    monkeypatch.setattr(tiling, "_moments", counted_side)
+    monkeypatch.setattr(mops, "moments", counted_project)
     tiling._dk_evaluator.cache_clear()
     argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
             "--a", "[[1.0, 2.0], [1.0, 1.0]]",
@@ -330,14 +351,43 @@ def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     for name in ("first", "second"):
         out = tmp_path / f"{name}.json"
         blocks.clear()
-        pairings.clear()
+        products.clear()
+        projections.clear()
         assert main(argv + ["--output", str(out)]) == 0
-        assert len(pairings) == len(blocks)
+        assert len(products) == len(blocks)
         assert [b[1:] for b in blocks].count((points, points)) == 1
-        runs.append((out.read_bytes(), len(blocks)))
-    (first, cold), (second, warm) = runs
+        runs.append((out.read_bytes(), len(blocks), len(projections)))
+    (first, cold, formed), (second, warm, reformed) = runs
     assert first == second
     assert (cold, warm) == (5 + 1, 1)
+    assert formed and not reformed
+
+
+def test_prob_repeated_call_reuses_model_and_evaluator(tmp_path,
+                                                       monkeypatch):
+    # identical flags give one model object, so the evaluator cache finds
+    # its entry by identity; refused flags raise on every call
+    from cdsurface import tiling
+    seen = []
+    evaluator = tiling.dk_evaluator
+
+    def recorded(model, n):
+        seen.append((model, evaluator(model, n)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(tiling, "dk_evaluator", recorded)
+    argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
+            "--a", "[[1.0, 2.0], [1.0, 1.0]]",
+            "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--n", "64",
+            "--output", str(tmp_path / "p.json")]
+    for points in (["1,1", "3,2"], ["2,1"], ["1,1", "3,2"]):
+        assert main(argv + ["--points", *points]) == 0
+    assert len(seen) == 6
+    assert all(m is seen[0][0] and ev is seen[0][1] for m, ev in seen)
+    bad = argv[:-2] + ["--a", "[[1.0, 2.0], [1.0, 0.0]]", "--points", "1,1"]
+    for _ in range(3):
+        assert main(bad) == EXIT_CONFIG
+    assert len(seen) == 6
 
 
 def test_prob_repeated_call_reuses_chi_integrals(tmp_path, monkeypatch):
@@ -439,10 +489,11 @@ def test_zero_or_negative_option_exits_2(argv, capsys):
     # infinity, before any numerical work, and so are family JSON params
     # that are not the family's fields or whose int ones are not integers,
     # and a weight table of the wrong shape
-    assert main(argv) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "configuration error" in captured.err
+    for _ in range(2):     # a refused value is refused again, not kept
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -461,6 +512,14 @@ def test_every_command_rejects_flags_it_does_not_read(argv, capsys):
     assert captured.out == ""
     assert "unrecognized arguments: --family cyclic --L 9 --k 4 --a0 7" \
         in captured.err
+
+
+def test_top_level_options_take_no_abbreviation(capsys):
+    # --hel is not --help: no parser reads a flag by a prefix of its name
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(["--hel"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 # --- parser reuse -------------------------------------------------------

@@ -225,6 +225,17 @@ def test_exact_oracle_refuses_columns_outside_the_hexagon():
                  partial(oracle.probability, [(-1, 0)])):
         with pytest.raises(InvalidArgumentError, match="outside"):
             call()
+    # its points are checked as `point_probability` checks them: a
+    # malformed point once raised a bare ValueError or TypeError, and a
+    # repeated one gave probability 0
+    model = oracle.model
+    for points, match in (([(1, 2, 3)], "pair"), ([5], "pair"),
+                          ([(1.5, 0)], "point coordinate"),
+                          ([(1, 0), (1, 0)], "distinct")):
+        for call in (oracle.probability,
+                     partial(point_probability, model, route="exact")):
+            with pytest.raises(InvalidArgumentError, match=match):
+                call(points)
 
 
 def entry_by_entry(oracle, x1, y1, x2, y2):
@@ -732,9 +743,9 @@ def test_warm_blocks_match_fresh_evaluator(rng):
             left, right = (rng.standard_normal(shape + (2,)) @ [1, 1j]
                            for shape in ((n, 3, m.r, s), (n, s, 2, m.r)))
             # the pairing of the moments on the route's own rows
-            pairing = mops.pair(mops.moments(route.rows, left[None], 0)[0],
-                                route.flat,
-                                mops.moments(route.rows, right[None], 1)[0])
+            pairing = (mops.moments(route.rows, left[None], 0)[0]
+                       @ (route.flat
+                          @ mops.moments(route.rows, right[None], 1)[0]))
             assert np.array_equal(
                 mops.kernel_integral(route.flat, at[form], left, at[form],
                                      right),
@@ -790,8 +801,7 @@ def abs_terms(route, left, right):
     U, V = (mops.moments(rows, np.abs(np.moveaxis(
         tiling._factor(route, k, *group), 1, 0)), k)
         for k, group in enumerate((left, right)))
-    out = mops.pair(np.concatenate(U, 0), np.abs(route.flat),
-                    np.concatenate(V, 1))
+    out = np.concatenate(U, 0) @ (np.abs(route.flat) @ np.concatenate(V, 1))
     r = route.model.r
     return out.reshape(len(left[1]), r, -1, r).transpose(0, 2, 1, 3)
 
@@ -861,9 +871,10 @@ def test_all_pairs_sweep_keeps_one_moment_per_column_height():
 
 def test_stacked_moments_are_their_heights_entries():
     # a stacked or batched side's moments are the concatenation of its
-    # (column, height) entries, bit for bit, and each entry is the
-    # projection of that height's factor alone (a stack of one, as
-    # `mops.kernel_integral` projects), as a fresh route forms it
+    # (column, height) entries, bit for bit, and each entry is that
+    # height's alone, as a fresh route forms it: the projection of its
+    # factor alone (a stack of one, as `mops.kernel_integral` projects),
+    # times the kernel coefficients on the right
     groups = [(0, [1]), (2, [-1, 0, 2]), (3, [0]), (4, [2, 1, 2])]
     for m in ROUTE_MODELS:
         ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
@@ -879,8 +890,33 @@ def test_stacked_moments_are_their_heights_entries():
                         route1 = fresh.route(form)
                         alone = mops.moments(route1.rows, np.moveaxis(
                             tiling._factor(route1, k, x, [y]), 1, 0), k)[0]
+                        if k:
+                            alone = route1.flat @ alone
                         assert np.array_equal(memo[x, y], alone), \
                             (form, k, x, y)
+
+
+def test_warm_single_cell_block_is_one_product_of_fresh_moments():
+    # a warm single-cell block is U @ (C @ V) of fresh `mops.moments`, bit
+    # for bit, minus its chi integral where x1 > x2, on every route
+    for m in ROUTE_MODELS:
+        ev = tiling.DKEvaluator(m, 128)
+        cells = [(x, y) for x in range(m.L + 1) for y in block_heights(m, x)]
+        for form in ROUTES:
+            route = ev.route(form)
+            for (x1, y1), (x2, y2) in product(cells, repeat=2):
+                tiling._query_block(route, KernelQuery(x1, y1, x2, y2))
+            fresh = tiling.DKEvaluator(m, 128).route(form)
+            for (x1, y1), (x2, y2) in product(cells, repeat=2):
+                U, V = (mops.moments(fresh.rows, np.moveaxis(
+                    tiling._factor(fresh, k, x, [y]), 1, 0), k)[0]
+                    for k, (x, y) in enumerate(((x2, y2), (x1, y1))))
+                want = U @ (fresh.flat @ V)      # (r, r): one height a side
+                if x1 > x2:
+                    want = want - tiling._chi_integral(fresh, x1, x2, [y1],
+                                                       [y2])[0, 0]
+                got = tiling._query_block(route, KernelQuery(x1, y1, x2, y2))
+                assert np.array_equal(got, want), (form, x1, y1, x2, y2)
 
 
 # --- chi integrals kept on the route ------------------------------------
