@@ -7,8 +7,9 @@ complex weights with the dz measure absorbed, so that
 
 approximates the oriented contour integral of f.  Circles use the
 trapezoid rule, which is spectrally accurate for integrands analytic in
-an annulus around the circle and *exact* for Laurent monomials z^k with
--n < k < n-1 (it returns 2*pi*i exactly for k = -1).
+an annulus around the circle and *exact* (up to rounding) for Laurent
+monomials z^k with -n <= k <= n-2: it returns 2*pi*i for k = -1 and 0
+for the others, while k = -n-1 and k = n-1 alias to k = -1.
 """
 
 from __future__ import annotations

@@ -31,8 +31,10 @@ of a left factor of (x2, y2) only and V those of a right factor of
 into one product U @ (C V).  Each route's node data is built once per
 (model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
 down to each (column, height)'s U on the left and C V on the right, so
-a warm block reads them and does one product and its chi terms; the
-evaluator also keeps each column's one-point density K(x, y, x, y).
+a warm block reads them and does one product and its chi terms.  A
+single cell of two int heights (`_query_block`) reads its two entries
+directly and calls `_contour_block` only on a miss.  The evaluator also
+keeps each column's one-point density K(x, y, x, y).
 """
 
 from __future__ import annotations
@@ -274,9 +276,22 @@ class _Route:
 def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
     """The query's block, one group of heights per side, of shape
     shape(y2) + shape(y1) + (r, r): an array of heights gives an axis,
-    an int height none."""
+    an int height none.  A single cell of two int heights whose moments
+    are kept reads them and makes its one product U @ (C V), less its
+    chi; these are the operations `_contour_block` makes on that cell,
+    which fills the memos on a miss."""
+    x1, y1, x2, y2 = query.x1, query.y1, query.x2, query.y2
+    if type(y1) is int and type(y2) is int:
+        check_columns(route.model, x2, x1)
+        try:
+            out = route.moments[0][x2, y2] @ route.moments[1][x1, y1]
+        except KeyError:
+            return _contour_block(route, [(x2, [y2])], [(x1, [y1])])[0, 0]
+        if x1 > x2:
+            out -= _chi(route, x1, x2, [y1], [y2])[0, 0]
+        return out
     sides, shape = [], ()
-    for x, y in ((query.x2, query.y2), (query.x1, query.y1)):
+    for x, y in ((x2, y2), (x1, y1)):
         if isinstance(y, int) or np.ndim(y) == 0:
             sides.append([(x, [int(y)])])
         else:
@@ -330,22 +345,26 @@ def _moments(route: _Route, k: int, groups: list) -> np.ndarray:
     heights) `groups`, or C V, those V of the right factor (k = 1)
     multiplied by the route's coefficients C = `flat`, stacked for the
     one product U @ (C V): the concatenation of each (column, height)'s
-    own entry, kept in `route.moments[k]`.  A miss forms the factor of
-    its group's missing heights at once, projects them as a stack of one
-    factor per height and multiplies each height's V by C alone, so an
+    own entry, kept in `route.moments[k]`.  The entries are read
+    first; only when one is missing does a group look for its missing
+    heights, form their factor at once, project it as a stack of one
+    factor per height and multiply each height's V by C alone, so an
     entry has the same bits whichever query made it, and a single-height
     block the bits of U @ (C @ V)."""
     memo = route.moments[k]
-    for x, ys in groups:
-        missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
-        if missing:
-            factors = np.moveaxis(_factor(route, k, x, missing), 1, 0)
-            moments = mops.moments(route.rows, factors, k)
-            if k:
-                moments = route.flat @ moments
-            for y, m in zip(missing, moments):
-                memo[x, y] = m
-    out = [memo[x, y] for x, ys in groups for y in ys]
+    try:
+        out = [memo[x, y] for x, ys in groups for y in ys]
+    except KeyError:
+        for x, ys in groups:
+            missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
+            if missing:
+                factors = np.moveaxis(_factor(route, k, x, missing), 1, 0)
+                moments = mops.moments(route.rows, factors, k)
+                if k:
+                    moments = route.flat @ moments
+                for y, m in zip(missing, moments):
+                    memo[x, y] = m
+        out = [memo[x, y] for x, ys in groups for y in ys]
     return out[0] if len(out) == 1 else np.concatenate(out, k)
 
 
@@ -370,14 +389,17 @@ def _chi(route: _Route, x1: int, x2: int, y1s: list,
     A single cell's is kept in `route.chis` per (x2 mod q, x1 - x2,
     y2 - y1), all that the `_split` of [x2, x1) and the integrand depend
     on, so later queries of the same geometry at other columns and
-    heights reuse it.  A batched grid's is computed each time: a memo
-    keyed by whole grids would grow with every new grid."""
+    heights read it; it is computed only when that read misses.  A
+    batched grid's is computed each time: a memo keyed by whole grids
+    would grow with every new grid."""
     if len(y1s) * len(y2s) > 1:
         return _chi_integral(route, x1, x2, y1s, y2s)
     key = (x2 % route.model.q, x1 - x2, y2s[0] - y1s[0])
-    if key not in route.chis:
-        route.chis[key] = _chi_integral(route, x1, x2, y1s, y2s)
-    return route.chis[key]
+    try:
+        return route.chis[key]
+    except KeyError:
+        route.chis[key] = chi = _chi_integral(route, x1, x2, y1s, y2s)
+        return chi
 
 
 def _chi_integral(route: _Route, x1: int, x2: int, y1s: list,
@@ -551,14 +573,16 @@ _ROUTES = {"sheets": _sheet_route, "plane": _plane_route,
            "explicit": _explicit_route}
 
 
-@lru_cache(maxsize=16, typed=True)   # so a float n misses, and raises
+@lru_cache(maxsize=16)
 def _dk_evaluator(model: HexagonModel, n: int) -> DKEvaluator:
     return DKEvaluator(model, n)
 
 
 def dk_evaluator(model: HexagonModel, n: int = DEFAULT_N) -> DKEvaluator:
-    """The cached evaluator of (model, n), however n is passed."""
-    return _dk_evaluator(model, n)
+    """The cached evaluator of (model, n), however n is passed: an int or
+    a numpy integer n is one cache key, and any other n raises."""
+    check_integers("node count n", 0, n)
+    return _dk_evaluator(model, int(n))
 
 
 def dk_kernel(model: HexagonModel, query: KernelQuery,

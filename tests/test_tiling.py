@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -477,6 +478,27 @@ def test_point_probability_edge_cases():
             point_probability(model_2x1(), [(2, 1)], n=n)
 
 
+def test_numpy_integer_n_shares_the_evaluator():
+    # an int and a numpy integer n are one cache key, also through
+    # point_probability; a float or a bool n raises before the cache
+    m = model_2x1()
+    tiling._dk_evaluator.cache_clear()
+    ev = tiling.dk_evaluator(m, 128)
+    assert tiling.dk_evaluator(m, np.int64(128)) is ev
+    assert tiling.dk_evaluator(m, np.int32(128)) is ev
+    assert point_probability(m, [(2, 1)], n=np.int64(128)) \
+        == point_probability(m, [(2, 1)], n=128)
+    info = tiling._dk_evaluator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    for n in (128.0, True):
+        message = re.escape(f"node count n must be an integer, got {n!r}")
+        with pytest.raises(InvalidArgumentError, match=message):
+            tiling.dk_evaluator(m, n)
+        with pytest.raises(InvalidArgumentError, match=message):
+            point_probability(m, [(2, 1)], n=n)
+    assert tiling._dk_evaluator.cache_info().misses == 1
+
+
 # --- stacked point matrix -----------------------------------------------
 
 def lattice(m):
@@ -919,6 +941,78 @@ def test_warm_single_cell_block_is_one_product_of_fresh_moments():
                 assert np.array_equal(got, want), (form, x1, y1, x2, y2)
 
 
+def test_single_cell_path_gives_the_group_path_bits():
+    # every cell pair on every route: a cold block (a fresh evaluator per
+    # cell) equals the warm one, and the warm one equals the route's
+    # one-group `_contour_block` of the same cell and the block of numpy
+    # integer heights, which take the group path, bit for bit
+    for m in ROUTE_MODELS:
+        cells = [(x, y) for x in range(m.L + 1) for y in block_heights(m, x)]
+        pairs = list(product(cells, repeat=2))
+        for form, fn in ROUTES.items():
+            cold = []
+            for (x1, y1), (x2, y2) in pairs:
+                tiling._dk_evaluator.cache_clear()
+                cold.append(fn(m, KernelQuery(x1, y1, x2, y2), 128))
+            for (x1, y1), (x2, y2) in pairs:
+                fn(m, KernelQuery(x1, y1, x2, y2), 128)
+            route = tiling.dk_evaluator(m, 128).route(form)
+            for ((x1, y1), (x2, y2)), blk in zip(pairs, cold):
+                warm = fn(m, KernelQuery(x1, y1, x2, y2), 128)
+                assert warm.shape == (m.r, m.r)
+                assert np.array_equal(warm, blk), (form, x1, y1, x2, y2)
+                group = tiling._contour_block(route, [(x2, [y2])],
+                                              [(x1, [y1])])
+                assert np.array_equal(warm, group[0, 0]), form
+                typed = KernelQuery(x1, np.int64(y1), x2, np.int64(y2))
+                assert np.array_equal(fn(m, typed, 128), warm), form
+
+
+def test_single_cell_block_is_the_callers_own():
+    # a single cell's block, cold or warm, is a new writeable array:
+    # editing it leaves the next call's block as it was, and the memos it
+    # was read from stay read-only
+    for m in ROUTE_MODELS:
+        for form, fn in ROUTES.items():
+            tiling._dk_evaluator.cache_clear()
+            for x1, x2 in ((3, 1), (1, 3), (2, 2)):
+                query = KernelQuery(x1, 0, x2, 1)
+                blocks = [fn(m, query, 128) for _ in range(2)]
+                want = blocks[0].copy()
+                for blk in blocks:
+                    assert blk.flags.writeable, form
+                    blk[...] = 7
+                    assert np.array_equal(fn(m, query, 128), want), form
+            route = tiling.dk_evaluator(m, 128).route(form)
+            for memo in (*route.moments, route.chis):
+                assert memo, form
+                assert not any(a.flags.writeable for a in memo.values())
+
+
+def test_warm_single_cell_makes_no_group_block(monkeypatch):
+    # a warm single cell reads its two moments and makes no
+    # `_contour_block` and no projection; its first call makes one block
+    calls = Counter()
+    monkeypatch.setattr(tiling, "_contour_block",
+                        counting(calls, "block", tiling._contour_block))
+    monkeypatch.setattr(tiling.mops, "moments",
+                        counting(calls, "moments", tiling.mops.moments))
+    queries = (KernelQuery(3, 0, 1, 1), KernelQuery(1, 2, 3, 0),
+               KernelQuery(2, 1, 2, 1))
+    for m in ROUTE_MODELS:
+        for form, fn in ROUTES.items():
+            tiling._dk_evaluator.cache_clear()
+            for query in queries:
+                calls.clear()
+                fn(m, query, 128)
+                assert calls["block"] == 1, (form, query)
+                assert calls["moments"] >= 1, (form, query)
+                for _ in range(2):
+                    calls.clear()
+                    fn(m, query, 128)
+                    assert not calls, (form, query)
+
+
 # --- chi integrals kept on the route ------------------------------------
 
 CHI_HEIGHTS = st.integers(-2, 3) | st.lists(
@@ -1076,11 +1170,19 @@ def test_uniform_measure_proposition():
 
 
 def test_query_columns_outside_hexagon_raise():
+    # on a cold route and on one warm at every column
     for m in ROUTE_MODELS:
-        for x1, x2 in ((m.L + 1, 0), (-1, 0), (0, m.L + 1), (0, -1)):
-            for fn in ROUTES.values():
-                with pytest.raises(InvalidArgumentError):
-                    fn(m, KernelQuery(x1, 0, x2, 0), 64)
+        for fn in ROUTES.values():
+            tiling._dk_evaluator.cache_clear()
+            for warm in (False, True):
+                if warm:
+                    for x in range(m.L + 1):
+                        fn(m, KernelQuery(x, 0, x, 0), 64)
+                for x1, x2 in ((m.L + 1, 0), (-1, 0), (0, m.L + 1),
+                               (0, -1)):
+                    with pytest.raises(InvalidArgumentError,
+                                       match="outside"):
+                        fn(m, KernelQuery(x1, 0, x2, 0), 64)
 
 
 def test_chi_term_evaluated_iff_x1_greater_than_x2(monkeypatch):
