@@ -3,7 +3,7 @@ scalar counterparts on genus-0 Riemann surfaces, and correlation kernels
 of doubly periodic lozenge-tiling models."""
 
 from .contour import (DEFAULT_N, ContourQuadrature, circle_quadrature,
-                      union_quadrature, unit_circle_quadrature)
+                      unit_circle_quadrature)
 from .errors import (CDSurfaceError,
                      InconsistentParametersError, InvalidArgumentError,
                      NearContourWarning, PoleError, SingularSystemError,

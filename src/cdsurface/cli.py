@@ -279,16 +279,16 @@ def _suite_mops(args) -> dict:
                                         + 1j * rng.standard_normal((N, r, r))))
         zs.append(0.9 * np.exp(2j * np.pi * rng.random()))
     checks.append(_check("reproducing", mops.reproducing_residual(
-        system, family, quad, Ps, zs, W=W), 1e-8))
+        system, quad, Ps, zs, W), 1e-8))
 
     # A MOP of degree < N may not exist while the kernel does (P_N and
     # Q_{N-1} always do): the two checks that read every degree are then
     # skipped, and the others read only P_N, Q_{N-1} and their mirrors.
     complete = not system.missing
-    values = mops.node_values(system, family, quad, W)
+    values = mops.node_values(system, quad, W)
     if complete:
         checks.append(_check("biorthogonality", mops.biorthogonality_residual(
-            system, family, quad, values), 1e-10))
+            system, quad, values), 1e-10))
 
     t = rng.random((10, 2))     # per pair: the w draw, then the z draw
     w = 1.3 * np.exp(2j * np.pi * t[:, 0])
@@ -298,11 +298,11 @@ def _suite_mops(args) -> dict:
         res_sf = float(np.max(np.abs(mops.cd_kernel_sum(system, w, z) - Kf)))
         checks.append(_check("sum-vs-formula", res_sf, 1e-10))
     res_fy = float(np.max(np.abs(
-        mops.kernel_from_Y(system, family, quad, w, z, values) - Kf)))
+        mops.kernel_from_Y(system, quad, w, z, values) - Kf)))
     checks.append(_check("formula-vs-Y", res_fy, 1e-7))
 
     z0 = 1.7 + 0.3j
-    Y = mops.assemble_Y(system, family, quad, z0, values=values)
+    Y = mops.assemble_Y(system, quad, z0, values)
     checks.append(_check("det-Y-unimodular",
                          abs(np.linalg.det(Y) - 1.0), 1e-8))
     if complete:

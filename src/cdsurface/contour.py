@@ -26,8 +26,8 @@ DEFAULT_N = 256
 
 @dataclass(frozen=True)
 class ContourQuadrature:
-    """Quadrature rule for a finite union of oriented curves; the
-    orientation is carried by the sign of the weights."""
+    """Quadrature rule for an oriented curve; the orientation is carried
+    by the sign of the weights."""
 
     nodes: np.ndarray    # complex nodes, shape (n,)
     weights: np.ndarray  # complex weights absorbing dz, shape (n,)
@@ -47,14 +47,13 @@ class ContourQuadrature:
         return ContourQuadrature(self.nodes, -self.weights)
 
     def integrate(self, f) -> complex | np.ndarray:
-        """Integrate a callable (vectorized over nodes if possible)."""
-        try:
-            vals = f(self.nodes)
-            vals = np.asarray(vals)
-            if vals.shape[:1] != self.nodes.shape:
-                raise ValueError
-        except Exception:
-            vals = np.array([f(z) for z in self.nodes])
+        """Integrate a callable vectorized over the nodes: f(nodes) must
+        have the node axis first."""
+        vals = np.asarray(f(self.nodes))
+        if vals.shape[:1] != self.nodes.shape:
+            raise InvalidArgumentError(
+                f"integrand of shape {vals.shape} lacks the node axis "
+                f"{self.nodes.shape}")
         return np.tensordot(self.weights, vals, axes=(0, 0))
 
 
@@ -65,8 +64,10 @@ def circle_quadrature(center: complex, radius: float,
     check_integers("node count n", 0, n)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1 nodes, got {n}")
-    if radius <= 0:
-        raise InvalidArgumentError(f"radius must be positive, got {radius}")
+    if not (np.isfinite(radius) and radius > 0 and np.isfinite(center)):
+        raise InvalidArgumentError(
+            f"need a finite center and a finite positive radius, got "
+            f"{center} and {radius}")
     j = np.arange(n)
     unit = np.exp(2j * np.pi * j / n)
     nodes = center + radius * unit
@@ -77,12 +78,3 @@ def circle_quadrature(center: complex, radius: float,
 def unit_circle_quadrature(n: int = DEFAULT_N) -> ContourQuadrature:
     """Positively oriented unit circle, nodes exp(2*pi*i*j/n)."""
     return circle_quadrature(0.0, 1.0, n)
-
-
-def union_quadrature(parts: list[ContourQuadrature]) -> ContourQuadrature:
-    """The union of the parts' curves: their nodes and weights
-    concatenated."""
-    if not parts:
-        raise InvalidArgumentError("union of zero contours")
-    return ContourQuadrature(np.concatenate([p.nodes for p in parts]),
-                             np.concatenate([p.weights for p in parts]))

@@ -40,8 +40,9 @@ class MatrixPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs",
                            np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
-            raise ValueError("coeffs must have shape (d+1, r, r)")
+        C = self.coeffs
+        if C.ndim != 3 or C.shape[1] != C.shape[2] or not len(C):
+            raise ValueError("coeffs must have shape (d+1, r, r), d >= 0")
 
     @property
     def degree(self) -> int:
@@ -69,12 +70,6 @@ def pairing(P: MatrixPolynomial, Q: MatrixPolynomial,
     z = quad.nodes
     vals = node_product(node_product(P(z), family.weight(z)), Q(z))
     return np.tensordot(quad.weights, vals, axes=(0, 0))
-
-
-def _weight_at(family: WeightFamily, quad: ContourQuadrature,
-               W: np.ndarray | None) -> np.ndarray:
-    """W if given, else the weight at the nodes of quad."""
-    return family.weight(quad.nodes) if W is None else W
 
 
 def compute_moments(quad: ContourQuadrature, N: int,
@@ -211,14 +206,9 @@ def mop_system(family: WeightFamily, quad: ContourQuadrature,
 
 # --- CD kernel: three routes --------------------------------------------
 
-def cd_kernel_sum(system: MOPSystem, w, z, alt: bool = False) -> np.ndarray:
-    """sum_{j<N} Q^R_j(w) P^L_j(z); with alt=True the equal alternative
-    sum_{j<N} P^R_j(w) Q^L_j(z)."""
-    if alt:
-        terms = (system.PR[j](w) @ system.QL[j](z) for j in range(system.N))
-    else:
-        terms = (system.QR[j](w) @ system.PL[j](z) for j in range(system.N))
-    return sum(terms)
+def cd_kernel_sum(system: MOPSystem, w, z) -> np.ndarray:
+    """sum_{j<N} Q^R_j(w) P^L_j(z)."""
+    return sum(system.QR[j](w) @ system.PL[j](z) for j in range(system.N))
 
 
 def _by_distance(w, z, formula, fallback, tail=()):
@@ -324,15 +314,15 @@ def _warn_near(quad, z):
             f"quadrature loses accuracy", NearContourWarning, stacklevel=3)
 
 
-def node_values(system: MOPSystem, family: WeightFamily,
-                quad: ContourQuadrature, W: np.ndarray | None = None) -> tuple:
+def node_values(system: MOPSystem, quad: ContourQuadrature,
+                W: np.ndarray) -> tuple:
     """(W, PW, Q): the MOPs that the biorthogonality and Riemann-Hilbert
     checks read, each evaluated once at the nodes of quad.  W (n, r, r) is
-    the weight there, evaluated unless given; PW (n, (N+2) r, r) stacks
+    the weight there, as given; PW (n, (N+2) r, r) stacks
     P^L_j W for j = 0..N, then Q^L_{N-1} W; Q (n, r, (N+1) r) stacks Q^R_k
     for k < N, then P^R_N.  If a MOP of degree < N is missing, they stack
     only what the Riemann-Hilbert assemblies read: the last 2 r of each."""
-    z, W, N = quad.nodes, _weight_at(family, quad, W), system.N
+    z, N = quad.nodes, system.N
     low = () if system.missing else range(N)    # the degrees below N
     left = [system.PL[j](z) for j in (*low, N)] + [system.QL[N - 1](z)]
     right = [system.QR[k](z) for k in (*low[:-1], N - 1)] + [system.PR[N](z)]
@@ -340,21 +330,19 @@ def node_values(system: MOPSystem, family: WeightFamily,
             np.concatenate(right, axis=2))
 
 
-def assemble_Y(system: MOPSystem, family: WeightFamily,
-               quad: ContourQuadrature, z,
-               values: tuple | None = None) -> np.ndarray:
+def assemble_Y(system: MOPSystem, quad: ContourQuadrature, z,
+               values: tuple) -> np.ndarray:
     """The 2r x 2r matrix Y(z) built from P^L_N and Q^L_{N-1}.
 
     quad is the contour of the Cauchy transforms.  It need not be the one
     the system was solved on: a deformation is valid while no poles of W
     are crossed, and evaluates boundary values accurately from either
-    side.  values, `node_values` at the nodes of quad, are read if given
-    and evaluated otherwise.
+    side.  values are `node_values` at the nodes of quad.
     """
     _warn_near(quad, z)
     N, r = system.N, system.r
     PN, Qm = system.PL[N], system.QL[N - 1]
-    PW = (values or node_values(system, family, quad))[1][:, -2 * r:]
+    PW = values[1][:, -2 * r:]
     C = _cauchy(quad, PW, z)
     Y = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Y[..., :r, :r] = PN(z)
@@ -364,15 +352,14 @@ def assemble_Y(system: MOPSystem, family: WeightFamily,
     return Y
 
 
-def assemble_Yinv(system: MOPSystem, family: WeightFamily,
-                  quad: ContourQuadrature, z,
-                  values: tuple | None = None) -> np.ndarray:
+def assemble_Yinv(system: MOPSystem, quad: ContourQuadrature, z,
+                  values: tuple) -> np.ndarray:
     """Y(z)^{-1} built directly from the right MOPs P^R_N, Q^R_{N-1};
     quad and values as for `assemble_Y`."""
     _warn_near(quad, z)
     N, r = system.N, system.r
     PN, Qm = system.PR[N], system.QR[N - 1]
-    W, _, Q = values or node_values(system, family, quad)
+    W, _, Q = values
     C = _cauchy(quad, node_product(W, Q[..., -2 * r:]), z)
     Yi = np.empty(np.shape(z) + (2 * r, 2 * r), dtype=complex)
     Yi[..., :r, :r] = -C[..., :r]
@@ -382,15 +369,14 @@ def assemble_Yinv(system: MOPSystem, family: WeightFamily,
     return Yi
 
 
-def kernel_from_Y(system: MOPSystem, family: WeightFamily,
-                  quad: ContourQuadrature, w, z,
-                  values: tuple | None = None) -> np.ndarray:
+def kernel_from_Y(system: MOPSystem, quad: ContourQuadrature, w, z,
+                  values: tuple) -> np.ndarray:
     """(2 pi i (z - w))^{-1} (0 I) Y^{-1}(w) Y(z) (I 0)^T; w and z
-    broadcast, and the contour data are built once for all pairs.
-    values, `node_values` at the nodes of quad, are read if given."""
-    r, values = system.r, values or node_values(system, family, quad)
-    Yi = assemble_Yinv(system, family, quad, w, values=values)
-    Y = assemble_Y(system, family, quad, z, values=values)
+    broadcast, and all pairs read the contour data `values`,
+    `node_values` at the nodes of quad."""
+    r = system.r
+    Yi = assemble_Yinv(system, quad, w, values)
+    Y = assemble_Y(system, quad, z, values)
     d = TWO_PI_I * (np.asarray(z, dtype=complex) - w)
     return (Yi[..., r:, :] @ Y[..., :r]) / d[..., None, None]
 
@@ -418,20 +404,17 @@ def _diagonal_residual(table, polys, points) -> float:
                                - expect)))
 
 
-def reproducing_residual(system: MOPSystem, family: WeightFamily,
-                         quad: ContourQuadrature, P, z,
-                         W: np.ndarray | None = None) -> float:
+def reproducing_residual(system: MOPSystem, quad: ContourQuadrature, P, z,
+                         W: np.ndarray) -> float:
     """max_i || int P_i(w) W(w) R_N(w, z_i) dw - P_i(z_i) ||_max for
     deg P_i <= N-1: P one MatrixPolynomial and z a scalar, or sequences
-    of both of the same length.  W, the weight at the nodes, is evaluated
-    unless given.
+    of both of the same length.  W is the weight at the nodes of quad.
 
     All pairs share one `kernel_integral`: the left factors are
     wts_k P_i(w_k) W(w_k) and the right ones delta_ij I, so the table
     over (i, j) holds every P_i against every z_j; its diagonal is kept."""
     P, z = _pairs(P, z)
     nodes, m, r = quad.nodes, len(P), system.r
-    W = _weight_at(family, quad, W)
     left = node_product(np.concatenate([p(nodes) for p in P], axis=1), W)
     left = left.reshape(-1, m, r, r) * quad.weights[:, None, None, None]
     right = np.eye(m)[:, None, :, None] * np.eye(r)[:, None]
@@ -439,14 +422,13 @@ def reproducing_residual(system: MOPSystem, family: WeightFamily,
     return _diagonal_residual(table, P, z)
 
 
-def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
-                              quad: ContourQuadrature, Q, w) -> float:
+def dual_reproducing_residual(system: MOPSystem, quad: ContourQuadrature,
+                              Q, w, W: np.ndarray) -> float:
     """max_i || int R_N(w_i, z) W(z) Q_i(z) dz - Q_i(w_i) ||_max for
     deg Q_i <= N-1, the mirror image of `reproducing_residual`: the left
     factors are delta_ki I and the right ones wts_j W(z_j) Q_i(z_j)."""
     Q, w = _pairs(Q, w)
     nodes, m, r = quad.nodes, len(Q), system.r
-    W = family.weight(nodes)
     right = node_product(W, np.concatenate([q(nodes) for q in Q], axis=2))
     right = right.reshape(-1, r, m, r) * quad.weights[:, None, None, None]
     left = np.eye(m)[:, :, None, None] * np.eye(r)
@@ -454,15 +436,14 @@ def dual_reproducing_residual(system: MOPSystem, family: WeightFamily,
     return _diagonal_residual(table, Q, w)
 
 
-def biorthogonality_residual(system: MOPSystem, family: WeightFamily,
-                             quad: ContourQuadrature,
-                             values: tuple | None = None) -> float:
+def biorthogonality_residual(system: MOPSystem, quad: ContourQuadrature,
+                             values: tuple) -> float:
     """max_{j,k} || <P^L_j, Q^R_k> - delta_{jk} I ||_max, formed as
     `pairing` does, for every (j, k) at once, from `node_values` at the
-    nodes of quad, evaluated unless given; every MOP below N must exist."""
+    nodes of quad; every MOP below N must exist."""
     if system.missing:
         raise SingularSystemError(f"missing MOPs {sorted(system.missing)}")
-    _, PW, Q = values or node_values(system, family, quad)
+    _, PW, Q = values
     N, r = system.N, system.r
     vals = node_product(PW[:, :N * r], Q[..., :N * r]).reshape(-1, N, r, N, r)
     # one node sum per (j, k) block, the sum `pairing` makes: a single

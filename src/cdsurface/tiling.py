@@ -31,10 +31,11 @@ of a left factor of (x2, y2) only and V those of a right factor of
 into one product U @ (C V).  Each route's node data is built once per
 (model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
 down to each (column, height)'s U on the left and C V on the right, so
-a warm block reads them and does one product and its chi terms.  A
-single cell of two int heights (`_query_block`) reads its two entries
-directly and calls `_contour_block` only on a miss.  The evaluator also
-keeps each column's one-point density K(x, y, x, y).
+a warm block reads them, does one product and subtracts each cell's chi
+integral, kept per height difference (`_chi`).  A single cell of two
+int heights (`_query_block`) reads its two entries directly and calls
+`_contour_block` only on a miss.  The evaluator also keeps each
+column's one-point density K(x, y, x, y).
 """
 
 from __future__ import annotations
@@ -227,8 +228,9 @@ class _Route:
     period-matrix powers per (power factor, exponent) in `memo`, the
     weighted node powers per side and exponent in `weighted`, each
     (column, height)'s moments U on the left and C V on the right in
-    `moments` (see `_moments`) and single-cell chi integrals in `chis`
-    (see `_chi`).  Only a miss in `moments` reads `weighted` and `memo`.
+    `moments` (see `_moments`) and chi integrals per height difference
+    in `chis` (see `_chi`).  Only a miss in `moments` reads `weighted`
+    and `memo`.
     Every memoized array is read-only, so no caller can change what a
     later query reads."""
 
@@ -288,7 +290,7 @@ def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
         except KeyError:
             return _contour_block(route, [(x2, [y2])], [(x1, [y1])])[0, 0]
         if x1 > x2:
-            out -= _chi(route, x1, x2, [y1], [y2])[0, 0]
+            out -= _chi(route, x1, x2, y2 - y1)
         return out
     sides, shape = [], ()
     for x, y in ((x2, y2), (x1, y1)):
@@ -328,15 +330,12 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
     out = _moments(route, 0, lefts) @ _moments(route, 1, rights)
     r = route.model.r
     out = out.reshape(len(out) // r, r, -1, r).transpose(0, 2, 1, 3)
-    i = 0
-    for x2, y2s in lefts:
-        j = 0
-        for x1, y1s in rights:
+    cells = [[(x, y) for x, ys in groups for y in ys]
+             for groups in (lefts, rights)]
+    for a, (x2, y2) in enumerate(cells[0]):
+        for b, (x1, y1) in enumerate(cells[1]):
             if x1 > x2:
-                out[i:i + len(y2s), j:j + len(y1s)] -= \
-                    _chi(route, x1, x2, y1s, y2s)
-            j += len(y1s)
-        i += len(y2s)
+                out[a, b] -= _chi(route, x1, x2, y2 - y1)
     return out
 
 
@@ -383,34 +382,29 @@ def _factor(route: _Route, k: int, x: int, ys: list) -> np.ndarray:
     return route.factors(k, exps)[:, :, None, None] * side[:, None]
 
 
-def _chi(route: _Route, x1: int, x2: int, y1s: list,
-         y2s: list) -> np.ndarray:
-    """(len(y2s), len(y1s), r, r): the chi integral of columns x1 > x2.
-    A single cell's is kept in `route.chis` per (x2 mod q, x1 - x2,
-    y2 - y1), all that the `_split` of [x2, x1) and the integrand depend
-    on, so later queries of the same geometry at other columns and
-    heights read it; it is computed only when that read misses.  A
-    batched grid's is computed each time: a memo keyed by whole grids
-    would grow with every new grid."""
-    if len(y1s) * len(y2s) > 1:
-        return _chi_integral(route, x1, x2, y1s, y2s)
-    key = (x2 % route.model.q, x1 - x2, y2s[0] - y1s[0])
+def _chi(route: _Route, x1: int, x2: int, d: int) -> np.ndarray:
+    """(r, r): the chi integral of columns x1 > x2 at height difference
+    d = y2 - y1, kept in `route.chis` per (x2 mod q, x1 - x2, d), all
+    that the `_split` of [x2, x1) and the integrand depend on, so every
+    later cell of the same geometry, at other columns and heights and in
+    single cells and batched grids alike, reads it; it is computed only
+    when that read misses."""
+    key = (x2 % route.model.q, x1 - x2, d)
     try:
         return route.chis[key]
     except KeyError:
-        route.chis[key] = chi = _chi_integral(route, x1, x2, y1s, y2s)
+        route.chis[key] = chi = _chi_integral(route, x1, x2, d)
         return chi
 
 
-def _chi_integral(route: _Route, x1: int, x2: int, y1s: list,
-                  y2s: list) -> np.ndarray:
-    """The chi integral of the block, evaluated at the nodes."""
-    exps = [b - a - 1 for b in y2s for a in y1s]
-    c = route.factors(1, exps).reshape(-1, len(y2s), len(y1s))
+def _chi_integral(route: _Route, x1: int, x2: int, d: int) -> np.ndarray:
+    """The chi integral of columns x1 > x2 at height difference d,
+    evaluated at the nodes."""
+    c = route.factors(1, [d - 1]).reshape(-1, 1, 1)
     mats = route.transfers(2, x2, x1)
     idx = "abcd"[:len(mats) + 1]
     chain = ",".join(f"n{i}{j}" for i, j in zip(idx, idx[1:]))
-    return np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)
+    return np.einsum(f"nij,{chain}->ij{idx[0]}{idx[-1]}", c, *mats)[0, 0]
 
 
 def _eigen(family: WeightFamily, point) -> tuple:
@@ -450,7 +444,7 @@ class DKEvaluator:
     left and C V on the right, on every route; at most
     (L + 1)((N + M)/r + 1) per side for heights inside the hexagon),
     and r^2 per chi integral: at most q L per height
-    difference y2 - y1 of the single-cell queries with x1 > x2.  The
+    difference y2 - y1 of the cells queried with x1 > x2.  The
     one-point densities of the columns queried (`densities`) are at
     most (L + 1)(N + M) floats."""
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsurface import (InvalidArgumentError, circle_quadrature,
-                       union_quadrature, unit_circle_quadrature)
+                       unit_circle_quadrature)
 
 TWO_PI_I = 2j * np.pi
 
@@ -43,31 +43,29 @@ def test_unit_circle_is_radius_one_circle():
     np.testing.assert_allclose(a.weights, b.weights, atol=1e-15)
 
 
-def test_union_disjoint_circles():
-    c = 1.5
-    quad = union_quadrature([circle_quadrature(c, 0.5, 64),
-                             circle_quadrature(-c, 0.5, 64)])
-    assert abs(quad.integrate(lambda z: 1 / (z - c)) - TWO_PI_I) < 1e-12
-
-
-def test_union_doubling():
-    one = unit_circle_quadrature(32)
-    two = union_quadrature([one, one])
-    assert abs(two.integrate(lambda z: 1 / z) - 2 * TWO_PI_I) < 1e-12
-
-
-def test_union_residue_cancellation():
-    # residues of 1/((z-c)(z-1/c)) at c and 1/c cancel exactly
-    c = 0.5
-    quad = union_quadrature([circle_quadrature(c, 0.1, 64),
-                             circle_quadrature(1 / c, 0.1, 64)])
-    val = quad.integrate(lambda z: 1 / ((z - c) * (z - 1 / c)))
-    assert abs(val) < 1e-12
-
-
 def test_orientation_reversal():
     quad = unit_circle_quadrature(32)
     assert abs(quad.reversed().integrate(lambda z: 1 / z) + TWO_PI_I) < 1e-13
+
+
+def test_integrand_must_have_the_node_axis():
+    # the integrand is called once on the whole node array; a result
+    # without the node axis raises, and an exception inside it propagates
+    quad = unit_circle_quadrature(8)
+    for f in (lambda z: 1.0, lambda z: np.eye(2)[0], lambda z: z[:4]):
+        with pytest.raises(InvalidArgumentError, match="node axis"):
+            quad.integrate(f)
+    calls = []
+
+    def broken(z):
+        calls.append(np.shape(z))
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        quad.integrate(broken)
+    assert calls == [(8,)]
+    val = quad.integrate(lambda z: z[:, None, None] ** -1 * np.eye(2))
+    np.testing.assert_allclose(val, TWO_PI_I * np.eye(2), atol=1e-13)
 
 
 def test_geometric_convergence():
@@ -84,10 +82,12 @@ def test_geometric_convergence():
 def test_invalid_arguments():
     with pytest.raises(InvalidArgumentError):
         unit_circle_quadrature(0)
-    with pytest.raises(InvalidArgumentError):
-        circle_quadrature(0, -1.0, 16)
-    with pytest.raises(InvalidArgumentError):
-        union_quadrature([])
+    # a radius that is not finite and positive, or a center that is not
+    # finite, would give a rule of NaN or infinite nodes
+    for center, radius in ((0, -1.0), (0, 0.0), (0, np.nan), (0, np.inf),
+                           (np.nan, 1.0), (complex(0, np.inf), 1.0)):
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            circle_quadrature(center, radius, 16)
     # a float or a bool node count would build a rule whose weights do not
     # match its nodes (16.5 gives 17 nodes of weight 2 pi i / 16.5); a
     # numpy integer is a node count like any int; None is not a count

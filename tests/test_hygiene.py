@@ -167,6 +167,50 @@ def test_every_option_is_set_by_some_call():
     assert unset == []
 
 
+def none_defaults(source: str) -> list:
+    """[(line, function, parameter)] for every parameter that defaults to
+    None in a public module-level function or a public method (or the
+    `__init__`, by class name) of a public module-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fns = [(node.name if f.name == "__init__" else f.name, f)
+                   for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            fns = [(node.name, node)]
+        else:
+            continue
+        for name, f in fns:
+            a = f.args
+            params = a.posonlyargs + a.args
+            pairs = list(zip(params[len(params) - len(a.defaults):],
+                             a.defaults)) + list(zip(a.kwonlyargs,
+                                                     a.kw_defaults))
+            out.extend((f.lineno, name, p.arg) for p, d in pairs
+                       if not name.startswith("_")
+                       and isinstance(d, ast.Constant) and d.value is None)
+    return sorted(out)
+
+
+def test_none_defaults_are_found():
+    source = ("def f(a, b=None, *, c=None, d=0):\n    pass\n"
+              "def _g(p=None):\n    pass\n"
+              "class K:\n    def __init__(self, x=None):\n        pass\n"
+              "    def m(self, u=None):\n        pass\n"
+              "    def _n(self, v=None):\n        pass\n"
+              "class _P:\n    def m(self, w=None):\n        pass\n")
+    assert none_defaults(source) == [
+        (1, "f", "b"), (1, "f", "c"), (6, "K", "x"), (8, "m", "u")]
+
+
+@pytest.mark.parametrize("module", ["contour.py", "mops.py", "sops.py",
+                                    "surface.py", "tiling.py", "weights.py"])
+def test_no_public_parameter_defaults_to_none(module):
+    # an input that is computed when missing is a second path: the caller
+    # hands in what it has
+    assert none_defaults((SRC / module).read_text()) == []
+
+
 def public_definitions(source: str) -> dict:
     """Public module-level functions and classes, and the public methods
     of module-level classes, by line."""

@@ -12,6 +12,11 @@ from cdsurface.cli import _DEFAULT_FAMILIES
 TWO_PI_I = 2j * np.pi
 
 
+def values_at(system, fam, quad):
+    """`mops.node_values` at the nodes of quad, with fam's weight there."""
+    return mops.node_values(system, quad, fam.weight(quad.nodes))
+
+
 def eye_poly(deg, r):
     coeffs = np.zeros((deg + 1, r, r), dtype=complex)
     coeffs[deg] = np.eye(r)
@@ -32,6 +37,14 @@ def test_matrix_polynomial_call_matches_horner_loop(degree, rng):
                 acc = acc * z[idx] + c
             expect[idx] = acc
         assert np.array_equal(P(z), expect)
+
+
+def test_matrix_polynomial_rejects_bad_shapes():
+    # no coefficients would make a polynomial of degree -1 whose call fails
+    for bad in (np.zeros((0, 2, 2)), np.zeros((0, 1, 1)), np.zeros((2, 2)),
+                np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            MatrixPolynomial(bad)
 
 
 @settings(deadline=None, max_examples=60)
@@ -214,7 +227,8 @@ def test_biorthogonality_residual_matches_pairings(families, quad256):
             val = mops.pairing(system.PL[j], system.QR[k], fam, quad256)
             expect = max(expect, float(np.max(np.abs(
                 val - (np.eye(2) if j == k else 0)))))
-    assert mops.biorthogonality_residual(system, fam, quad256) == expect
+    assert mops.biorthogonality_residual(
+        system, quad256, values_at(system, fam, quad256)) == expect
 
 
 def test_biorthogonality(quad256):
@@ -222,7 +236,8 @@ def test_biorthogonality(quad256):
     # (the pole order has to match the degree window)
     fam = CyclicUniform(r=2, L=4, R=3)
     system = mops.mop_system(fam, quad256, 3)
-    assert mops.biorthogonality_residual(system, fam, quad256) < 1e-10
+    assert mops.biorthogonality_residual(
+        system, quad256, values_at(system, fam, quad256)) < 1e-10
 
 
 def test_monic_leading_coefficients(quad256):
@@ -277,23 +292,26 @@ def test_kernel_monomial_closed_form(quad256):
                                    atol=1e-12)
     assert ("Q", 0) in system.missing
     with pytest.raises(SingularSystemError):
-        mops.biorthogonality_residual(system, fam, quad256)
+        mops.biorthogonality_residual(system, quad256,
+                                      values_at(system, fam, quad256))
 
 
 def test_kernel_sum_two_forms_agree(quad256, rng):
+    # sum_j Q^R_j(w) P^L_j(z) equals sum_j P^R_j(w) Q^L_j(z)
     fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     for _ in range(10):
         w = 1.3 * np.exp(2j * np.pi * rng.random())
         z = 0.8 * np.exp(2j * np.pi * rng.random())
         a = mops.cd_kernel_sum(system, w, z)
-        b = mops.cd_kernel_sum(system, w, z, alt=True)
+        b = sum(system.PR[j](w) @ system.QL[j](z) for j in range(system.N))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_kernel_three_routes(quad256, rng):
     fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
+    values = values_at(system, fam, quad256)
     for _ in range(50):
         w = 1.4 * np.exp(2j * np.pi * rng.random())
         z = 0.7 * np.exp(2j * np.pi * rng.random())
@@ -303,7 +321,7 @@ def test_kernel_three_routes(quad256, rng):
         np.testing.assert_allclose(mops.cd_kernel(system, w, z), Kf,
                                    atol=1e-10)
         np.testing.assert_allclose(
-            mops.kernel_from_Y(system, fam, quad256, w, z), Kf, atol=1e-7)
+            mops.kernel_from_Y(system, quad256, w, z, values), Kf, atol=1e-7)
 
 
 def test_kernel_removable_singularity(quad256):
@@ -346,9 +364,10 @@ def test_kernel_from_Y_batch_matches_pairs(families, name, n, rng):
     system = mops.mop_system(fam, quad, 2)
     w = 1.3 * np.exp(2j * np.pi * rng.random(10))
     z = 0.8 * np.exp(2j * np.pi * rng.random(10))
-    batch = mops.kernel_from_Y(system, fam, quad, w, z)
+    values = values_at(system, fam, quad)
+    batch = mops.kernel_from_Y(system, quad, w, z, values)
     assert batch.shape == (10, fam.r, fam.r)
-    pairs = [mops.kernel_from_Y(system, fam, quad, a, b)
+    pairs = [mops.kernel_from_Y(system, quad, a, b, values)
              for a, b in zip(w, z)]
     assert np.array_equal(batch, pairs)
     np.testing.assert_allclose(batch, mops.cd_kernel(system, w, z),
@@ -361,8 +380,9 @@ def test_Y_unimodular_and_inverse(quad256):
     fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     z = 2.0 * np.exp(0.6j)
-    Y = mops.assemble_Y(system, fam, quad256, z)
-    Yi = mops.assemble_Yinv(system, fam, quad256, z)
+    values = values_at(system, fam, quad256)
+    Y = mops.assemble_Y(system, quad256, z, values)
+    Yi = mops.assemble_Yinv(system, quad256, z, values)
     assert abs(np.linalg.det(Y) - 1) < 1e-8
     np.testing.assert_allclose(Y @ Yi, np.eye(4), atol=1e-8)
 
@@ -371,7 +391,7 @@ def test_Y_asymptotics(quad256):
     fam = CyclicUniform(r=2, L=2, R=2)
     system = mops.mop_system(fam, quad256, 2)
     z = 1e3 * np.exp(0.3j)
-    Y = mops.assemble_Y(system, fam, quad256, z)
+    Y = mops.assemble_Y(system, quad256, z, values_at(system, fam, quad256))
     scale = np.diag([z ** -2, z ** -2, z ** 2, z ** 2])
     assert np.max(np.abs(Y @ scale - np.eye(4))) < 1e-2
 
@@ -384,8 +404,8 @@ def test_Y_jump_condition(quad256):
     inner = circle_quadrature(0, 0.8, 256)
     outer = circle_quadrature(0, 1.25, 256)
     s = np.exp(0.7j)
-    Yp = mops.assemble_Y(system, fam, outer, s)
-    Ym = mops.assemble_Y(system, fam, inner, s)
+    Yp = mops.assemble_Y(system, outer, s, values_at(system, fam, outer))
+    Ym = mops.assemble_Y(system, inner, s, values_at(system, fam, inner))
     J = np.eye(4, dtype=complex)
     J[:2, 2:] = fam.weight(s)
     assert np.max(np.abs(Yp - Ym @ J)) < 1e-6
@@ -397,15 +417,16 @@ def test_reproducing_and_dual(quad256, rng):
     for fam in (CyclicUniform(r=2, L=2, R=2),
                 ScalarMonomial(r=2, N=2)):
         system = mops.mop_system(fam, quad256, 2)
+        W = fam.weight(quad256.nodes)
         for _ in range(20):
             C = (rng.standard_normal((2, 2, 2))
                  + 1j * rng.standard_normal((2, 2, 2)))
             P = MatrixPolynomial(C)
             z = 0.8 * np.exp(2j * np.pi * rng.random())
-            assert mops.reproducing_residual(system, fam, quad256, P, z) \
+            assert mops.reproducing_residual(system, quad256, P, z, W) \
                 < 1e-8
-            assert mops.dual_reproducing_residual(system, fam, quad256,
-                                                  P, z) < 1e-8
+            assert mops.dual_reproducing_residual(system, quad256, P, z,
+                                                  W) < 1e-8
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -425,15 +446,16 @@ def test_reproducing_residual_batch_matches_single(families, name, n, rng):
     polys = [MatrixPolynomial(cnormal(rng, 2, r, r)) for _ in range(5)]
     zs = 0.9 * np.exp(2j * np.pi * rng.random(5))
     outside = MatrixPolynomial(cnormal(rng, 3, r, r))
+    W = fam.weight(quad.nodes)
     for residual in (mops.reproducing_residual,
                      mops.dual_reproducing_residual):
-        batch = residual(system, fam, quad, polys, zs)
-        singles = [residual(system, fam, quad, P, z)
+        batch = residual(system, quad, polys, zs, W)
+        singles = [residual(system, quad, P, z, W)
                    for P, z in zip(polys, zs)]
         assert abs(batch - max(singles)) <= 1e-12
         assert batch < 1e-8
-        assert residual(system, fam, quad, outside, zs[0]) > 1e-3
-        assert residual(system, fam, quad, polys[:4] + [outside], zs) > 1e-3
+        assert residual(system, quad, outside, zs[0], W) > 1e-3
+        assert residual(system, quad, polys[:4] + [outside], zs, W) > 1e-3
 
 
 # --- kernel integral ----------------------------------------------------

@@ -14,14 +14,15 @@ def solve(weight, n, quad):
     return sops.solve_scalar_ops(weight, quad, n)
 
 
-class ScalarWeight:
-    """A scalar weight as the 1 x 1 matrix weight that `mops` reads."""
+def weight_at(w, quad):
+    """The scalar weight w at the nodes of quad as the (n, 1, 1) matrix
+    weight that `mops` reads."""
+    return np.asarray(w(quad.nodes))[:, None, None]
 
-    def __init__(self, w):
-        self.w = w
 
-    def weight(self, z):
-        return np.asarray(self.w(z))[..., None, None]
+def values(system, w, quad):
+    """`mops.node_values` of the r = 1 system of the scalar weight w."""
+    return mops.node_values(system, quad, weight_at(w, quad))
 
 
 def kernel(system, om, zt):
@@ -122,8 +123,8 @@ def test_kernel_reproduces_polynomials(quad256, rng):
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         zt = 0.8 * np.exp(2j * np.pi * rng.random())
         P = mops.MatrixPolynomial(c.reshape(-1, 1, 1))
-        assert mops.reproducing_residual(system, ScalarWeight(w), quad256,
-                                         P, zt) < 1e-10
+        assert mops.reproducing_residual(system, quad256, P, zt,
+                                         weight_at(w, quad256)) < 1e-10
 
 
 def test_kernel_routes_agree(quad256, rng):
@@ -181,8 +182,8 @@ def jacobi_weight(z):
 
 def test_scalar_Y_unimodular(quad256):
     system = solve(jacobi_weight, 2, quad256)
-    Y = mops.assemble_Y(system, ScalarWeight(jacobi_weight), quad256,
-                        1.9 + 0.4j)
+    Y = mops.assemble_Y(system, quad256, 1.9 + 0.4j,
+                        values(system, jacobi_weight, quad256))
     assert Y.shape == (2, 2)
     assert abs(np.linalg.det(Y) - 1) < 1e-8
 
@@ -190,8 +191,8 @@ def test_scalar_Y_unimodular(quad256):
 def test_scalar_kernel_from_Y(quad256):
     system = solve(jacobi_weight, 2, quad256)
     om, zt = 1.6 + 0.2j, 0.5 - 0.4j
-    assert abs(mops.kernel_from_Y(system, ScalarWeight(jacobi_weight),
-                                  quad256, om, zt)[0, 0]
+    assert abs(mops.kernel_from_Y(system, quad256, om, zt,
+                                  values(system, jacobi_weight, quad256))[0, 0]
                - kernel(system, om, zt)) < 1e-7
 
 
@@ -199,6 +200,7 @@ def test_scalar_Y_asymptotics(quad256):
     n = 2
     system = solve(jacobi_weight, n, quad256)
     z = 1e3 * np.exp(0.4j)
-    Y = mops.assemble_Y(system, ScalarWeight(jacobi_weight), quad256, z)
+    Y = mops.assemble_Y(system, quad256, z,
+                        values(system, jacobi_weight, quad256))
     scale = np.diag([z ** -n, z ** n])
     assert np.max(np.abs(Y @ scale - np.eye(2))) < 1e-2

@@ -107,7 +107,7 @@ def test_edge_weights_match_contour_formula(rng):
             j, k = y1 % m.r, y2 % m.r   # row = source, column = target
             m1, m2 = y1 // m.r, y2 // m.r
             val = quad.integrate(
-                lambda z: m.transition(x, z)[j, k] * z ** (m1 - m2) / z) \
+                lambda z: m.transition(x, z)[..., j, k] * z ** (m1 - m2) / z) \
                 / (2j * np.pi)
             assert abs(val - expect) < 1e-12
 
@@ -935,8 +935,7 @@ def test_warm_single_cell_block_is_one_product_of_fresh_moments():
                     for k, (x, y) in enumerate(((x2, y2), (x1, y1))))
                 want = U @ (fresh.flat @ V)      # (r, r): one height a side
                 if x1 > x2:
-                    want = want - tiling._chi_integral(fresh, x1, x2, [y1],
-                                                       [y2])[0, 0]
+                    want = want - tiling._chi_integral(fresh, x1, x2, y2 - y1)
                 got = tiling._query_block(route, KernelQuery(x1, y1, x2, y2))
                 assert np.array_equal(got, want), (form, x1, y1, x2, y2)
 
@@ -1038,8 +1037,8 @@ def chi_cases(draw):
 
 # the `_split` of [x2, x1): at q = 1, (2, 0) shares all but the whole
 # periods with (1, 0); at q = 2, (3, 1) shares all but the head partial
-# period with (1, 0), and all but the tail with (2, 1).  Single heights:
-# only a single cell's chi integral is kept
+# period with (1, 0), and all but the tail with (2, 1).  Drawn batched
+# heights read and fill the same per-difference entries as single cells
 @example((ROUTE_MODELS[0], KernelQuery(2, 0, 0, 1), 1))
 @example((ROUTE_MODELS[1], KernelQuery(3, 0, 1, 1), -1))
 @example((ROUTE_MODELS[1], KernelQuery(3, 2, 1, 0), 2))
@@ -1071,7 +1070,8 @@ def test_chi_integrals_evaluated_once_per_key(monkeypatch):
     monkeypatch.setattr(tiling, "_chi_integral",
                         counting(calls, "chi", tiling._chi_integral))
     # three pairs of heights with two differences y2 - y1: the third
-    # pair's queries find every chi integral the first pair's stored
+    # pair's queries find every chi integral the first pair's stored; a
+    # batched grid reads and fills the same entries, one per difference
     heights = ((0, 1), (2, -1), (3, 4))
     for m in ROUTE_MODELS:
         ev = tiling.DKEvaluator(m, 128)
@@ -1087,12 +1087,15 @@ def test_chi_integrals_evaluated_once_per_key(monkeypatch):
             for q in queries:
                 tiling._query_block(route, q)
             assert calls["chi"] == len(route.chis), form
-            # a batched grid's chi integral is evaluated each time, not kept
             kept = dict(route.chis)
-            for _ in range(2):
-                tiling._query_block(route, batched)
-            assert calls["chi"] == len(kept) + 2, form
-            assert route.chis.keys() == kept.keys(), form
+            tiling._query_block(route, batched)
+            new = {(0, m.L, b - a) for a in batched.y1 for b in batched.y2}
+            assert route.chis.keys() == kept.keys() | new, form
+            assert calls["chi"] == len(route.chis), form
+            assert all(route.chis[key] is chi for key, chi in kept.items())
+            # a repeated batched grid evaluates no new integral
+            tiling._query_block(route, batched)
+            assert calls["chi"] == len(route.chis), form
 
 
 def test_route_memos_are_read_only():
