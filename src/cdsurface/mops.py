@@ -169,12 +169,13 @@ def solve_mops(moments: np.ndarray, N: int) -> MOPSystem:
 
     # The size-j system sum_m M_{k+m} C_m = RHS_k (k < j) gives P^R_j for
     # RHS_k = -M_{j+k} and Q^R_{j-1} for RHS_k = delta_{k,j-1} I; the left
-    # families solve the blockwise transpose, which is A^T.
+    # families solve the blockwise transpose, which is A^T.  The size-N
+    # system is the kernel's, already checked.
     for j in range(1, N + 1):
         A = _block(moments, range(j), range(j))
         try:
-            conds[("P", j)] = conds[("Q", j - 1)] = _check_singular(
-                A, scale, f"P_{j}, Q_{j - 1}")
+            conds[("P", j)] = conds[("Q", j - 1)] = conds["kernel"] \
+                if j == N else _check_singular(A, scale, f"P_{j}, Q_{j - 1}")
         except SingularSystemError as exc:
             missing[("P", j)] = missing[("Q", j - 1)] = str(exc)
             for fam in (PL, PR, QL, QR):

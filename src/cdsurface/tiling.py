@@ -40,11 +40,12 @@ column's one-point density K(x, y, x, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
+from weakref import ref
 
 import numpy as np
 
@@ -72,7 +73,12 @@ class HexagonModel:
     """(L, M, N) hexagon with vertically r-periodic, horizontally
     q-periodic edge weights a[l][j] (up-steps) and b[l][j] (flat steps).
 
-    Requires L a multiple of q and M, N multiples of r."""
+    Requires L a multiple of q and M, N multiples of r.
+
+    `_evaluators` maps each int node count n that `dk_evaluator` has
+    served for this object to a weak reference to its evaluator, so a
+    later call finds it without hashing the model; it is no part of the
+    model's eq, hash or repr, and a copy or a pickle starts empty."""
 
     r: int
     q: int
@@ -81,6 +87,8 @@ class HexagonModel:
     N: int
     a: tuple   # q rows of r up-step weights
     b: tuple   # q rows of r flat-step weights
+    _evaluators: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         int_fields("hexagon", self)
@@ -98,6 +106,11 @@ class HexagonModel:
                 "hexagon: M and N must be multiples of r")
         if self.L < self.M:
             raise InvalidArgumentError("hexagon: need L >= M")
+
+    def __reduce__(self):
+        # copies and pickles are built anew, so they hold no evaluator
+        return HexagonModel, (self.r, self.q, self.L, self.M, self.N,
+                              self.a, self.b)
 
     @classmethod
     def uniform(cls, L: int, M: int, N: int, r: int = 1,
@@ -281,10 +294,12 @@ def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
     an int height none.  A single cell of two int heights whose moments
     are kept reads them and makes its one product U @ (C V), less its
     chi; these are the operations `_contour_block` makes on that cell,
-    which fills the memos on a miss."""
+    which fills the memos on a miss.  It checks its two columns in one
+    comparison and calls `check_columns` only to raise."""
     x1, y1, x2, y2 = query.x1, query.y1, query.x2, query.y2
     if type(y1) is int and type(y2) is int:
-        check_columns(route.model, x2, x1)
+        if not 0 <= x1 <= route.model.L >= x2 >= 0:
+            check_columns(route.model, x2, x1)
         try:
             out = route.moments[0][x2, y2] @ route.moments[1][x1, y1]
         except KeyError:
@@ -427,6 +442,15 @@ def _spectral_power(eigens):
 # DK matrix-kernel evaluator
 # ---------------------------------------------------------------------------
 
+def _min_node_count(model: HexagonModel) -> int:
+    """The least node count n at which the trapezoid rule on the unit
+    circle is exact on the moments M_0 ... M_{2N/r-2} of
+    W = z^(-h) A^(L/q), h = (M + N)/r: max(h, 2N/r - h + floor(L/r))."""
+    r = model.r
+    h = (model.M + model.N) // r
+    return max(h, 2 * model.N // r - h + model.L // r)
+
+
 class DKEvaluator:
     """Double-contour kernel evaluator for one model and node count.
 
@@ -439,28 +463,53 @@ class DKEvaluator:
     n; N for the explicit route), its N x N kernel coefficients
     (`kernel_coeffs` on dk, sheets and plane), q transition matrices and
     at most L/q + 1 period-matrix powers of O(n r^2) numbers per power
-    factor, n numbers per exponent queried on a side (2n if on both),
+    factor (the dk route's also keeps the squarings A^(2^k) it formed,
+    at most log2(L/q) + 1), n numbers per exponent queried on a side
+    (2n if on both),
     N r per (column, height) queried on a side (its moments U on the
     left and C V on the right, on every route; at most
     (L + 1)((N + M)/r + 1) per side for heights inside the hexagon),
     and r^2 per chi integral: at most q L per height
     difference y2 - y1 of the cells queried with x1 > x2.  The
     one-point densities of the columns queried (`densities`) are at
-    most (L + 1)(N + M) floats."""
+    most (L + 1)(N + M) floats.
+
+    A node count below `_min_node_count(model)` raises
+    InvalidArgumentError naming that least count: below it the
+    trapezoid rule aliases the moments of W and the kernel is silently
+    wrong."""
 
     def __init__(self, model: HexagonModel, n: int = DEFAULT_N):
         self.model = model
         self.quad = unit_circle_quadrature(n)
+        if n < (least := _min_node_count(model)):
+            raise InvalidArgumentError(
+                f"node count n = {n} is too small for this hexagon: the "
+                f"trapezoid rule is exact on its moments only for "
+                f"n >= {least}")
         N = model.N // model.r
         z, A = self.quad.nodes, model.period_matrix(self.quad.nodes)
 
-        # The evaluator keeps np.linalg.matrix_power and `@` here and in
-        # its routes, not the faster `weights.node_power`/`node_product`:
-        # the strict xfail of the probability defect pins the bits they
-        # give, and the node products' bits make it pass, which fails the
-        # test suite.
+        # The evaluator keeps the products of np.linalg.matrix_power and
+        # `@` here and in its routes, not the faster
+        # `weights.node_power`/`node_product`: the strict xfail of the
+        # probability defect pins the bits they give, and the node
+        # products' bits make it pass, which fails the test suite.  So
+        # A^p is matrix_power's own result for p <= 1 and its (A A) A for
+        # p = 3, and otherwise its binary powering, an ascending product
+        # of the squarings A^(2^k), which are kept across exponents.
+        squares = [A]
+
         def power(p):
-            return np.linalg.matrix_power(A, p)
+            if p <= 1 or p == 3:
+                return np.linalg.matrix_power(A, p)
+            out = None
+            for k, bit in enumerate(reversed(f"{p:b}")):
+                if k == len(squares):
+                    squares.append(squares[-1] @ squares[-1])
+                if bit == "1":
+                    out = squares[k] if out is None else out @ squares[k]
+            return out
 
         # the weight W = z^(-h) A^(L/q), h = (M + N) / r, at the nodes
         top = power(model.L // model.q)
@@ -574,9 +623,22 @@ def _dk_evaluator(model: HexagonModel, n: int) -> DKEvaluator:
 
 def dk_evaluator(model: HexagonModel, n: int = DEFAULT_N) -> DKEvaluator:
     """The cached evaluator of (model, n), however n is passed: an int or
-    a numpy integer n is one cache key, and any other n raises."""
+    a numpy integer n is one cache key, and any other n raises.
+
+    The (model, n) LRU cache owns the evaluators: it holds 16 and gives
+    equal models one evaluator.  An int n first reads the weak reference
+    that the model object keeps for it (`HexagonModel._evaluators`),
+    which hashes nothing; only a miss or a dead reference checks n, asks
+    the LRU and keeps a weak reference to its answer.  So after
+    `_dk_evaluator.cache_clear()` or an eviction, the next call builds a
+    new evaluator once no caller holds the old one."""
+    kept = model._evaluators.get(n) if type(n) is int else None
+    if kept is not None and (ev := kept()) is not None:
+        return ev
     check_integers("node count n", 0, n)
-    return _dk_evaluator(model, int(n))
+    ev = _dk_evaluator(model, int(n))
+    model._evaluators[int(n)] = ref(ev)
+    return ev
 
 
 def dk_kernel(model: HexagonModel, query: KernelQuery,

@@ -144,15 +144,26 @@ def test_verify_tiling_oracle():
 
 def test_verify_tiling_oracle_reads_n(capsys):
     # the determinant routes run at the given node count: one node is
-    # far off the exact oracle, eight are within every tolerance
+    # below the hexagon's least node count, 2, and is refused; eight are
+    # within every tolerance
     argv = ["verify", "--suite", "tiling-oracle", "--hexagon", "4,2,2",
             "--r", "2", "--q", "1", "--a", "[[1,0.7]]", "--b", "[[1.2,0.5]]"]
-    assert main(argv + ["--n", "1"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    singles = {c["check"]: c for c in report["checks"]}[
-        "determinant-vs-exact-singles"]
-    assert singles["residual"] > 0.5
+    assert main(argv + ["--n", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "n >= 2" in captured.err and captured.out == ""
     assert main(argv + ["--n", "8"]) == 0
+
+
+def test_prob_refuses_a_node_count_below_the_least(capsys):
+    # the uniform (4, 2, 2) hexagon needs n >= 4: at n = 3 the trapezoid
+    # rule gave P = 0.5454... for the exact 3/5
+    argv = ["prob", "--hexagon", "4,2,2", "--points", "1,1"]
+    assert main(argv + ["--n", "3"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "n >= 4" in captured.err and captured.out == ""
+    assert main(argv + ["--n", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["probability_determinant"] == pytest.approx(0.6, abs=1e-14)
 
 
 MOPS_CHECKS = ["reproducing", "biorthogonality", "sum-vs-formula",

@@ -192,8 +192,9 @@ SOLVE_CASES.append(("cyclic-r3-L4R3", CyclicUniform(r=3, L=4, R=3), 3))
                          ids=[f"{c[0]}-N{c[2]}" for c in SOLVE_CASES])
 def test_solve_mops_one_factorization_per_size(name, fam, N, quad256,
                                                monkeypatch):
-    # sizes 1..N each serve P_j and Q_{j-1} on both sides, plus the
-    # kernel's own check: N + 1 singularity checks per solve
+    # sizes 1..N each serve P_j and Q_{j-1} on both sides; size N is the
+    # kernel's system, whose one check serves both: N singularity checks
+    # per solve
     moments = mops.compute_moments(quad256, N, fam.weight(quad256.nodes))
     calls = []
     check = mops._check_singular
@@ -204,7 +205,9 @@ def test_solve_mops_one_factorization_per_size(name, fam, N, quad256,
 
     monkeypatch.setattr(mops, "_check_singular", counted)
     system = mops.solve_mops(moments, N)
-    assert len(calls) == N + 1
+    assert len(calls) == N
+    assert system.conditions[("P", N)] == system.conditions[("Q", N - 1)] \
+        == system.conditions["kernel"]
     for kind, j in system.missing:
         for side in "LR":
             with pytest.raises(SingularSystemError):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
@@ -471,16 +473,22 @@ def test_point_probability_edge_cases():
     assert point_probability(m, pts, "exact") == point_probability(
         m, [(2, 1), (1, 0)], "exact")
     # so must the node count, also when an evaluator of the equal int
-    # (QN for None) is cached
+    # (QN for None) is cached; True's equal int, 1, is below every
+    # model's least node count, so no evaluator of it is ever cached
     for n in (QN + 0.0, True, None):
-        point_probability(model_2x1(), [(2, 1)], n=int(n or QN))
-        with pytest.raises(InvalidArgumentError, match="node count n"):
+        if n is not True:
+            point_probability(model_2x1(), [(2, 1)], n=int(n or QN))
+        with pytest.raises(InvalidArgumentError,
+                           match="node count n must be an integer"):
             point_probability(model_2x1(), [(2, 1)], n=n)
 
 
 def test_numpy_integer_n_shares_the_evaluator():
     # an int and a numpy integer n are one cache key, also through
-    # point_probability; a float or a bool n raises before the cache
+    # point_probability; a float or a bool n raises before the cache.
+    # The model keeps a weak reference per int n, which answers the int
+    # calls after the first, so only the three numpy-integer calls reach
+    # the LRU and hit it
     m = model_2x1()
     tiling._dk_evaluator.cache_clear()
     ev = tiling.dk_evaluator(m, 128)
@@ -489,7 +497,9 @@ def test_numpy_integer_n_shares_the_evaluator():
     assert point_probability(m, [(2, 1)], n=np.int64(128)) \
         == point_probability(m, [(2, 1)], n=128)
     info = tiling._dk_evaluator.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    assert [(type(k), k) for k in m._evaluators] == [(int, 128)]
+    assert m._evaluators[128]() is ev
     for n in (128.0, True):
         message = re.escape(f"node count n must be an integer, got {n!r}")
         with pytest.raises(InvalidArgumentError, match=message):
@@ -1010,6 +1020,132 @@ def test_warm_single_cell_makes_no_group_block(monkeypatch):
                     calls.clear()
                     fn(m, query, 128)
                     assert not calls, (form, query)
+
+
+# --- evaluator lookup ---------------------------------------------------
+
+def route_model_calls(m, n=QN):
+    """One query on every route of m, through the public functions."""
+    q = KernelQuery(3, 1, 1, 0)
+    return {name: fn(m, q, n) for name, fn in ROUTES.items()}
+
+
+def test_warm_calls_neither_hash_nor_compare_the_model(monkeypatch):
+    # a warm call finds its evaluator through the model's own weak
+    # reference, so no HexagonModel.__hash__ or __eq__ runs, and its
+    # blocks are those of a fresh evaluator, bit for bit
+    calls = Counter()
+    for name in ("__hash__", "__eq__"):
+        monkeypatch.setattr(HexagonModel, name,
+                            counting(calls, name, getattr(HexagonModel, name)))
+    tiling._dk_evaluator.cache_clear()
+    for m in (model_2x1(), ROUTE_MODELS[1]):
+        route_model_calls(m)
+        calls.clear()
+        warm = route_model_calls(m)
+        assert not calls, calls
+        q = KernelQuery(3, 1, 1, 0)
+        for form, blk in warm.items():
+            fresh = tiling.DKEvaluator(m, QN).route(form)
+            assert np.array_equal(blk, tiling._query_block(fresh, q)), form
+
+
+def test_evaluator_rebuilt_once_no_caller_holds_it(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(tiling.DKEvaluator, "__init__", counting(
+        calls, "build", tiling.DKEvaluator.__init__))
+    m = HexagonModel.uniform(4, 2, 2)
+    tiling._dk_evaluator.cache_clear()
+    held = tiling.dk_evaluator(m, 8)
+    # a caller that holds the evaluator keeps it reachable by the model
+    tiling._dk_evaluator.cache_clear()
+    assert tiling.dk_evaluator(m, 8) is held and calls["build"] == 1
+    del held
+    tiling._dk_evaluator.cache_clear()
+    tiling.dk_evaluator(m, 8)
+    assert calls["build"] == 2
+    # as after an eviction: 16 other node counts evict n = 8, which no
+    # caller holds
+    for n in range(9, 25):
+        tiling.dk_evaluator(m, n)
+    assert calls["build"] == 18
+    tiling.dk_evaluator(m, 8)
+    assert calls["build"] == 19
+    assert tiling._dk_evaluator.cache_info().currsize == 16
+
+
+def test_served_model_keeps_eq_hash_repr_and_copies_empty():
+    m, twin = model_2x1(), model_2x1()
+    route_model_calls(m)
+    assert m._evaluators
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    for dup in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert dup == m and dup is not m and dup._evaluators == {}
+        assert hash(dup) == hash(m) and repr(dup) == repr(m)
+
+
+# --- node count guard ---------------------------------------------------
+
+def least_node_count(m):
+    """max(h, 2N/r - h + floor(L/r)), h = (M + N)/r: the trapezoid rule's
+    exactness bound on the moments M_0 ... M_{2N/r-2} of W."""
+    h = (m.M + m.N) // m.r
+    return max(h, 2 * m.N // m.r - h + m.L // m.r)
+
+
+def guard_models():
+    rng = np.random.default_rng(7)
+
+    def w(q, r):
+        return tuple(tuple(rng.uniform(0.5, 2.0, r)) for _ in range(q))
+    return [HexagonModel.uniform(4, 2, 2), HexagonModel.uniform(6, 3, 3),
+            HexagonModel.uniform(8, 2, 4), model_2x1(),
+            HexagonModel(r=2, q=1, L=4, M=2, N=2, a=w(1, 2), b=w(1, 2)),
+            HexagonModel(r=2, q=1, L=8, M=4, N=4, a=w(1, 2), b=w(1, 2)),
+            HexagonModel(r=2, q=2, L=8, M=4, N=4, a=w(2, 2), b=w(2, 2)),
+            HexagonModel(r=2, q=2, L=12, M=6, N=6, a=w(2, 2), b=w(2, 2)),
+            HexagonModel(r=3, q=1, L=6, M=3, N=3, a=w(1, 3), b=w(1, 3)),
+            HexagonModel(r=1, q=3, L=6, M=2, N=2, a=w(3, 1), b=w(3, 1))]
+
+
+@pytest.mark.parametrize("m", guard_models(), ids=lambda m: (
+    f"r{m.r}q{m.q}-{m.L},{m.M},{m.N}"))
+def test_node_count_below_the_least_is_refused(m, monkeypatch):
+    # at the least node count the kernel matches the exact oracle as well
+    # as at n = 64; one node fewer is refused, and with the guard lifted
+    # it is far off or singular
+    least = least_node_count(m)
+    with pytest.raises(InvalidArgumentError, match=f"n >= {least}$"):
+        tiling.DKEvaluator(m, least - 1)
+    points = lattice(m)[::3]
+    oracle = ExactOracle(m)
+    exact = np.array([[float(oracle.kernel(*a, *b)) for b in points]
+                      for a in points])
+
+    def error(n):
+        return np.max(np.abs(tiling.DKEvaluator(m, n).point_matrix(points)
+                             - exact))
+    assert error(least) <= 10 * error(64) + 1e-13
+    monkeypatch.setattr(tiling, "_min_node_count", lambda model: 1)
+    try:
+        assert error(least - 1) > 1e-3
+    except SingularSystemError:
+        pass
+
+
+@pytest.mark.parametrize("m", [HexagonModel.uniform(6, 3, 3), model_2x1(),
+                               ROUTE_MODELS[1]], ids=("r1", "r2q1", "r2q2"))
+def test_dk_power_is_matrix_power_bit_for_bit(m):
+    # the dk route's A^p keeps its squarings across exponents and still
+    # has the bits of np.linalg.matrix_power, in rising and falling order
+    exps = range(2 * m.L // m.q + 1)
+    for order in (exps, exps[::-1]):
+        ev = tiling.DKEvaluator(m, 64)
+        power = ev.route("dk")._powers[0]
+        A = m.period_matrix(ev.quad.nodes)
+        for p in order:
+            got, want = power(p), np.linalg.matrix_power(A, p)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --- chi integrals kept on the route ------------------------------------
