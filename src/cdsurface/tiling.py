@@ -21,25 +21,26 @@ This module provides:
   * point_probability, lgv_partition_function, macmahon_count --
     probabilities, the partition function and the uniform count.
 
-Every kernel entry is one double-contour block (`_contour_block`) on one
-of the DK, sheet, plane and explicit routes, contracted through CD
-kernel coefficients; the routes differ only in their nodes, their
-kernel coefficients and how they write powers of the period matrix.
-The integral factorizes as U^T C V - chi, with U the moments
-of a left factor of (x2, y2) only and V those of a right factor of
-(x1, y1) only, so a block stacks groups of (column, heights) per side
-into one product U @ (C V).  Each route's node data is built once per
-(model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
+Every kernel entry is one cell (x1, y1, x2, y2) of a double-contour
+block (`_query_block`) on one of the DK, sheet, plane and explicit
+routes, contracted through CD kernel coefficients; the routes differ
+only in their nodes, their kernel coefficients and how they write
+powers of the period matrix.  The integral factorizes as U^T C V - chi,
+with U the moments of a left factor of (x2, y2) only and V those of a
+right factor of (x1, y1) only.  Each route's node data is built once
+per (model, n) on the cached `DKEvaluator` and memoized (see `_Route`),
 down to each (column, height)'s U on the left and C V on the right, so
-a warm block reads them, does one product and subtracts each cell's chi
-integral, kept per height difference (`_chi`).  A single cell of two
-int heights (`_query_block`) reads its two entries directly and calls
-`_contour_block` only on a miss.  The evaluator also keeps each
+a warm cell reads its two entries, does one product U @ (C V) and
+subtracts its chi integral, kept per height difference (`_chi`).  A
+block of height arrays (`_grid_block`) projects each side's missing
+heights of its column at once and stacks its cells' blocks, so every
+block is its cells' own, bit for bit.  The evaluator also keeps each
 column's one-point density K(x, y, x, y).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -230,7 +231,7 @@ def _split(q: int, lo: int, hi: int) -> tuple:
 
 
 class _Route:
-    """Node data of one tiling route: the arguments of `_contour_block`.
+    """Node data of one tiling route, which `_query_block` integrates on.
 
     Given by its builder: the nodes' base-plane points `x`, weights
     `wts`, the kernel's basis at the nodes `rows` (the powers
@@ -288,38 +289,8 @@ class _Route:
         return np.array([memo[e] for e in exps]).T
 
 
-def _query_block(route: _Route, query: KernelQuery) -> np.ndarray:
-    """The query's block, one group of heights per side, of shape
-    shape(y2) + shape(y1) + (r, r): an array of heights gives an axis,
-    an int height none.  A single cell of two int heights whose moments
-    are kept reads them and makes its one product U @ (C V), less its
-    chi; these are the operations `_contour_block` makes on that cell,
-    which fills the memos on a miss.  It checks its two columns in one
-    comparison and calls `check_columns` only to raise."""
-    x1, y1, x2, y2 = query.x1, query.y1, query.x2, query.y2
-    if type(y1) is int and type(y2) is int:
-        if not 0 <= x1 <= route.model.L >= x2 >= 0:
-            check_columns(route.model, x2, x1)
-        try:
-            out = route.moments[0][x2, y2] @ route.moments[1][x1, y1]
-        except KeyError:
-            return _contour_block(route, [(x2, [y2])], [(x1, [y1])])[0, 0]
-        if x1 > x2:
-            out -= _chi(route, x1, x2, y2 - y1)
-        return out
-    sides, shape = [], ()
-    for x, y in ((x2, y2), (x1, y1)):
-        if isinstance(y, int) or np.ndim(y) == 0:
-            sides.append([(x, [int(y)])])
-        else:
-            sides.append([(x, [int(v) for v in y])])
-            shape += (len(y),)
-    out = _contour_block(route, *sides)
-    return out.reshape(shape + out.shape[2:])
-
-
-def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
-    """The block that every tiling route evaluates,
+def _query_block(route: _Route, query) -> np.ndarray:
+    """The block that every tiling route evaluates for a query's cells,
 
         int int w^(y2-h) T[x2, L)(w) R(w, z) T[0, x1)(z) z^(-y1-1)
           - chi int z^(y2-y1-1) T[x2, x1)(z),      h = (M+N)/r,
@@ -332,54 +303,68 @@ def _contour_block(route: _Route, lefts: list, rights: list) -> np.ndarray:
     writes A^p, where left (n, r, s) and right (n, s, r) meet R's s x s
     values.
 
-    `lefts` are (x2, heights y2) groups and `rights` (x1, heights y1)
-    groups.  The left factor depends on x2 and y2 only, the right factor
-    on x1 and y1 only, so the double integral is the pairing
-    U^T C V of their moments U_a and V_b, and all groups take one
-    product U @ (C V) of the left moments and the right moments already
-    multiplied by C (`_moments`, kept per (column, height)); only
-    chi = [x1 > x2] sees both columns.  The result is indexed (y2, y1)
-    over the stacked heights: (sum len(y2s), sum len(y1s), r, r)."""
-    check_columns(route.model, *(x for x, _ in lefts + rights))
-    # the product gives (y2 r, y1 r); blocks are indexed (y2, y1)
-    out = _moments(route, 0, lefts) @ _moments(route, 1, rights)
-    r = route.model.r
-    out = out.reshape(len(out) // r, r, -1, r).transpose(0, 2, 1, 3)
-    cells = [[(x, y) for x, ys in groups for y in ys]
-             for groups in (lefts, rights)]
-    for a, (x2, y2) in enumerate(cells[0]):
-        for b, (x1, y1) in enumerate(cells[1]):
-            if x1 > x2:
-                out[a, b] -= _chi(route, x1, x2, y2 - y1)
-    return out
+    The left factor depends on (x2, y2) only and the right factor on
+    (x1, y1) only, so the double integral is the pairing U^T C V of
+    their moments; only chi = [x1 > x2] sees both columns.  A cell of two
+    int heights reads U and C V kept per (column, height) (`_moments`),
+    makes one product U @ (C V) and subtracts its chi integral (`_chi`);
+    on a miss it projects the missing entries and reads them again.  It
+    checks its two columns in one comparison and calls `check_columns`
+    only to raise.  Other heights go to `_grid_block`.  `query` is a
+    `KernelQuery` or a `_Cell`."""
+    x1, y1, x2, y2 = query.x1, query.y1, query.x2, query.y2
+    if type(y1) is int and type(y2) is int:
+        if not 0 <= x1 <= route.model.L >= x2 >= 0:
+            check_columns(route.model, x2, x1)
+        try:
+            out = route.moments[0][x2, y2] @ route.moments[1][x1, y1]
+        except KeyError:
+            _moments(route, 0, x2, [y2])
+            _moments(route, 1, x1, [y1])
+            return _query_block(route, query)
+        if x1 > x2:
+            out -= _chi(route, x1, x2, y2 - y1)
+        return out
+    return _grid_block(route, query)
 
 
-def _moments(route: _Route, k: int, groups: list) -> np.ndarray:
-    """The `mops.moments` U of the left factor (k = 0) of (column,
-    heights) `groups`, or C V, those V of the right factor (k = 1)
-    multiplied by the route's coefficients C = `flat`, stacked for the
-    one product U @ (C V): the concatenation of each (column, height)'s
-    own entry, kept in `route.moments[k]`.  The entries are read
-    first; only when one is missing does a group look for its missing
-    heights, form their factor at once, project it as a stack of one
-    factor per height and multiply each height's V by C alone, so an
-    entry has the same bits whichever query made it, and a single-height
-    block the bits of U @ (C @ V)."""
+#: a cell of checked columns and int heights, cheaper than a KernelQuery
+_Cell = namedtuple("_Cell", "x1 y1 x2 y2")
+
+
+def _grid_block(route: _Route, query) -> np.ndarray:
+    """The block of heights that are not both ints, shape(y2) + shape(y1)
+    + (r, r): a list or a 1-D array of heights gives an axis.  Each side's
+    missing heights of its column are projected at once, and then each
+    (y2, y1) block is its int cell's, bit for bit."""
+    check_columns(route.model, query.x2, query.x1)
+    sides, shape = [], ()
+    for k, (x, y) in enumerate(((query.x2, query.y2), (query.x1, query.y1))):
+        sides.append([int(v) for v in np.ravel(y)])
+        shape += np.shape(y)
+        _moments(route, k, x, sides[-1])
+    return np.array([_query_block(route, _Cell(query.x1, y1, query.x2, y2))
+                     for y2 in sides[0] for y1 in sides[1]]
+                    ).reshape(shape + (route.model.r,) * 2)
+
+
+def _moments(route: _Route, k: int, x: int, ys) -> None:
+    """Keep in `route.moments[k]` the `mops.moments` U of the left factor
+    (k = 0) of column x, or C V, those V of the right factor (k = 1)
+    multiplied by the route's coefficients C = `flat`, at each height of
+    `ys` that it lacks.  The missing heights' factors are formed at once
+    and projected as a stack of one factor per height, and each height's
+    V is multiplied by C alone, so an entry has the same bits whichever
+    query made it."""
     memo = route.moments[k]
-    try:
-        out = [memo[x, y] for x, ys in groups for y in ys]
-    except KeyError:
-        for x, ys in groups:
-            missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
-            if missing:
-                factors = np.moveaxis(_factor(route, k, x, missing), 1, 0)
-                moments = mops.moments(route.rows, factors, k)
-                if k:
-                    moments = route.flat @ moments
-                for y, m in zip(missing, moments):
-                    memo[x, y] = m
-        out = [memo[x, y] for x, ys in groups for y in ys]
-    return out[0] if len(out) == 1 else np.concatenate(out, k)
+    missing = [y for y in dict.fromkeys(ys) if (x, y) not in memo]
+    if missing:
+        factors = np.moveaxis(_factor(route, k, x, missing), 1, 0)
+        moments = mops.moments(route.rows, factors, k)
+        if k:
+            moments = route.flat @ moments
+        for y, m in zip(missing, moments):
+            memo[x, y] = m
 
 
 def _factor(route: _Route, k: int, x: int, ys: list) -> np.ndarray:
@@ -451,6 +436,15 @@ def _min_node_count(model: HexagonModel) -> int:
     return max(h, 2 * model.N // r - h + model.L // r)
 
 
+def _check_node_count(model: HexagonModel, n: int) -> None:
+    """Raise InvalidArgumentError if n is below `_min_node_count(model)`."""
+    if n < (least := _min_node_count(model)):
+        raise InvalidArgumentError(
+            f"node count n = {n} is too small for this hexagon: the "
+            f"trapezoid rule is exact on its moments only for "
+            f"n >= {least}")
+
+
 class DKEvaluator:
     """Double-contour kernel evaluator for one model and node count.
 
@@ -458,21 +452,21 @@ class DKEvaluator:
     coefficients of W at degree N/r and the node data of the tiling
     routes (see `route`): "dk" built here, "sheets", "plane" and
     "explicit" on first use.  `block`, `scalar`, `density` and
-    `point_matrix` each make one `_contour_block` on the dk route.  A
-    route holds its nodes, the powers of its kernel points (N/r rows of
-    n; N for the explicit route), its N x N kernel coefficients
-    (`kernel_coeffs` on dk, sheets and plane), q transition matrices and
-    at most L/q + 1 period-matrix powers of O(n r^2) numbers per power
-    factor (the dk route's also keeps the squarings A^(2^k) it formed,
-    at most log2(L/q) + 1), n numbers per exponent queried on a side
-    (2n if on both),
-    N r per (column, height) queried on a side (its moments U on the
-    left and C V on the right, on every route; at most
-    (L + 1)((N + M)/r + 1) per side for heights inside the hexagon),
-    and r^2 per chi integral: at most q L per height
-    difference y2 - y1 of the cells queried with x1 > x2.  The
-    one-point densities of the columns queried (`densities`) are at
-    most (L + 1)(N + M) floats.
+    `point_matrix` form their entries from cells of the dk route
+    (`_query_block`): `density` the diagonal cells of one column,
+    `point_matrix` one cell per entry.  A route holds its nodes, the
+    powers of its kernel points (N/r rows of n; N for the explicit
+    route), its N x N kernel coefficients (`kernel_coeffs` on dk, sheets
+    and plane), q transition matrices and at most L/q + 1 period-matrix
+    powers of O(n r^2) numbers per power factor (the dk route's also
+    keeps the squarings A^(2^k) it formed, at most log2(L/q) + 1), n
+    numbers per exponent queried on a side (2n if on both), N r per
+    (column, height) queried on a side (its moments U on the left and
+    C V on the right, on every route; at most (L + 1)((N + M)/r + 1) per
+    side for heights inside the hexagon), and r^2 per chi integral: at
+    most q L per height difference y2 - y1 of the cells queried with
+    x1 > x2.  The one-point densities of the columns queried
+    (`densities`) are at most (L + 1)(N + M) floats.
 
     A node count below `_min_node_count(model)` raises
     InvalidArgumentError naming that least count: below it the
@@ -482,11 +476,7 @@ class DKEvaluator:
     def __init__(self, model: HexagonModel, n: int = DEFAULT_N):
         self.model = model
         self.quad = unit_circle_quadrature(n)
-        if n < (least := _min_node_count(model)):
-            raise InvalidArgumentError(
-                f"node count n = {n} is too small for this hexagon: the "
-                f"trapezoid rule is exact on its moments only for "
-                f"n >= {least}")
+        _check_node_count(model, n)
         N = model.N // model.r
         z, A = self.quad.nodes, model.period_matrix(self.quad.nodes)
 
@@ -547,16 +537,20 @@ class DKEvaluator:
         return _query_block(self.route("dk"), query)
 
     def density(self, x: int) -> dict:
-        """{y: K(x, y, x, y)} over the heights of column x, kept: one
-        block over heights y // r on first use; raises off [0, L]."""
+        """{y: K(x, y, x, y)} over the heights of column x, kept: on first
+        use the column's moments are projected once per side and only the
+        diagonal cells of its block heights y // r are formed; raises off
+        [0, L]."""
         if x not in self.densities:
+            check_columns(self.model, x)
+            route, r = self.route("dk"), self.model.r
             ys = self.model.column_range(x)
-            r, lo = self.model.r, ys.start // self.model.r
-            heights = np.arange(lo, (ys.stop - 1) // r + 1)
-            blk = self.block(KernelQuery(x, heights, x, heights))
-            self.densities[x] = {
-                y: float(blk[y // r - lo, y // r - lo, y % r, y % r].real)
-                for y in ys}
+            heights = range(ys[0] // r, ys[-1] // r + 1)
+            for k in (0, 1):
+                _moments(route, k, x, heights)
+            blk = {y: _query_block(route, _Cell(x, y, x, y)) for y in heights}
+            self.densities[x] = {y: float(blk[y // r][y % r, y % r].real)
+                                 for y in ys}
         return self.densities[x]
 
     def scalar(self, x1: int, Y1: int, x2: int, Y2: int) -> complex:
@@ -566,15 +560,13 @@ class DKEvaluator:
         return blk[Y2 % r, Y1 % r]
 
     def point_matrix(self, points: list) -> np.ndarray:
-        """[K(x_i, Y_i, x_j, Y_j)]_{i,j}, the entries of `scalar`: one
-        `_contour_block` with one single-height group per point and
-        side."""
-        r = self.model.r
-        groups = [(x, [Y // r]) for x, Y in points]
-        out = _contour_block(self.route("dk"), groups, groups)
-        # entry (i, j) is out[j, i, Y_j % r, Y_i % r]
-        k, rows = np.arange(len(points)), np.array([Y % r for _, Y in points])
-        return out[k, k[:, None], rows, rows[:, None]]
+        """[K(x_i, Y_i, x_j, Y_j)]_{i,j}, the entries of `scalar`, each
+        from its own cell on the dk route; `points` are integer (x, Y)
+        pairs with x in [0, L]."""
+        r, route = self.model.r, self.route("dk")
+        return np.array([[_query_block(route, _Cell(xi, Yi // r, xj, Yj // r)
+                                       )[Yj % r, Yi % r] for xj, Yj in points]
+                         for xi, Yi in points])
 
 
 def _sheet_route(ev: DKEvaluator) -> _Route:
@@ -706,11 +698,14 @@ def uniform_scalar_kernel(L: int, M: int, N: int, x1: int, y1: int,
                           n: int = DEFAULT_N) -> complex:
     """Correlation kernel of the uniform measure through the scalar
     weight (1+z)^L z^{-M-N}; independent of the matrix-kernel path.
-    Sizes that `HexagonModel` refuses and a column outside [0, L] raise
-    InvalidArgumentError."""
+    Sizes that `HexagonModel` refuses, a column outside [0, L] and a node
+    count below the hexagon's least (`_min_node_count`, as `DKEvaluator`
+    has it) raise InvalidArgumentError."""
     check_integers("point coordinate", 0, x1, y1, x2, y2)
-    check_columns(HexagonModel.uniform(L, M, N), x1, x2)
+    model = HexagonModel.uniform(L, M, N)
+    check_columns(model, x1, x2)
     quad = unit_circle_quadrature(n)
+    _check_node_count(model, n)
     z = quad.nodes
     coeffs, _ = mops.kernel_coefficients(sops.scalar_moments(
         lambda s: (1 + s) ** L * s ** (-(M + N)), quad, N).reshape(-1, 1, 1),

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -326,52 +327,38 @@ def test_prob_point_outside_column_reports_zero(tmp_path):
 
 def test_prob_repeated_call_reuses_column_densities(tmp_path, monkeypatch):
     # the second call finds every column's density on the cached
-    # evaluator: its only block is the k points' one product, of moments
-    # that it finds kept on the route, so it projects none
+    # evaluator and every moment of its k points kept on the route: it
+    # forms only the k^2 cells of its point matrix and projects nothing.
+    # The first projects each cold column once per side, and the point
+    # matrix, which runs first, one moment per side of each point
     from cdsurface import mops, tiling
-    blocks, products, projections = [], [], []
-    contour_block, side, project = (tiling._contour_block, tiling._moments,
-                                    mops.moments)
+    calls = Counter()
 
-    class Counted(np.ndarray):
-        def __matmul__(self, other):
-            products.append(1)
-            return np.asarray(self) @ np.asarray(other)
+    def count(owner, name):
+        fn = getattr(owner, name)
 
-    def counted(*args):
-        blocks.append(args)
-        return contour_block(*args)
-
-    def counted_side(*args):
-        return side(*args).view(Counted)
-
-    def counted_project(*args):
-        projections.append(args)
-        return project(*args)
-
-    monkeypatch.setattr(tiling, "_contour_block", counted)
-    monkeypatch.setattr(tiling, "_moments", counted_side)
-    monkeypatch.setattr(mops, "moments", counted_project)
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    count(tiling, "_query_block")
+    count(tiling, "_grid_block")
+    count(mops, "moments")
     tiling._dk_evaluator.cache_clear()
     argv = ["prob", "--hexagon", "4,2,2", "--r", "2", "--q", "2",
             "--a", "[[1.0, 2.0], [1.0, 1.0]]",
             "--b", "[[1.0, 2.0], [1.5, 0.7]]", "--n", "128",
             "--points", "1,1", "3,2"]
-    points = [(1, [0]), (3, [1])]    # one single-height group per point
     runs = []
     for name in ("first", "second"):
         out = tmp_path / f"{name}.json"
-        blocks.clear()
-        products.clear()
-        projections.clear()
+        calls.clear()
         assert main(argv + ["--output", str(out)]) == 0
-        assert len(products) == len(blocks)
-        assert [b[1:] for b in blocks].count((points, points)) == 1
-        runs.append((out.read_bytes(), len(blocks), len(projections)))
-    (first, cold, formed), (second, warm, reformed) = runs
+        runs.append((out.read_bytes(), dict(calls)))
+    (first, cold), (second, warm) = runs
     assert first == second
-    assert (cold, warm) == (5 + 1, 1)
-    assert formed and not reformed
+    assert cold["moments"] == 2 * 2 + 2 * 5 and "_grid_block" not in cold
+    assert warm == {"_query_block": 2 * 2}
 
 
 def test_prob_repeated_call_reuses_model_and_evaluator(tmp_path,

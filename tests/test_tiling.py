@@ -327,6 +327,19 @@ def test_uniform_scalar_kernel_rejects_bad_arguments():
             uniform_scalar_kernel(*args, n=64)
 
 
+@pytest.mark.parametrize("hexagon, point, least", [
+    ((4, 2, 2), (1, 1, 1, 1), 4), ((8, 4, 4), (3, 4, 2, 3), 8)])
+def test_uniform_scalar_kernel_refuses_too_few_nodes(hexagon, point, least):
+    # one node below the trapezoid bound gave 0.5454... for 0.6 and
+    # -0.00421 for -0.021645, silently; at the bound it is the oracle's
+    assert least == least_node_count(HexagonModel.uniform(*hexagon))
+    with pytest.raises(InvalidArgumentError, match=f"n >= {least}$"):
+        uniform_scalar_kernel(*hexagon, *point, n=least - 1)
+    exact = ExactOracle(HexagonModel.uniform(*hexagon)).kernel(*point)
+    assert abs(uniform_scalar_kernel(*hexagon, *point, n=least)
+               - float(exact)) < 1e-12
+
+
 def test_dk_entries_match_exact_kernel():
     # no gauge separates the contour kernel from the Eynard-Mehta one:
     # every entry, over all pairs of lattice points (x1 <, =, > x2),
@@ -394,26 +407,36 @@ def test_point_outside_column_range_has_probability_zero(monkeypatch):
     # evaluates no block, whose rounding could make it negative
     m = HexagonModel.uniform(4, 2, 2, r=2)
     calls = Counter()
-    monkeypatch.setattr(tiling, "_contour_block",
-                        counting(calls, "block", tiling._contour_block))
+    monkeypatch.setattr(tiling, "_query_block",
+                        counting(calls, "block", tiling._query_block))
+    monkeypatch.setattr(tiling.mops, "moments",
+                        counting(calls, "moments", tiling.mops.moments))
     for pt in ((4, 5), (1, 9), (1, -1)):
         for pts in ([pt], [(2, 1), pt]):
             p = point_probability(m, pts, "determinant", 64)
             assert p == 0.0 and not np.signbit(p), pts
             assert point_probability(m, pts, "exact") == 0
-    assert calls["block"] == 0
+    assert not calls
 
 
 def test_column_densities_kept_on_evaluator(monkeypatch):
+    # a cold column projects its moments once per side and forms only the
+    # diagonal cells of its block heights; a warm one projects nothing
     m = random_r2_model(np.random.default_rng(11), 2, 6, 12)
     calls = Counter()
-    monkeypatch.setattr(tiling, "_contour_block",
-                        counting(calls, "block", tiling._contour_block))
+    monkeypatch.setattr(tiling, "_query_block",
+                        counting(calls, "cell", tiling._query_block))
+    monkeypatch.setattr(tiling.mops, "moments",
+                        counting(calls, "moments", tiling.mops.moments))
     tiling._dk_evaluator.cache_clear()
-    cold = [tiling.column_probabilities(m, x, n=128) for x in range(m.L + 1)]
-    assert calls["block"] == m.L + 1
+    cold = []
+    for x in range(m.L + 1):
+        calls.clear()
+        cold.append(tiling.column_probabilities(m, x, n=128))
+        assert calls == {"moments": 2, "cell": len(block_heights(m, x))}, x
+    calls.clear()
     warm = [tiling.column_probabilities(m, x, n=128) for x in range(m.L + 1)]
-    assert calls["block"] == m.L + 1
+    assert not calls
     for x, col in enumerate(warm):
         tiling._dk_evaluator.cache_clear()
         fresh = tiling.column_probabilities(m, x, n=128)
@@ -509,20 +532,20 @@ def test_numpy_integer_n_shares_the_evaluator():
     assert tiling._dk_evaluator.cache_info().misses == 1
 
 
-# --- stacked point matrix -----------------------------------------------
+# --- point matrix -------------------------------------------------------
 
 def lattice(m):
     return [(x, y) for x in range(m.L + 1) for y in m.column_range(x)]
 
 
 def assert_point_matrix_matches_scalar(ev, points):
-    """Every entry of the stacked matrix is K(x_i, y_i, x_j, y_j) from
-    its own single-height block, to 1e-15 max(1, |K|)."""
+    """Every entry of the point matrix is K(x_i, y_i, x_j, y_j) of its own
+    single-height block, bit for bit."""
     mat = ev.point_matrix(points)
     ref = np.array([[ev.scalar(xi, yi, xj, yj) for xj, yj in points]
                     for xi, yi in points])
     assert mat.shape == ref.shape
-    assert np.all(np.abs(mat - ref) <= 1e-15 * np.maximum(1, np.abs(ref)))
+    assert np.array_equal(mat, ref)
     return ref
 
 
@@ -655,13 +678,11 @@ def test_batched_heights_match_single_queries():
                 for i, y2 in enumerate(y2s):
                     for j, y1 in enumerate(y1s):
                         one = fn(KernelQuery(x1, int(y1), x2, int(y2)))
-                        assert np.all(np.abs(batch[i, j] - one)
-                                      <= 1e-13 * np.maximum(1, np.abs(one))
-                                      ), (name, x1, x2, y1, y2)
+                        assert np.array_equal(batch[i, j], one), \
+                            (name, x1, x2, y1, y2)
                 row = fn(KernelQuery(x1, y1s, x2, int(y2s[0])))
                 assert row.shape == (len(y1s), 2, 2)
-                assert np.all(np.abs(row - batch[0])
-                              <= 1e-13 * np.maximum(1, np.abs(batch[0])))
+                assert np.array_equal(row, batch[0]), (name, x1, x2)
 
 
 # --- route data kept on the evaluator -----------------------------------
@@ -826,50 +847,6 @@ def test_query_height_types_give_the_same_blocks():
             KernelQuery(**{**good, **bad})
 
 
-def abs_terms(route, left, right):
-    """The pairing of one group pair with every factor replaced by its
-    modulus: the size of the terms its sums add, (y2, y1, r, r)."""
-    rows = np.abs(route.rows)
-    U, V = (mops.moments(rows, np.abs(np.moveaxis(
-        tiling._factor(route, k, *group), 1, 0)), k)
-        for k, group in enumerate((left, right)))
-    out = np.concatenate(U, 0) @ (np.abs(route.flat) @ np.concatenate(V, 1))
-    r = route.model.r
-    return out.reshape(len(left[1]), r, -1, r).transpose(0, 2, 1, 3)
-
-
-def test_stacked_groups_match_one_group_blocks():
-    # several (column, heights) groups per side, single and batched
-    # heights, x1 <, =, > x2: each group pair's block of the stacked
-    # contraction is that pair's own one-group block to 1e-15 max(1, |K|),
-    # and a one-group block is the route's query block, bit for bit.
-    # Stacking regroups the contraction's sums; the explicit route's
-    # terms reach 1e5 where |K| <= 1 (its ill-conditioned chart moments,
-    # ROADMAP item 10), so its blocks move by up to eps times the terms
-    lefts = [(0, [1]), (2, [-1, 0, 2]), (3, [0]), (4, [2, 1])]
-    rights = [(1, [0, 1]), (3, [2]), (4, [-1, 1, 0]), (2, [1])]
-    for m in ROUTE_MODELS:
-        ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
-        for form, fn in ROUTES.items():
-            out = tiling._contour_block(ev.route(form), lefts, rights)
-            i = 0
-            for x2, y2s in lefts:
-                j = 0
-                for x1, y1s in rights:
-                    one = tiling._contour_block(fresh.route(form),
-                                                [(x2, y2s)], [(x1, y1s)])
-                    query = KernelQuery(x1, np.array(y1s), x2, np.array(y2s))
-                    assert np.array_equal(one, fn(m, query, 128))
-                    tol = 1e-15 * np.maximum(1, np.abs(one))
-                    if form == "explicit":
-                        tol = 4 * np.finfo(float).eps * abs_terms(
-                            ev.route(form), (x2, y2s), (x1, y1s))
-                    got = out[i:i + len(y2s), j:j + len(y1s)]
-                    assert np.all(np.abs(got - one) <= tol), (form, x1, x2)
-                    j += len(y1s)
-                i += len(y2s)
-
-
 def block_heights(m, x):
     """The block heights y // r of column x."""
     ys = m.column_range(x)
@@ -877,9 +854,9 @@ def block_heights(m, x):
 
 
 def test_all_pairs_sweep_keeps_one_moment_per_column_height():
-    # every pair of lattice points, the column densities and a stacked
-    # block: each side keeps exactly one moment per (column, block
-    # height) queried on it, of N/r r s numbers
+    # every pair of lattice points, the column densities and a grid with
+    # repeated heights: each side keeps exactly one moment per (column,
+    # block height) queried on it, of N/r r s numbers
     for m in ROUTE_MODELS:
         ev = tiling.DKEvaluator(m, 128)
         cells = {(x, y) for x in range(m.L + 1) for y in block_heights(m, x)}
@@ -891,8 +868,8 @@ def test_all_pairs_sweep_keeps_one_moment_per_column_height():
                 heights = np.array(block_heights(m, x))
                 tiling._query_block(route, KernelQuery(x, heights, x,
                                                        heights))
-            tiling._contour_block(route, [(1, [0]), (3, [1, 0])],
-                                  [(3, [1]), (1, [0, 0])])
+            tiling._query_block(route, KernelQuery(1, np.array([0, 0]), 3,
+                                                   np.array([1, 0])))
             s = len(route.flat) // len(route.rows)
             size = len(route.rows) * s
             for k, shape in enumerate(((m.r, size), (size, m.r))):
@@ -902,21 +879,22 @@ def test_all_pairs_sweep_keeps_one_moment_per_column_height():
 
 
 def test_stacked_moments_are_their_heights_entries():
-    # a stacked or batched side's moments are the concatenation of its
-    # (column, height) entries, bit for bit, and each entry is that
-    # height's alone, as a fresh route forms it: the projection of its
-    # factor alone (a stack of one, as `mops.kernel_integral` projects),
-    # times the kernel coefficients on the right
+    # a column's heights projected as one stack, a repeated height among
+    # them, give each (column, height) entry the bits of that height
+    # alone, as a fresh route forms it: the projection of its factor
+    # alone (a stack of one, as `mops.kernel_integral` projects), times
+    # the kernel coefficients on the right
     groups = [(0, [1]), (2, [-1, 0, 2]), (3, [0]), (4, [2, 1, 2])]
     for m in ROUTE_MODELS:
         ev, fresh = tiling.DKEvaluator(m, 128), tiling.DKEvaluator(m, 128)
         for form in ROUTES:
             route = ev.route(form)
             for k in (0, 1):
-                stacked = tiling._moments(route, k, groups)
                 memo = route.moments[k]
-                assert np.array_equal(stacked, np.concatenate(
-                    [memo[x, y] for x, ys in groups for y in ys], k))
+                for x, ys in groups:
+                    tiling._moments(route, k, x, ys)
+                assert memo.keys() == {(x, y) for x, ys in groups
+                                       for y in ys}, (form, k)
                 for x, ys in groups:
                     for y in ys:
                         route1 = fresh.route(form)
@@ -950,11 +928,11 @@ def test_warm_single_cell_block_is_one_product_of_fresh_moments():
                 assert np.array_equal(got, want), (form, x1, y1, x2, y2)
 
 
-def test_single_cell_path_gives_the_group_path_bits():
+def test_single_cell_path_gives_the_grid_path_bits():
     # every cell pair on every route: a cold block (a fresh evaluator per
-    # cell) equals the warm one, and the warm one equals the route's
-    # one-group `_contour_block` of the same cell and the block of numpy
-    # integer heights, which take the group path, bit for bit
+    # cell) equals the warm one, and the warm one equals the block of
+    # numpy integer heights and the one block of one-height arrays, which
+    # take the grid path, bit for bit
     for m in ROUTE_MODELS:
         cells = [(x, y) for x in range(m.L + 1) for y in block_heights(m, x)]
         pairs = list(product(cells, repeat=2))
@@ -965,14 +943,12 @@ def test_single_cell_path_gives_the_group_path_bits():
                 cold.append(fn(m, KernelQuery(x1, y1, x2, y2), 128))
             for (x1, y1), (x2, y2) in pairs:
                 fn(m, KernelQuery(x1, y1, x2, y2), 128)
-            route = tiling.dk_evaluator(m, 128).route(form)
             for ((x1, y1), (x2, y2)), blk in zip(pairs, cold):
                 warm = fn(m, KernelQuery(x1, y1, x2, y2), 128)
                 assert warm.shape == (m.r, m.r)
                 assert np.array_equal(warm, blk), (form, x1, y1, x2, y2)
-                group = tiling._contour_block(route, [(x2, [y2])],
-                                              [(x1, [y1])])
-                assert np.array_equal(warm, group[0, 0]), form
+                grid = fn(m, KernelQuery(x1, [y1], x2, [y2]), 128)
+                assert np.array_equal(warm, grid[0, 0]), form
                 typed = KernelQuery(x1, np.int64(y1), x2, np.int64(y2))
                 assert np.array_equal(fn(m, typed, 128), warm), form
 
@@ -998,12 +974,12 @@ def test_single_cell_block_is_the_callers_own():
                 assert not any(a.flags.writeable for a in memo.values())
 
 
-def test_warm_single_cell_makes_no_group_block(monkeypatch):
-    # a warm single cell reads its two moments and makes no
-    # `_contour_block` and no projection; its first call makes one block
+def test_warm_single_cell_makes_no_projection(monkeypatch):
+    # a cold single cell projects its left and its right moment, one each,
+    # and takes no grid path; a warm one reads them and projects nothing
     calls = Counter()
-    monkeypatch.setattr(tiling, "_contour_block",
-                        counting(calls, "block", tiling._contour_block))
+    monkeypatch.setattr(tiling, "_grid_block",
+                        counting(calls, "grid", tiling._grid_block))
     monkeypatch.setattr(tiling.mops, "moments",
                         counting(calls, "moments", tiling.mops.moments))
     queries = (KernelQuery(3, 0, 1, 1), KernelQuery(1, 2, 3, 0),
@@ -1014,8 +990,7 @@ def test_warm_single_cell_makes_no_group_block(monkeypatch):
             for query in queries:
                 calls.clear()
                 fn(m, query, 128)
-                assert calls["block"] == 1, (form, query)
-                assert calls["moments"] >= 1, (form, query)
+                assert calls == {"moments": 2}, (form, query)
                 for _ in range(2):
                     calls.clear()
                     fn(m, query, 128)
